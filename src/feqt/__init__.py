@@ -17,7 +17,6 @@ from .fdata import (
     band_contains,
     equispaced_grid,
     make_cosine_bands,
-    validate_sample,
 )
 from .estimators import (
     AnovaDecomposition,
@@ -63,7 +62,6 @@ __all__ = [
     "band_contains",
     "equispaced_grid",
     "make_cosine_bands",
-    "validate_sample",
     "AnovaDecomposition",
     "MetricEstimates",
     "adjusted_random_effects",

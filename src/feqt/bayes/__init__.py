@@ -3,18 +3,17 @@ correlation, Log-GP variance priors, mixture GP mean priors, prior calibration,
 Metropolis-within-Gibbs sampling, and posterior equivalence summaries."""
 
 from .kernels import MaternKernel, matern_corr
-from .model import PriorSpec, GPBandPrior, log_gp_prior_logdensity, simplified_corr
+from .model import PriorSpec, GPBandPrior, paired_block_loglik
 from .mvnprob import RectangleProb, mvn_rectangle_prob, calibrate_prior_scale, prior_equivalence_prob
 from .posterior import PosteriorDraws, posterior_equivalence_prob, simultaneous_bands, SimultaneousBand
-from .sampler import run_mwg, MwgOptions
+from .sampler import run_mwg
 
 __all__ = [
     "MaternKernel",
     "matern_corr",
     "PriorSpec",
     "GPBandPrior",
-    "log_gp_prior_logdensity",
-    "simplified_corr",
+    "paired_block_loglik",
     "RectangleProb",
     "mvn_rectangle_prob",
     "calibrate_prior_scale",
@@ -24,5 +23,4 @@ __all__ = [
     "simultaneous_bands",
     "SimultaneousBand",
     "run_mwg",
-    "MwgOptions",
 ]

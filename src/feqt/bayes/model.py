@@ -9,12 +9,11 @@ misspecification of the along-domain correlation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from ..fdata import BandKind, BandPair, Grid
-from .kernels import MaternKernel, matern_corr, corr_cholesky
+from ..fdata import BandKind, BandPair
+from .kernels import MaternKernel
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -36,10 +35,8 @@ class GPBandPrior:
         return MaternKernel(self.range_a, self.scale_s2)
 
     def offsets(self) -> tuple:
-        """The two mixture offsets on the working scale (log for ratio bands)."""
-        if self.bands.kind is BandKind.MULTIPLICATIVE:
-            return np.log(self.bands.lower), np.log(self.bands.upper)
-        return np.asarray(self.bands.lower), np.asarray(self.bands.upper)
+        """The two mixture offsets on the band's working scale."""
+        return self.bands.to_working(self.bands.lower), self.bands.to_working(self.bands.upper)
 
 
 @dataclass(frozen=True)
@@ -61,68 +58,21 @@ class PriorSpec:
                 raise ValueError("variance priors need multiplicative bands")
 
 
-def paired_block_logpdf(y1, y2, m1, m2, v1, v2, rho):
-    """Log-density of a bivariate normal with per-point means, variances, and
-    cross-correlation; all arguments broadcast elementwise."""
-    z1 = (np.asarray(y1) - m1) / np.sqrt(v1)
-    z2 = (np.asarray(y2) - m2) / np.sqrt(v2)
-    omr2 = 1.0 - rho**2
-    quad = (z1**2 - 2.0 * rho * z1 * z2 + z2**2) / omr2
-    return -_LOG_2PI - 0.5 * (np.log(v1) + np.log(v2) + np.log(omr2)) - 0.5 * quad
+def paired_block_loglik(l1, l2, rho, s11, s22, s12, count):
+    """Per-gridpoint log-likelihood of ``count`` zero-mean bivariate-normal
+    pairs, from their sufficient statistics.
 
-
-class SimplifiedCorrelation:
-    """Correlation operator for the pointwise-factorized structure.
-
-    Exposes the per-gridpoint 2x2 block log-density; the full-data
-    log-likelihood is the sum of block terms over pairs and grid points.
+    (l1, l2) are the channel log-variances, ``rho`` the cross-correlation and
+    (s11, s22, s12) the residual sums of squares and cross-products at each
+    grid point; all arguments broadcast elementwise.
     """
-
-    def __init__(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        if np.any(np.abs(rho) >= 1.0):
-            raise ValueError("|rho(t)| must be < 1")
-        self.rho = rho
-
-    def block_logpdf(self, y, mean, sigma2):
-        """Per-point block log-densities.
-
-        ``y`` and ``mean`` have shape (..., 2, T), ``sigma2`` shape (2, T);
-        returns an array of shape (..., T).
-        """
-        y = np.asarray(y, dtype=float)
-        mean = np.broadcast_to(mean, y.shape)
-        return paired_block_logpdf(
-            y[..., 0, :], y[..., 1, :], mean[..., 0, :], mean[..., 1, :],
-            sigma2[0], sigma2[1], self.rho,
-        )
-
-    def loglik(self, y, mean, sigma2) -> float:
-        """Total log-likelihood over all pairs and grid points."""
-        return float(self.block_logpdf(y, mean, sigma2).sum())
-
-    def block_determinants(self):
-        """Determinant of each 2x2 correlation block, 1 - rho(t)^2."""
-        return 1.0 - self.rho**2
-
-
-def simplified_corr(rho) -> SimplifiedCorrelation:
-    """Build the pointwise-factorized correlation operator from rho(t)."""
-    return SimplifiedCorrelation(rho)
-
-
-def mvn_logpdf_chol(x, mean, chol_lower) -> float:
-    """Multivariate normal log-density given a lower Cholesky factor."""
-    from scipy.linalg import solve_triangular
-
-    dev = np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)
-    w = solve_triangular(chol_lower, dev, lower=True)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol_lower)))
-    return float(-0.5 * (dev.size * _LOG_2PI + logdet + w @ w))
-
-
-def log_gp_prior_logdensity(log_var_curve, mean_curve, kernel: MaternKernel, grid: Grid) -> float:
-    """Log-density of a log-variance curve under its GP prior on the grid."""
-    corr = matern_corr(kernel, grid)
-    chol = np.sqrt(kernel.scale_s2) * corr_cholesky(corr)
-    return mvn_logpdf_chol(log_var_curve, mean_curve, chol)
+    omr2 = 1.0 - rho * rho
+    e1 = np.exp(-l1)
+    e2 = np.exp(-l2)
+    e12 = np.exp(-0.5 * (l1 + l2))
+    quad = s11 * e1 - 2.0 * rho * s12 * e12 + s22 * e2
+    return (
+        -count * _LOG_2PI
+        - 0.5 * count * (l1 + l2 + np.log(omr2))
+        - 0.5 * quad / omr2
+    )

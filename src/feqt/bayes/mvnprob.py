@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import norm, qmc
 
-from ..fdata import BandKind, BandPair, Grid
+from ..fdata import BandPair, Grid
 from .kernels import MaternKernel, matern_corr, JITTER
 
 _PHI_EPS = 1e-15
@@ -154,20 +154,6 @@ def mvn_rectangle_prob(
         n = counts  # double the total
 
 
-def _band_rectangle(bands: BandPair):
-    """Rectangle and mixture component offsets for a band pair.
-
-    Additive bands are used as-is; multiplicative bands are mapped to the log
-    scale. Returns (lower, upper, component_means) where component_means are
-    the two mixture centers (the band curves themselves, on the working scale).
-    """
-    if bands.kind is BandKind.MULTIPLICATIVE:
-        lo, hi = np.log(bands.lower), np.log(bands.upper)
-    else:
-        lo, hi = bands.lower, bands.upper
-    return lo, hi, (lo, hi)
-
-
 def prior_equivalence_prob(
     range_a: float,
     s2: float,
@@ -185,11 +171,11 @@ def prior_equivalence_prob(
     covariance ``2 * s2 * Matern(range_a)``; multiplicative metrics are
     handled on the log scale.
     """
-    lo, hi, centers = _band_rectangle(bands)
+    lo, hi = bands.to_working(bands.lower), bands.to_working(bands.upper)
     cov = 2.0 * s2 * matern_corr(MaternKernel(range_a), grid)
     parts = [
         mvn_rectangle_prob(m, cov, lo, hi, accuracy, rel_accuracy=rel_accuracy, seed=seed + i)
-        for i, m in enumerate(centers)
+        for i, m in enumerate((lo, hi))
     ]
     est = 0.5 * (parts[0].estimate + parts[1].estimate)
     se = 0.5 * np.hypot(parts[0].error, parts[1].error)

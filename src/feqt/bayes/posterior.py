@@ -7,7 +7,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..fdata import BandPair
 from .. import tost as _tost
 
 Metric = _tost.Metric

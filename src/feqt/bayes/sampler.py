@@ -4,28 +4,33 @@ The pointwise-factorized correlation makes the mean curves, random effects,
 hyper-means, and mixture indicators conjugate; only the log-variance curves
 (blocked random-walk Metropolis with prior-correlation-shaped proposals) and
 the cross-correlations (per-point Metropolis on the Fisher-z scale) need
-Metropolis steps. Proposal scales adapt toward 20-40% acceptance during
-burn-in and are frozen afterwards, preserving detailed balance for every
-retained draw.
+Metropolis steps. The two variance levels, error and random effect, share one
+update: each is a pair of log-variance curves under a band-centred mixture
+GP prior plus a pointwise cross-correlation.
 
-Chain c draws only from a substream keyed by (seed, c), so multi-chain output
-is independent of execution order.
+Adaptation is per chain: each chain starts from the same initial proposal
+scales, moves its own copy toward 30% acceptance during its burn-in, and
+freezes them afterwards, preserving detailed balance for every retained draw.
+Chain c also draws only from a substream keyed by (seed, c), so its draws are
+independent of how many chains run and in which order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from ..fdata import GroupedPairedSample
 from .kernels import matern_corr, corr_cholesky
-from .model import PriorSpec
+from .model import GPBandPrior, PriorSpec, paired_block_loglik
 from .posterior import PosteriorDraws
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
 _TARGET_ACCEPT = 0.3
+_INITIAL_STEPS = {
+    "leps_1": 0.1, "leps_2": 0.1, "lalp_1": 0.3, "lalp_2": 0.3, "rho_e": 0.5, "rho_a": 0.8,
+}
 
 
 class SamplerDivergenceError(RuntimeError):
@@ -36,16 +41,26 @@ class SamplerDivergenceError(RuntimeError):
         self.state = state
 
 
-@dataclass(frozen=True)
-class MwgOptions:
-    """Tuning knobs with defaults that match the reference run schedule."""
+class _Mixture(NamedTuple):
+    """A pair of channel curves under a band-centred mixture GP prior."""
 
-    chains: int = 3
-    iters: int = 10500
-    burnin: int = 500
-    thin: int = 10
-    target_accept: float = _TARGET_ACCEPT
-    rhat_threshold: float = 1.1
+    curves: str  # state key of the (2, T) curves
+    hyper: str  # state key of the flat-prior hyper-mean
+    indicator: str  # state key of the mixture indicator
+    lcorr: np.ndarray  # Cholesky factor of the prior correlation
+    lcov: np.ndarray  # Cholesky factor of the prior covariance
+    prec: np.ndarray  # prior precision
+    offsets: tuple  # the two mixture offsets on the working scale
+
+
+class _Level(NamedTuple):
+    """One variance level: its log-variance mixture plus the cross-correlation."""
+
+    mix: _Mixture
+    rho: str  # state key of the cross-correlation
+    steps: tuple  # proposal-scale keys of channel 1 and channel 2
+    count: float  # observations per grid point
+    residuals: Callable  # state -> (count, 2, T) residuals
 
 
 def _chain_rng(seed: int, chain: int) -> np.random.Generator:
@@ -67,20 +82,19 @@ def _chol2x2(a, b, c):
     return l11, l21, l22
 
 
-def _pair_loglik_terms(l1, l2, rho, s11, s22, s12, count):
-    """Per-gridpoint log-likelihood of `count` paired observations with
-    log-variances (l1, l2), cross-correlation rho, and residual cross-products
-    (s11, s22, s12)."""
-    omr2 = 1.0 - rho * rho
-    e1 = np.exp(-l1)
-    e2 = np.exp(-l2)
-    e12 = np.exp(-0.5 * (l1 + l2))
-    quad = s11 * e1 - 2.0 * rho * s12 * e12 + s22 * e2
-    return (
-        -count * _LOG_2PI
-        - 0.5 * count * (l1 + l2 + np.log(omr2))
-        - 0.5 * quad / omr2
-    )
+def _cross_sums(dev):
+    """Per-gridpoint sums (s11, s22, s12) of squares and cross-products of
+    (n, 2, T) residuals."""
+    s11 = (dev[:, 0, :] ** 2).sum(axis=0)
+    s22 = (dev[:, 1, :] ** 2).sum(axis=0)
+    s12 = (dev[:, 0, :] * dev[:, 1, :]).sum(axis=0)
+    return s11, s22, s12
+
+
+def _precision(state, level):
+    """Per-gridpoint 2x2 precision entries of one variance level."""
+    v1, v2 = np.exp(state[level.mix.curves])
+    return _inv2x2(v1, state[level.rho] * np.sqrt(v1 * v2), v2)
 
 
 class MwgSampler:
@@ -98,38 +112,46 @@ class MwgSampler:
         self.sizes = data.group_sizes
         self.N = data.n_total
         self.labels = data.group_labels()
-        self.y = data.stacked()  # (N, 2, T)
-        self.ybar_group = np.stack(
-            [self.y[self.labels == i].mean(axis=0) for i in range(self.A)]
-        )  # (A, 2, T)
+        self._set_data(data.stacked())
         self.prior = prior
 
         eye = np.eye(self.T)
 
-        def family(p):
+        def mixture(curves, hyper, indicator, p: GPBandPrior):
             corr = matern_corr(p.kernel(), self.grid)
             lcorr = corr_cholesky(corr)
             cov = p.scale_s2 * corr
             lcov = np.sqrt(p.scale_s2) * lcorr
             prec = cho_solve((np.linalg.cholesky(cov + 1e-10 * eye), True), eye)
-            return lcorr, lcov, prec
+            return _Mixture(curves, hyper, indicator, lcorr, lcov, prec, p.offsets())
 
-        self.Lmu_corr, self.Lmu_cov, self.Pmu = family(prior.mean_prior)
-        self.Le_corr, self.Le_cov, self.Pe = family(prior.error_var_prior)
-        self.La_corr, self.La_cov, self.Pa = family(prior.reffect_var_prior)
-        self.mu_offsets = prior.mean_prior.offsets()
-        self.e_offsets = prior.error_var_prior.offsets()
-        self.a_offsets = prior.reffect_var_prior.offsets()
+        self.mu_mix = mixture("mu", "mu0", "d_mu", prior.mean_prior)
+        self.levels = (
+            _Level(
+                mixture("leps", "tau_e", "d_e", prior.error_var_prior), "rho_e",
+                ("leps_1", "leps_2"), float(self.N),
+                lambda s: self.y - s["alpha"][self.labels],
+            ),
+            _Level(
+                mixture("lalp", "tau_a", "d_a", prior.reffect_var_prior), "rho_a",
+                ("lalp_1", "lalp_2"), float(self.A),
+                lambda s: s["alpha"] - s["mu"],
+            ),
+        )
 
-        # Metropolis proposal scales; adapted during burn-in only
-        self.steps = {
-            "leps_1": 0.1, "leps_2": 0.1, "lalp_1": 0.3, "lalp_2": 0.3,
-            "rho_e": 0.5, "rho_a": 0.8,
-        }
+        # Metropolis proposal scales; each chain adapts its own copy during
+        # burn-in only (see :func:`_run_chain`)
+        self.steps = dict(_INITIAL_STEPS)
         self.accept_counts = {k: 0 for k in self.steps}
         self.proposal_counts = {k: 0 for k in self.steps}
         self.inner_repeats = 5
         self.fixed_hypers = False  # Geweke mode: skip improper-prior updates
+
+    def _set_data(self, y):
+        self.y = y  # (N, 2, T)
+        self.ybar_group = np.stack(
+            [y[self.labels == i].mean(axis=0) for i in range(self.A)]
+        )  # (A, 2, T)
 
     # ----- initialization -------------------------------------------------
 
@@ -141,23 +163,21 @@ class MwgSampler:
         mu = self.ybar_group.mean(axis=0)
         dev_a = self.ybar_group - mu
         v_alp = np.maximum(dev_a.var(axis=0, ddof=1), 1e-8)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r_e = (within[:, 0, :] * within[:, 1, :]).sum(axis=0) / (
-                np.sqrt((within[:, 0, :] ** 2).sum(axis=0) * (within[:, 1, :] ** 2).sum(axis=0))
-            )
-            r_a = (dev_a[:, 0, :] * dev_a[:, 1, :]).sum(axis=0) / (
-                np.sqrt((dev_a[:, 0, :] ** 2).sum(axis=0) * (dev_a[:, 1, :] ** 2).sum(axis=0))
-            )
-        r_e = np.clip(np.nan_to_num(r_e), -0.9, 0.9)
-        r_a = np.clip(np.nan_to_num(r_a), -0.9, 0.9)
+
+        def corr(dev):
+            s11, s22, s12 = _cross_sums(dev)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                r = s12 / np.sqrt(s11 * s22)
+            return np.clip(np.nan_to_num(r), -0.9, 0.9)
+
         jit = lambda shape: spread * rng.standard_normal(shape)
         state = {
             "mu": mu + jit((2, self.T)) * 0.05,
             "alpha": self.ybar_group.copy(),
             "leps": np.log(v_eps) + jit((2, self.T)) * 0.3,
             "lalp": np.log(v_alp) + jit((2, self.T)) * 0.3,
-            "rho_e": r_e,
-            "rho_a": r_a,
+            "rho_e": corr(within),
+            "rho_a": corr(dev_a),
             "mu0": mu.mean(axis=0),
             "tau_e": np.log(v_eps).mean(axis=0),
             "tau_a": np.log(v_alp).mean(axis=0),
@@ -174,68 +194,41 @@ class MwgSampler:
         the Geweke check) conditions on supplied values and the corresponding
         Gibbs updates are skipped while ``fixed_hypers`` is set.
         """
-        mu0 = np.asarray(mu0, float)
-        tau_e = np.asarray(tau_e, float)
-        tau_a = np.asarray(tau_a, float)
-        d_mu, d_e, d_a = (int(rng.integers(2)) for _ in range(3))
-        z = lambda: rng.standard_normal(self.T)
-        mu1 = mu0 + self.Lmu_cov @ z()
-        mu2 = mu0 - self.mu_offsets[d_mu] + self.Lmu_cov @ z()
-        leps1 = tau_e + self.Le_cov @ z()
-        leps2 = tau_e - self.e_offsets[d_e] + self.Le_cov @ z()
-        lalp1 = tau_a + self.La_cov @ z()
-        lalp2 = tau_a - self.a_offsets[d_a] + self.La_cov @ z()
-        state = {
-            "mu": np.stack([mu1, mu2]),
-            "alpha": np.zeros((self.A, 2, self.T)),
-            "leps": np.stack([leps1, leps2]),
-            "lalp": np.stack([lalp1, lalp2]),
-            "rho_e": rng.uniform(-1.0, 1.0, self.T),
-            "rho_a": rng.uniform(-1.0, 1.0, self.T),
-            "mu0": mu0, "tau_e": tau_e, "tau_a": tau_a,
-            "d_mu": d_mu, "d_e": d_e, "d_a": d_a,
-        }
-        state["alpha"] = self._draw_alpha_prior(state, rng)
+        mixes = (self.mu_mix,) + tuple(lv.mix for lv in self.levels)
+        state = {m.hyper: np.asarray(h, float) for m, h in zip(mixes, (mu0, tau_e, tau_a))}
+        state.update({m.indicator: int(rng.integers(2)) for m in mixes})
+        for m in mixes:
+            hyper = state[m.hyper]
+            c1 = hyper + m.lcov @ rng.standard_normal(self.T)
+            c2 = hyper - m.offsets[state[m.indicator]] + m.lcov @ rng.standard_normal(self.T)
+            state[m.curves] = np.stack([c1, c2])
+        for lv in self.levels:
+            state[lv.rho] = rng.uniform(-1.0, 1.0, self.T)
+        state["alpha"] = self._draw_pairs(state["mu"], state["lalp"], state["rho_a"], self.A, rng)
         return state
 
-    def _draw_alpha_prior(self, state, rng):
-        sa1, sa2 = np.exp(0.5 * state["lalp"])
-        rho = state["rho_a"]
-        a = sa1**2
-        b = rho * sa1 * sa2
-        c = sa2**2
-        l11, l21, l22 = _chol2x2(a, b, c)
-        z = rng.standard_normal((self.A, 2, self.T))
-        out = np.empty((self.A, 2, self.T))
-        out[:, 0, :] = state["mu"][0] + l11 * z[:, 0, :]
-        out[:, 1, :] = state["mu"][1] + l21 * z[:, 0, :] + l22 * z[:, 1, :]
+    def _draw_pairs(self, mean, logvar, rho, n, rng):
+        """``n`` bivariate-normal curve pairs around ``mean`` (broadcast to
+        (n, 2, T)) with channel log-variances ``logvar`` and correlation ``rho``."""
+        s1, s2 = np.exp(0.5 * logvar)
+        l11, l21, l22 = _chol2x2(s1**2, rho * s1 * s2, s2**2)
+        z = rng.standard_normal((n, 2, self.T))
+        out = np.empty((n, 2, self.T))
+        out[:, 0, :] = mean[..., 0, :] + l11 * z[:, 0, :]
+        out[:, 1, :] = mean[..., 1, :] + l21 * z[:, 0, :] + l22 * z[:, 1, :]
         return out
 
     def simulate_data(self, state, rng) -> None:
         """Replace the observed curves by draws from the likelihood at
         ``state`` (used by the successive-conditional Geweke check)."""
-        se1, se2 = np.exp(0.5 * state["leps"])
-        rho = state["rho_e"]
-        l11, l21, l22 = _chol2x2(se1**2, rho * se1 * se2, se2**2)
-        z = rng.standard_normal((self.N, 2, self.T))
         mean = state["alpha"][self.labels]
-        y = np.empty_like(z)
-        y[:, 0, :] = mean[:, 0, :] + l11 * z[:, 0, :]
-        y[:, 1, :] = mean[:, 1, :] + l21 * z[:, 0, :] + l22 * z[:, 1, :]
-        self.y = y
-        self.ybar_group = np.stack(
-            [y[self.labels == i].mean(axis=0) for i in range(self.A)]
-        )
+        self._set_data(self._draw_pairs(mean, state["leps"], state["rho_e"], self.N, rng))
 
     # ----- conjugate updates ---------------------------------------------
 
     def _update_alpha(self, state, rng):
-        v1, v2 = np.exp(state["leps"])
-        s12 = state["rho_e"] * np.sqrt(v1 * v2)
-        pe11, pe12, pe22 = _inv2x2(v1, s12, v2)  # (T,)
-        w1, w2 = np.exp(state["lalp"])
-        t12 = state["rho_a"] * np.sqrt(w1 * w2)
-        pa11, pa12, pa22 = _inv2x2(w1, t12, w2)
+        pe11, pe12, pe22 = _precision(state, self.levels[0])  # (T,)
+        pa11, pa12, pa22 = _precision(state, self.levels[1])
         n = self.sizes[:, None].astype(float)  # (A, 1)
         q11 = n * pe11 + pa11  # (A, T)
         q12 = n * pe12 + pa12
@@ -255,173 +248,108 @@ class MwgSampler:
 
     def _update_mu(self, state, rng):
         T = self.T
-        w1, w2 = np.exp(state["lalp"])
-        t12 = state["rho_a"] * np.sqrt(w1 * w2)
-        pa11, pa12, pa22 = _inv2x2(w1, t12, w2)
+        pmu = self.mu_mix.prec
+        pa11, pa12, pa22 = _precision(state, self.levels[1])
         abar = state["alpha"].mean(axis=0)  # (2, T)
         P = np.zeros((2 * T, 2 * T))
-        P[:T, :T] = self.Pmu + np.diag(self.A * pa11)
-        P[T:, T:] = self.Pmu + np.diag(self.A * pa22)
+        P[:T, :T] = pmu + np.diag(self.A * pa11)
+        P[T:, T:] = pmu + np.diag(self.A * pa22)
         od = np.diag(self.A * pa12)
         P[:T, T:] = od
         P[T:, :T] = od
         h = np.empty(2 * T)
-        prior2 = state["mu0"] - self.mu_offsets[state["d_mu"]]
-        h[:T] = self.Pmu @ state["mu0"] + self.A * (pa11 * abar[0] + pa12 * abar[1])
-        h[T:] = self.Pmu @ prior2 + self.A * (pa12 * abar[0] + pa22 * abar[1])
+        prior2 = state["mu0"] - self.mu_mix.offsets[state["d_mu"]]
+        h[:T] = pmu @ state["mu0"] + self.A * (pa11 * abar[0] + pa12 * abar[1])
+        h[T:] = pmu @ prior2 + self.A * (pa12 * abar[0] + pa22 * abar[1])
         L = np.linalg.cholesky(P)
         mean = cho_solve((L, True), h)
         draw = mean + solve_triangular(L.T, rng.standard_normal(2 * T), lower=False)
         state["mu"] = draw.reshape(2, T)
 
-    def _update_hyper(self, x1, x2, offset, lcov, rng):
-        """Flat-prior hyper-mean draw given the two channel curves."""
-        mean = 0.5 * (x1 + x2 + offset)
-        return mean + (lcov / np.sqrt(2.0)) @ rng.standard_normal(self.T)
-
-    def _update_indicator(self, x2, hyper, offsets, prec, rng):
+    def _update_mixture(self, state, m: _Mixture, rng):
+        """Flat-prior hyper-mean draw (skipped in Geweke mode), then the
+        mixture indicator, given the two channel curves."""
+        x = state[m.curves]
+        if not self.fixed_hypers:
+            mean = 0.5 * (x[0] + x[1] + m.offsets[state[m.indicator]])
+            state[m.hyper] = mean + (m.lcov / np.sqrt(2.0)) @ rng.standard_normal(self.T)
         logw = []
-        for o in offsets:
-            dev = x2 - (hyper - o)
-            logw.append(-0.5 * dev @ prec @ dev)
+        for o in m.offsets:
+            dev = x[1] - (state[m.hyper] - o)
+            logw.append(-0.5 * dev @ m.prec @ dev)
         logw = np.array(logw)
         p1 = 1.0 / (1.0 + np.exp(logw[0] - logw[1]))
-        return int(rng.random() < p1)
+        state[m.indicator] = int(rng.random() < p1)
 
     # ----- Metropolis updates --------------------------------------------
 
-    def _adapt(self, key, accepted, cycle, adapting):
-        self.proposal_counts[key] += 1
-        if accepted:
-            self.accept_counts[key] += 1
+    def _adapt(self, key, accepted, proposed, cycle, adapting):
+        """Count ``accepted`` of ``proposed`` proposals; during burn-in, move
+        the block's scale toward the target rate (one scale per block)."""
+        self.proposal_counts[key] += proposed
+        self.accept_counts[key] += accepted
         if adapting:
-            rate = 1.0 if accepted else 0.0
             gain = 2.0 / (10.0 + cycle) ** 0.6
             self.steps[key] = float(
-                np.exp(np.log(self.steps[key]) + gain * (rate - self.prior_target))
+                np.exp(np.log(self.steps[key]) + gain * (accepted / proposed - _TARGET_ACCEPT))
             )
 
-    @property
-    def prior_target(self):
-        return _TARGET_ACCEPT
-
-    def _resid_sums_eps(self, state):
-        dev = self.y - state["alpha"][self.labels]
-        s11 = (dev[:, 0, :] ** 2).sum(axis=0)
-        s22 = (dev[:, 1, :] ** 2).sum(axis=0)
-        s12 = (dev[:, 0, :] * dev[:, 1, :]).sum(axis=0)
-        return s11, s22, s12
-
-    def _resid_sums_alp(self, state):
-        dev = state["alpha"] - state["mu"]
-        s11 = (dev[:, 0, :] ** 2).sum(axis=0)
-        s22 = (dev[:, 1, :] ** 2).sum(axis=0)
-        s12 = (dev[:, 0, :] * dev[:, 1, :]).sum(axis=0)
-        return s11, s22, s12
-
-    def _update_logvar_channel(
-        self, state, key, which, j, sums, count, rho_key, hyper, offset,
-        prec, lcorr, rng, cycle, adapting,
-    ):
-        l = state[which]
+    def _update_logvar_channel(self, state, lv: _Level, j, sums, rng, cycle, adapting):
+        m = lv.mix
+        l = state[m.curves]
         s11, s22, s12 = sums
-        rho = state[rho_key]
-        cur = _pair_loglik_terms(l[0], l[1], rho, s11, s22, s12, count).sum()
+        rho = state[lv.rho]
+        hyper = state[m.hyper]
+        offset = 0.0 if j == 0 else m.offsets[state[m.indicator]]
+        cur = paired_block_loglik(l[0], l[1], rho, s11, s22, s12, lv.count).sum()
         dev = l[j] - (hyper - offset)
-        cur += -0.5 * dev @ prec @ dev
-        prop_j = l[j] + self.steps[key] * (lcorr @ rng.standard_normal(self.T))
+        cur += -0.5 * dev @ m.prec @ dev
+        key = lv.steps[j]
+        prop_j = l[j] + self.steps[key] * (m.lcorr @ rng.standard_normal(self.T))
         lp = l.copy()
         lp[j] = prop_j
-        new = _pair_loglik_terms(lp[0], lp[1], rho, s11, s22, s12, count).sum()
+        new = paired_block_loglik(lp[0], lp[1], rho, s11, s22, s12, lv.count).sum()
         devp = prop_j - (hyper - offset)
-        new += -0.5 * devp @ prec @ devp
+        new += -0.5 * devp @ m.prec @ devp
         if not np.isfinite(cur):
             raise SamplerDivergenceError("non-finite log-posterior", dict(state))
         accepted = np.log(rng.random()) < new - cur
         if accepted:
-            state[which] = lp
-        self._adapt(key, bool(accepted), cycle, adapting)
+            state[m.curves] = lp
+        self._adapt(key, int(accepted), 1, cycle, adapting)
 
-    def _update_rho(self, state, key, rho_key, sums, count, l, rng, cycle, adapting):
-        rho = state[rho_key]
+    def _update_rho(self, state, lv: _Level, sums, rng, cycle, adapting):
+        rho = state[lv.rho]
+        l = state[lv.mix.curves]
         s11, s22, s12 = sums
         z = np.arctanh(rho)
-        zp = z + self.steps[key] * rng.standard_normal(self.T)
+        zp = z + self.steps[lv.rho] * rng.standard_normal(self.T)
         rp = np.tanh(zp)
-        cur = _pair_loglik_terms(l[0], l[1], rho, s11, s22, s12, count)
+        cur = paired_block_loglik(l[0], l[1], rho, s11, s22, s12, lv.count)
         cur = cur + np.log1p(-rho * rho)  # Fisher-z Jacobian of the flat prior
-        new = _pair_loglik_terms(l[0], l[1], rp, s11, s22, s12, count)
+        new = paired_block_loglik(l[0], l[1], rp, s11, s22, s12, lv.count)
         new = new + np.log1p(-rp * rp)
         acc = np.log(rng.random(self.T)) < new - cur
-        state[rho_key] = np.where(acc, rp, rho)
-        self.proposal_counts[key] += self.T
-        self.accept_counts[key] += int(acc.sum())
+        state[lv.rho] = np.where(acc, rp, rho)
         # per-point proposals share one scale, adapted on the mean rate
-        if adapting:
-            gain = 2.0 / (10.0 + cycle) ** 0.6
-            self.steps[key] = float(
-                np.exp(np.log(self.steps[key]) + gain * (acc.mean() - self.prior_target))
-            )
+        self._adapt(lv.rho, int(acc.sum()), self.T, cycle, adapting)
 
     # ----- one sweep ------------------------------------------------------
 
     def sweep(self, state, rng, cycle=0, adapting=False):
         self._update_alpha(state, rng)
         self._update_mu(state, rng)
-        if not self.fixed_hypers:
-            state["mu0"] = self._update_hyper(
-                state["mu"][0], state["mu"][1], self.mu_offsets[state["d_mu"]],
-                self.Lmu_cov, rng,
-            )
-        state["d_mu"] = self._update_indicator(
-            state["mu"][1], state["mu0"], self.mu_offsets, self.Pmu, rng
-        )
-
-        # repeating the cheap Metropolis updates sharpens mixing of the
-        # log-variance curves, the sampler's slowest block
-        sums_e = self._resid_sums_eps(state)
-        for _ in range(self.inner_repeats):
-            for j, key in ((0, "leps_1"), (1, "leps_2")):
-                offset = 0.0 if j == 0 else self.e_offsets[state["d_e"]]
-                self._update_logvar_channel(
-                    state, key, "leps", j, sums_e, float(self.N), "rho_e",
-                    state["tau_e"], offset, self.Pe, self.Le_corr, rng, cycle, adapting,
-                )
-        if not self.fixed_hypers:
-            state["tau_e"] = self._update_hyper(
-                state["leps"][0], state["leps"][1], self.e_offsets[state["d_e"]],
-                self.Le_cov, rng,
-            )
-        state["d_e"] = self._update_indicator(
-            state["leps"][1], state["tau_e"], self.e_offsets, self.Pe, rng
-        )
-        for _ in range(self.inner_repeats):
-            self._update_rho(
-                state, "rho_e", "rho_e", sums_e, float(self.N), state["leps"],
-                rng, cycle, adapting,
-            )
-
-        sums_a = self._resid_sums_alp(state)
-        for _ in range(self.inner_repeats):
-            for j, key in ((0, "lalp_1"), (1, "lalp_2")):
-                offset = 0.0 if j == 0 else self.a_offsets[state["d_a"]]
-                self._update_logvar_channel(
-                    state, key, "lalp", j, sums_a, float(self.A), "rho_a",
-                    state["tau_a"], offset, self.Pa, self.La_corr, rng, cycle, adapting,
-                )
-        if not self.fixed_hypers:
-            state["tau_a"] = self._update_hyper(
-                state["lalp"][0], state["lalp"][1], self.a_offsets[state["d_a"]],
-                self.La_cov, rng,
-            )
-        state["d_a"] = self._update_indicator(
-            state["lalp"][1], state["tau_a"], self.a_offsets, self.Pa, rng
-        )
-        for _ in range(self.inner_repeats):
-            self._update_rho(
-                state, "rho_a", "rho_a", sums_a, float(self.A), state["lalp"],
-                rng, cycle, adapting,
-            )
+        self._update_mixture(state, self.mu_mix, rng)
+        for lv in self.levels:
+            # repeating the cheap Metropolis updates sharpens mixing of the
+            # log-variance curves, the sampler's slowest block
+            sums = _cross_sums(lv.residuals(state))
+            for _ in range(self.inner_repeats):
+                for j in (0, 1):
+                    self._update_logvar_channel(state, lv, j, sums, rng, cycle, adapting)
+            self._update_mixture(state, lv.mix, rng)
+            for _ in range(self.inner_repeats):
+                self._update_rho(state, lv, sums, rng, cycle, adapting)
 
 
 def split_rhat(x: np.ndarray) -> np.ndarray:
@@ -437,6 +365,33 @@ def split_rhat(x: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.sqrt(var_plus / w)
     return np.nan_to_num(out, nan=1.0)
+
+
+def _run_chain(sampler: MwgSampler, seed, chain, iters, burnin, thin):
+    """Thinned post-burn-in draws of one chain: theta, log lambda, log psi
+    (each (draws, T)) and the (draws, 3) mixture indicators.
+
+    The chain starts from the initial proposal scales and adapts its own copy,
+    so its draws do not depend on which chains ran before it.
+    """
+    rng = _chain_rng(seed, chain)
+    sampler.steps = dict(_INITIAL_STEPS)
+    state = sampler.init_from_data(rng, spread=0.5 * chain)
+    kept = range(burnin, iters, thin)
+    theta = np.empty((len(kept), sampler.T))
+    llam = np.empty_like(theta)
+    lpsi = np.empty_like(theta)
+    indicators = np.empty((len(kept), 3), dtype=int)
+    keep = 0
+    for it in range(iters):
+        sampler.sweep(state, rng, cycle=it, adapting=it < burnin)
+        if it >= burnin and (it - burnin) % thin == 0:
+            theta[keep] = state["mu"][0] - state["mu"][1]
+            llam[keep] = state["leps"][0] - state["leps"][1]
+            lpsi[keep] = state["lalp"][0] - state["lalp"][1]
+            indicators[keep] = (state["d_mu"], state["d_e"], state["d_a"])
+            keep += 1
+    return theta, llam, lpsi, indicators
 
 
 def run_mwg(
@@ -459,23 +414,8 @@ def run_mwg(
     sampler = MwgSampler(data, prior)
     T = sampler.T
     per_chain = len(range(burnin, iters, thin))
-    theta = np.empty((chains, per_chain, T))
-    llam = np.empty((chains, per_chain, T))
-    lpsi = np.empty((chains, per_chain, T))
-    indicators = np.empty((chains, per_chain, 3), dtype=int)
-
-    for c in range(chains):
-        rng = _chain_rng(seed, c)
-        state = sampler.init_from_data(rng, spread=0.5 * c)
-        keep = 0
-        for it in range(iters):
-            sampler.sweep(state, rng, cycle=it, adapting=it < burnin)
-            if it >= burnin and (it - burnin) % thin == 0:
-                theta[c, keep] = state["mu"][0] - state["mu"][1]
-                llam[c, keep] = state["leps"][0] - state["leps"][1]
-                lpsi[c, keep] = state["lalp"][0] - state["lalp"][1]
-                indicators[c, keep] = (state["d_mu"], state["d_e"], state["d_a"])
-                keep += 1
+    runs = [_run_chain(sampler, seed, c, iters, burnin, thin) for c in range(chains)]
+    theta, llam, lpsi, indicators = (np.stack(draws) for draws in zip(*runs))
 
     rhat = {
         "theta": split_rhat(theta),

@@ -5,8 +5,9 @@ Modes: ``tost`` (bootstrap equivalence test), ``bayes`` (posterior engine),
 ``report`` (re-render saved TOST JSON as SVG/CSV).
 
 Exit codes: 0 success (and, for decision modes, nonequivalence rejected);
-2 ran fine but failed to reject; 1 any error. The seed falls back to the
-``FEQT_SEED`` environment variable when no --seed flag is given.
+2 ran fine but failed to reject; 1 any error, usage errors included. The seed
+falls back to the ``FEQT_SEED`` environment variable when no --seed flag is
+given. A ``--config`` file supplies defaults; flags given explicitly win.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ EXIT_ERROR = 1
 EXIT_FAIL_TO_REJECT = 2
 
 _DESIGNS = {
-    "independent": Design.INDEPENDENT_IID,
     "matched": Design.MATCHED_PAIRS,
     "grouped": Design.RANDOM_EFFECTS_MATCHED,
 }
@@ -70,22 +70,18 @@ def _read_config_file(path):
     return values
 
 
-def _apply_config(args, parser):
-    if not getattr(args, "config", None):
+def _parse_args(parser, argv):
+    """Parse ``argv``; a ``--config`` file preloads the chosen mode's defaults,
+    so argparse types its values and explicit flags override them."""
+    args = parser.parse_args(argv)
+    if not args.config:
         return args
     values = _read_config_file(args.config)
-    for key, value in values.items():
+    for key in values:
         if not hasattr(args, key):
             raise CliError("config-key", f"unknown config key {key!r}")
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            value = value.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
-        setattr(args, key, value)
-    return args
+    parser.modes[args.mode].set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def _resolve_seed(args):
@@ -125,9 +121,9 @@ def _eq_bands(grid, include_psi=True):
     return bands
 
 
-def _load_sample(args, need="any"):
+def _load_sample(args):
     try:
-        sample = curvefile.read_curves(args.input, kind=getattr(args, "kind", None))
+        sample = curvefile.read_curves(args.input)
     except FileNotFoundError:
         raise CliError("missing-input", f"input file not found: {args.input}") from None
     except curvefile.CurveFileError as exc:
@@ -322,17 +318,25 @@ def _report_from_json(payload):
 
 
 def _add_common(p):
-    p.add_argument("--config", help="key = value config file applied before flags")
+    p.add_argument("--config", help="key = value config file of defaults; flags override it")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: FEQT_SEED or 0)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--emit", default="csv,json,svg", help="comma list of csv,json,svg")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_ERROR on usage errors; argparse's own code 2 would
+    read as a failure to reject."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="feqt", description="Equivalence testing for functional data"
-    )
+    parser = _Parser(prog="feqt", description="Equivalence testing for functional data")
     sub = parser.add_subparsers(dest="mode", required=True)
+    parser.modes = sub.choices  # mode name -> its subparser
 
     p = sub.add_parser("tost", help="bootstrap TOST equivalence test")
     p.add_argument("--input", required=True, help="curve file")
@@ -385,9 +389,8 @@ _MODES = {
 
 def run_cli(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, parser)
+        args = _parse_args(parser, argv)
         return _MODES[args.mode](args)
     except CliError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

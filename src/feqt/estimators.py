@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fdata import FunctionalSample, GroupedPairedSample, PairedFunctionalSample
+from .fdata import GroupedPairedSample, PairedFunctionalSample
 
 #: Pointwise floor applied to the random-effect variance estimate. The ANOVA
 #: estimator can go negative; the bootstrap and the ratio metric both need a
@@ -53,18 +53,6 @@ class AnovaDecomposition:
     n_star: float
     s2_alpha: np.ndarray  # (2, T)
     group_sizes: np.ndarray  # (A,)
-
-
-def pointwise_mean(s: FunctionalSample) -> np.ndarray:
-    """Column means of the curve matrix."""
-    return s.curves.mean(axis=0)
-
-
-def pointwise_var(s: FunctionalSample) -> np.ndarray:
-    """Unbiased (n-1 divisor) column variances of the curve matrix."""
-    if s.n < 2:
-        raise ValueError("pointwise variance requires at least 2 curves")
-    return s.curves.var(axis=0, ddof=1)
 
 
 def estimate_metrics_paired(s: PairedFunctionalSample) -> MetricEstimates:

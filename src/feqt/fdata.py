@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -156,9 +155,6 @@ class GroupedPairedSample:
         return np.repeat(np.arange(self.n_groups), self.group_sizes)
 
 
-Sample = Union[FunctionalSample, PairedFunctionalSample, GroupedPairedSample]
-
-
 @dataclass(frozen=True)
 class BandPair:
     """Lower/upper equivalence band functions evaluated on the grid.
@@ -185,12 +181,25 @@ class BandPair:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
+    def to_working(self, curve) -> np.ndarray:
+        """``curve`` on the scale where the band is additive: multiplicative
+        bands live on the log scale, additive bands as they are."""
+        if self.kind is BandKind.MULTIPLICATIVE:
+            return np.log(curve)
+        return np.asarray(curve)
+
+    def from_working(self, curve) -> np.ndarray:
+        """Inverse of :meth:`to_working`."""
+        if self.kind is BandKind.MULTIPLICATIVE:
+            return np.exp(curve)
+        return np.asarray(curve)
+
     @property
     def midline(self) -> np.ndarray:
         """Band center: arithmetic for additive, geometric for multiplicative."""
-        if self.kind is BandKind.MULTIPLICATIVE:
-            return np.exp(0.5 * (np.log(self.lower) + np.log(self.upper)))
-        return 0.5 * (self.lower + self.upper)
+        return self.from_working(
+            0.5 * (self.to_working(self.lower) + self.to_working(self.upper))
+        )
 
 
 def make_cosine_bands(grid: Grid, kind: BandKind) -> BandPair:
@@ -215,16 +224,3 @@ def band_contains(band: BandPair, curve) -> bool:
         )
     return bool(np.all(band.lower < curve) and np.all(curve < band.upper))
 
-
-def validate_sample(s: Sample) -> Sample:
-    """Re-run construction-time validation; returns ``s`` or raises ValidationError."""
-    if isinstance(s, FunctionalSample):
-        return FunctionalSample(s.grid, s.curves)
-    if isinstance(s, PairedFunctionalSample):
-        return PairedFunctionalSample(s.grid, s.curves_1, s.curves_2)
-    if isinstance(s, GroupedPairedSample):
-        groups = tuple(
-            PairedFunctionalSample(g.grid, g.curves_1, g.curves_2) for g in s.groups
-        )
-        return GroupedPairedSample(s.grid, groups)
-    raise ValidationError(f"not a sample type: {type(s).__name__}")

@@ -10,8 +10,8 @@ import json
 
 import numpy as np
 
-from .fdata import BandKind, BandPair
-from .tost import Metric, TostDecision, TostReport
+from .fdata import BandKind
+from .tost import Metric, TostReport
 
 _METRIC_TITLES = {
     Metric.THETA: "mean difference",

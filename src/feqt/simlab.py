@@ -10,20 +10,18 @@ to that simplification.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fdata import (
-    BandKind,
     BandPair,
     Grid,
     GroupedPairedSample,
     PairedFunctionalSample,
     band_contains,
 )
-from .tost import BootstrapConfig, Metric, TostDecision, run_tost
+from .tost import BootstrapConfig, Metric, run_tost
 from .bayes.kernels import MaternKernel, matern_corr, corr_cholesky
 
 
@@ -261,11 +259,9 @@ def _apply_metric_curve(base: TruthSpec, metric: Metric, target: np.ndarray) -> 
 
 def _band_interp(bands: BandPair, weight: np.ndarray) -> np.ndarray:
     """Curve at fraction ``weight`` of the way from the band midline to the
-    upper band (log scale for multiplicative bands)."""
-    if bands.kind is BandKind.MULTIPLICATIVE:
-        mid = np.log(bands.midline)
-        return np.exp(mid + weight * (np.log(bands.upper) - mid))
-    return bands.midline + weight * (bands.upper - bands.midline)
+    upper band, on the band's working scale."""
+    mid = bands.to_working(bands.midline)
+    return bands.from_working(mid + weight * (bands.to_working(bands.upper) - mid))
 
 
 def boundary_violation_scenarios(

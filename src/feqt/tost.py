@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from feqt.cli import EXIT_ERROR, EXIT_FAIL_TO_REJECT, EXIT_OK, run_cli
+from feqt.cli import EXIT_ERROR, EXIT_FAIL_TO_REJECT, EXIT_OK, _parse_args, build_parser, run_cli
 from feqt.curvefile import write_curves
 from feqt.fdata import equispaced_grid
 from feqt.simlab import default_truth, generate_dataset
@@ -115,6 +117,64 @@ class TestTostMode:
         ])
         assert code == EXIT_ERROR
         assert "bad-emit" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """argparse usage errors exit 1, never the fail-to-reject code 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["tost"],
+        ["tost", "--input", "data.csv", "--design", "bogus"],
+        ["tost", "--input", "data.csv", "--design", "independent"],
+        ["bayes", "--input", "data.csv", "--chains", "two"],
+    ])
+    def test_usage_error_exits_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == EXIT_ERROR
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["tost", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "--design {grouped,matched}" in capsys.readouterr().out
+
+
+def parse_with_config(path, text, *flags):
+    path.write_text(text)
+    return _parse_args(build_parser(), ["bayes", "--input", "x.csv", "--config", str(path), *flags])
+
+
+class TestConfigPrecedence:
+    def test_flag_overrides_config(self, tmp_path):
+        args = parse_with_config(tmp_path / "run.cfg", "chains = 2\n", "--chains", "5")
+        assert args.chains == 5
+
+    def test_config_values_are_typed(self, tmp_path):
+        args = parse_with_config(tmp_path / "run.cfg", "scale = 0.1\nchains = 2\nseed = 4\n")
+        assert args.scale == 0.1 and isinstance(args.scale, float)
+        assert args.chains == 2 and isinstance(args.chains, int)
+        assert args.seed == 4
+
+    def test_bad_config_value_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            parse_with_config(tmp_path / "run.cfg", "chains = many\n")
+        assert exc.value.code == EXIT_ERROR
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        config=st.integers(1, 10_000),
+        flag=st.one_of(st.none(), st.integers(1, 10_000)),
+        alpha=st.floats(0.001, 0.5),
+    )
+    def test_flag_wins_else_config_else_default(self, tmp_path_factory, config, flag, alpha):
+        cfg = tmp_path_factory.getbasetemp() / "precedence.cfg"
+        flags = [] if flag is None else ["--iters", str(flag)]
+        args = parse_with_config(cfg, f"iters = {config}\ngamma = {alpha!r}\n", *flags)
+        assert args.iters == (config if flag is None else flag)
+        assert args.gamma == alpha
+        assert args.burnin == 500  # untouched default
 
 
 class TestConfigFile:

@@ -9,10 +9,8 @@ from feqt.estimators import (
     anova_decompose,
     estimate_metrics_grouped,
     estimate_metrics_paired,
-    pointwise_mean,
-    pointwise_var,
 )
-from feqt.fdata import FunctionalSample, PairedFunctionalSample, equispaced_grid
+from feqt.fdata import PairedFunctionalSample, equispaced_grid
 
 from conftest import make_grouped
 
@@ -126,13 +124,6 @@ class TestMetricEstimates:
         np.testing.assert_allclose(a.theta_hat, -b.theta_hat)
         np.testing.assert_allclose(a.lambda_hat, 1.0 / b.lambda_hat)
         np.testing.assert_allclose(a.psi_hat, 1.0 / b.psi_hat, rtol=1e-9)
-
-    def test_pointwise_helpers(self, rng, grid25):
-        s = FunctionalSample(grid25, rng.normal(size=(6, 25)))
-        np.testing.assert_allclose(pointwise_mean(s), s.curves.mean(0))
-        np.testing.assert_allclose(pointwise_var(s), s.curves.var(0, ddof=1))
-        with pytest.raises(ValueError, match="at least 2"):
-            pointwise_var(FunctionalSample(grid25, rng.normal(size=(1, 25))))
 
 
 class TestAdjustedRandomEffects:

@@ -14,7 +14,6 @@ from feqt.fdata import (
     band_contains,
     equispaced_grid,
     make_cosine_bands,
-    validate_sample,
 )
 
 from conftest import make_grouped
@@ -93,6 +92,16 @@ class TestCosineBands:
         np.testing.assert_allclose(add.midline, 0.0, atol=1e-15)
         np.testing.assert_allclose(mult.midline, 1.0)
 
+    def test_working_scale(self, grid25):
+        add = make_cosine_bands(grid25, BandKind.ADDITIVE)
+        mult = make_cosine_bands(grid25, BandKind.MULTIPLICATIVE)
+        np.testing.assert_array_equal(add.to_working(add.upper), add.upper)
+        np.testing.assert_array_equal(mult.to_working(mult.upper), np.log(mult.upper))
+        # the reciprocal cosine bands are symmetric about 0 on the log scale
+        np.testing.assert_allclose(mult.to_working(mult.lower), -mult.to_working(mult.upper))
+        for b in (add, mult):
+            np.testing.assert_allclose(b.from_working(b.to_working(b.upper)), b.upper)
+
     def test_band_pair_validation(self, grid25):
         t = grid25.points
         with pytest.raises(ValidationError, match="strictly below"):
@@ -166,9 +175,3 @@ class TestSamples:
         s = FunctionalSample(grid25, rng.normal(size=(3, 25)))
         with pytest.raises(ValueError):
             s.curves[0, 0] = 1.0
-
-    def test_validate_sample_round_trip(self, rng):
-        s = make_grouped(rng)
-        assert validate_sample(s).n_total == s.n_total
-        with pytest.raises(ValidationError, match="not a sample"):
-            validate_sample("nope")

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from feqt.bayes.kernels import JITTER, MaternKernel, corr_cholesky, matern_corr
-from feqt.bayes.model import (
-    GPBandPrior,
-    PriorSpec,
-    log_gp_prior_logdensity,
-    mvn_logpdf_chol,
-    paired_block_logpdf,
-    simplified_corr,
-)
+from feqt.bayes.model import GPBandPrior, PriorSpec, paired_block_loglik
 from feqt.fdata import BandKind, equispaced_grid, make_cosine_bands
 
 
@@ -19,72 +11,40 @@ def grid8():
     return equispaced_grid(8)
 
 
-class TestPairedBlockLogpdf:
+class TestPairedBlockLoglik:
+    @staticmethod
+    def scipy_loglik(dev, l1, l2, rho):
+        cov = np.array([
+            [np.exp(l1), rho * np.exp(0.5 * (l1 + l2))],
+            [rho * np.exp(0.5 * (l1 + l2)), np.exp(l2)],
+        ])
+        return multivariate_normal(mean=[0.0, 0.0], cov=cov).logpdf(dev).sum()
+
     def test_matches_scipy_bivariate(self, rng):
         for _ in range(10):
-            v1, v2 = rng.uniform(0.2, 3.0, 2)
+            l1, l2 = rng.uniform(-1.5, 1.0, 2)
             rho = rng.uniform(-0.9, 0.9)
-            m1, m2 = rng.normal(size=2)
-            y1, y2 = rng.normal(size=2)
-            cov = np.array(
-                [[v1, rho * np.sqrt(v1 * v2)], [rho * np.sqrt(v1 * v2), v2]]
+            dev = rng.normal(size=(1, 2))
+            got = paired_block_loglik(
+                l1, l2, rho, dev[0, 0] ** 2, dev[0, 1] ** 2, dev[0, 0] * dev[0, 1], 1.0
             )
-            expected = multivariate_normal(mean=[m1, m2], cov=cov).logpdf([y1, y2])
-            got = paired_block_logpdf(y1, y2, m1, m2, v1, v2, rho)
-            assert got == pytest.approx(expected, rel=1e-12)
+            assert got == pytest.approx(self.scipy_loglik(dev, l1, l2, rho), rel=1e-12)
 
-
-class TestSimplifiedCorrelation:
-    def test_rejects_unit_correlation(self):
-        with pytest.raises(ValueError, match="< 1"):
-            simplified_corr([0.5, 1.0])
-
-    def test_block_determinants(self):
-        c = simplified_corr([0.0, 0.5, -0.5])
-        np.testing.assert_allclose(c.block_determinants(), [1.0, 0.75, 0.75])
-
-    def test_loglik_sums_blocks(self, rng, grid8):
-        T = len(grid8)
+    def test_sums_pairs_per_gridpoint(self, rng):
+        """Sufficient statistics of n pairs give the summed per-pair
+        log-densities at every grid point."""
+        n, T = 7, 5
+        l = rng.uniform(-1.0, 1.0, (2, T))
         rho = rng.uniform(-0.8, 0.8, T)
-        c = simplified_corr(rho)
-        y = rng.normal(size=(5, 2, T))
-        mean = rng.normal(size=(2, T))
-        sigma2 = rng.uniform(0.5, 2.0, (2, T))
-        total = c.loglik(y, mean, sigma2)
-        blocks = c.block_logpdf(y, mean, sigma2)
-        assert blocks.shape == (5, T)
-        assert total == pytest.approx(blocks.sum(), rel=1e-12)
-        # against scipy block by block
-        k, t = 2, 3
-        cov = np.array(
-            [
-                [sigma2[0, t], rho[t] * np.sqrt(sigma2[0, t] * sigma2[1, t])],
-                [rho[t] * np.sqrt(sigma2[0, t] * sigma2[1, t]), sigma2[1, t]],
-            ]
-        )
-        expected = multivariate_normal(mean=mean[:, t], cov=cov).logpdf(y[k, :, t])
-        assert blocks[k, t] == pytest.approx(expected, rel=1e-12)
-
-
-class TestMvnLogpdf:
-    def test_matches_scipy(self, rng, grid8):
-        corr = matern_corr(MaternKernel(0.3), grid8)
-        cov = 0.7 * corr + 0.7 * JITTER * np.eye(len(grid8))
-        chol = np.sqrt(0.7) * corr_cholesky(corr)
-        mean = rng.normal(size=len(grid8))
-        x = rng.normal(size=len(grid8))
-        expected = multivariate_normal(mean=mean, cov=cov).logpdf(x)
-        assert mvn_logpdf_chol(x, mean, chol) == pytest.approx(expected, rel=1e-9)
-
-    def test_gp_prior_density_consistent(self, rng, grid8):
-        kernel = MaternKernel(0.3, 0.5)
-        corr = matern_corr(kernel, grid8)
-        chol = np.sqrt(0.5) * corr_cholesky(corr)
-        mean = np.zeros(len(grid8))
-        x = rng.normal(size=len(grid8))
-        assert log_gp_prior_logdensity(x, mean, kernel, grid8) == pytest.approx(
-            mvn_logpdf_chol(x, mean, chol), rel=1e-12
-        )
+        dev = rng.normal(size=(n, 2, T))
+        s11 = (dev[:, 0] ** 2).sum(axis=0)
+        s22 = (dev[:, 1] ** 2).sum(axis=0)
+        s12 = (dev[:, 0] * dev[:, 1]).sum(axis=0)
+        got = paired_block_loglik(l[0], l[1], rho, s11, s22, s12, float(n))
+        assert got.shape == (T,)
+        for t in range(T):
+            expected = self.scipy_loglik(dev[:, :, t], l[0, t], l[1, t], rho[t])
+            assert got[t] == pytest.approx(expected, rel=1e-12)
 
 
 class TestPriorSpec:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from feqt.bayes import GPBandPrior, PriorSpec, run_mwg
-from feqt.bayes.sampler import MwgSampler, _chain_rng, split_rhat
+from feqt.bayes.sampler import MwgSampler, _chain_rng, _run_chain, split_rhat
 from feqt.fdata import BandKind, equispaced_grid, make_cosine_bands
 
 from conftest import make_grouped
@@ -63,6 +63,30 @@ class TestRunMwg:
         np.testing.assert_array_equal(a.lam, b.lam)
         c = self._run(seed=4)
         assert not np.array_equal(a.theta, c.theta)
+
+    def test_chain_draws_independent_of_execution_order(self):
+        """Chain c adapts its own proposal scales, so its draws are the same
+        whether it runs alone, first or last."""
+        rng = np.random.default_rng(0)
+        data = make_grouped(rng, n_groups=4, group_size=4, n_points=5)
+        prior = small_prior(data.grid)
+        schedule = dict(iters=240, burnin=40, thin=10)
+
+        def chain_draws(order, chain):
+            sampler = MwgSampler(data, prior)
+            runs = {c: _run_chain(sampler, 3, c, **schedule) for c in order}
+            return runs[chain]
+
+        for chain in (0, 1, 2):
+            alone = chain_draws([chain], chain)
+            others = [c for c in (0, 1, 2) if c != chain]
+            for order in ([chain] + others, others + [chain]):
+                for a, b in zip(alone, chain_draws(order, chain)):
+                    np.testing.assert_array_equal(a, b)
+        d = run_mwg(data, prior, chains=3, seed=3, **schedule)
+        alone = chain_draws([2], 2)
+        np.testing.assert_array_equal(d.theta[d.chain == 2], alone[0])
+        np.testing.assert_array_equal(d.indicators[d.chain == 2], alone[3])
 
     def test_iters_must_exceed_burnin(self):
         rng = np.random.default_rng(0)
