@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import norm, qmc
+from scipy.special import ndtr, ndtri
+from scipy.stats import qmc
 
 from ..fdata import BandPair, Grid
 from .kernels import MaternKernel, matern_corr, JITTER
@@ -49,7 +50,7 @@ def _ordered_cholesky(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray):
         denom = np.sqrt(np.maximum(np.diag(c)[i:] - np.sum(L[i:, :i] ** 2, axis=1), 1e-300))
         ta = (a[i:] - L[i:, :i] @ y[:i]) / denom
         tb = (b[i:] - L[i:, :i] @ y[:i]) / denom
-        p = norm.cdf(tb) - norm.cdf(ta)
+        p = ndtr(tb) - ndtr(ta)
         k = i + int(np.argmin(p))
         if k != i:
             for arr in (a, b, y):
@@ -64,8 +65,8 @@ def _ordered_cholesky(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray):
         # midpoint surrogate for the conditional expectation used in ordering
         ai = (a[i] - L[i, :i] @ y[:i]) / L[i, i]
         bi = (b[i] - L[i, :i] @ y[:i]) / L[i, i]
-        pa, pb = norm.cdf(ai), norm.cdf(bi)
-        y[i] = norm.ppf(np.clip(0.5 * (pa + pb), _PHI_EPS, 1.0 - _PHI_EPS))
+        pa, pb = ndtr(ai), ndtr(bi)
+        y[i] = ndtri(np.clip(0.5 * (pa + pb), _PHI_EPS, 1.0 - _PHI_EPS))
     return L, a, b
 
 
@@ -78,17 +79,17 @@ def _genz_batch(L, a, b, u):
     d = a.size
     y = np.zeros((n, d))
     partial = np.zeros(n)
-    lo = norm.cdf(a[0] / L[0, 0])
-    hi = norm.cdf(b[0] / L[0, 0])
+    lo = ndtr(a[0] / L[0, 0])
+    hi = ndtr(b[0] / L[0, 0])
     p = np.full(n, hi - lo)
     lo_i = np.full(n, lo)
     hi_i = np.full(n, hi)
     for i in range(1, d):
         z = lo_i + u[:, i - 1] * (hi_i - lo_i)
-        y[:, i - 1] = norm.ppf(np.clip(z, _PHI_EPS, 1.0 - _PHI_EPS))
+        y[:, i - 1] = ndtri(np.clip(z, _PHI_EPS, 1.0 - _PHI_EPS))
         partial = y[:, :i] @ L[i, :i]
-        lo_i = norm.cdf((a[i] - partial) / L[i, i])
-        hi_i = norm.cdf((b[i] - partial) / L[i, i])
+        lo_i = ndtr((a[i] - partial) / L[i, i])
+        hi_i = ndtr((b[i] - partial) / L[i, i])
         p *= np.maximum(hi_i - lo_i, 0.0)
     return p
 
@@ -122,7 +123,7 @@ def mvn_rectangle_prob(
     d = a.size
     if d == 1:
         s = np.sqrt(cov[0, 0])
-        return RectangleProb(float(norm.cdf(b[0] / s) - norm.cdf(a[0] / s)), 0.0)
+        return RectangleProb(float(ndtr(b[0] / s) - ndtr(a[0] / s)), 0.0)
 
     L, a, b = _ordered_cholesky(cov, a, b)
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -6,13 +6,17 @@ hyper-means, and mixture indicators conjugate; only the log-variance curves
 the cross-correlations (per-point Metropolis on the Fisher-z scale) need
 Metropolis steps. The two variance levels, error and random effect, share one
 update: each is a pair of log-variance curves under a band-centred mixture
-GP prior plus a pointwise cross-correlation.
+GP prior plus a pointwise cross-correlation. Within a level's Metropolis
+loops the current log-posterior terms are cached and replaced only where a
+proposal is accepted.
 
-Adaptation is per chain: each chain starts from the same initial proposal
-scales, moves its own copy toward 30% acceptance during its burn-in, and
-freezes them afterwards, preserving detailed balance for every retained draw.
-Chain c also draws only from a substream keyed by (seed, c), so its draws are
-independent of how many chains run and in which order.
+Chains run side by side: every state array has a leading chain axis, and one
+:meth:`MwgSampler.sweep` advances all of them. Each chain keeps its own
+random stream, keyed by (seed, c), and its own proposal scales: all start
+from the same initial values, move toward 30% acceptance during burn-in and
+freeze afterwards, preserving detailed balance for every retained draw.
+Chain c's draws are therefore independent of how many chains run and in
+which order.
 """
 
 from __future__ import annotations
@@ -44,13 +48,13 @@ class SamplerDivergenceError(RuntimeError):
 class _Mixture(NamedTuple):
     """A pair of channel curves under a band-centred mixture GP prior."""
 
-    curves: str  # state key of the (2, T) curves
+    curves: str  # state key of the (chains, 2, T) curves
     hyper: str  # state key of the flat-prior hyper-mean
     indicator: str  # state key of the mixture indicator
     lcorr: np.ndarray  # Cholesky factor of the prior correlation
     lcov: np.ndarray  # Cholesky factor of the prior covariance
     prec: np.ndarray  # prior precision
-    offsets: tuple  # the two mixture offsets on the working scale
+    offsets: np.ndarray  # (2, T) mixture offsets on the working scale
 
 
 class _Level(NamedTuple):
@@ -60,12 +64,55 @@ class _Level(NamedTuple):
     rho: str  # state key of the cross-correlation
     steps: tuple  # proposal-scale keys of channel 1 and channel 2
     count: float  # observations per grid point
-    residuals: Callable  # state -> (count, 2, T) residuals
+    residuals: Callable  # state -> (chains, count, 2, T) residuals
 
 
 def _chain_rng(seed: int, chain: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x6D77670000 + chain], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _normals(rngs, shape):
+    """Standard normals of ``shape`` for each chain, from that chain's stream."""
+    z = np.empty((len(rngs),) + shape)
+    for rng, out in zip(rngs, z):
+        rng.standard_normal(out=out)
+    return z
+
+
+def _uniforms(rngs, shape=()):
+    """Uniforms on [0, 1) of ``shape`` for each chain, from that chain's stream."""
+    if not shape:
+        return np.array([rng.random() for rng in rngs])
+    u = np.empty((len(rngs),) + shape)
+    for rng, out in zip(rngs, u):
+        rng.random(out=out)
+    return u
+
+
+def _coin_flips(rngs):
+    """One fair 0/1 draw for each chain, from that chain's stream."""
+    return np.array([int(rng.integers(2)) for rng in rngs])
+
+
+def _mv(m, x):
+    """``m @ x`` for each chain's vector in x (chains, T): one gemv per chain,
+    which rounds as the one-chain product does (one GEMM over all chains may
+    not), so a chain's draws do not depend on the batch it runs in."""
+    return np.matmul(m, x[..., None])[..., 0]
+
+
+def _quad(prec, dev):
+    """Per-chain prior log-density term ``-0.5 dev' prec dev`` of (chains, T) ``dev``."""
+    return np.matmul(np.matmul(-0.5 * dev[..., None, :], prec), dev[..., :, None])[..., 0, 0]
+
+
+def _diag(v):
+    """Stacked diagonal matrices with the (chains, T) entries ``v``."""
+    out = np.zeros(v.shape + v.shape[-1:])
+    i = np.arange(v.shape[-1])
+    out[..., i, i] = v
+    return out
 
 
 def _inv2x2(a, b, c):
@@ -84,25 +131,32 @@ def _chol2x2(a, b, c):
 
 def _cross_sums(dev):
     """Per-gridpoint sums (s11, s22, s12) of squares and cross-products of
-    (n, 2, T) residuals."""
-    s11 = (dev[:, 0, :] ** 2).sum(axis=0)
-    s22 = (dev[:, 1, :] ** 2).sum(axis=0)
-    s12 = (dev[:, 0, :] * dev[:, 1, :]).sum(axis=0)
+    (..., n, 2, T) residuals over n."""
+    s11 = (dev[..., 0, :] ** 2).sum(axis=-2)
+    s22 = (dev[..., 1, :] ** 2).sum(axis=-2)
+    s12 = (dev[..., 0, :] * dev[..., 1, :]).sum(axis=-2)
     return s11, s22, s12
 
 
 def _precision(state, level):
-    """Per-gridpoint 2x2 precision entries of one variance level."""
-    v1, v2 = np.exp(state[level.mix.curves])
+    """Per-gridpoint 2x2 precision entries of one variance level, (chains, T) each."""
+    v = np.exp(state[level.mix.curves])
+    v1, v2 = v[:, 0], v[:, 1]
     return _inv2x2(v1, state[level.rho] * np.sqrt(v1 * v2), v2)
 
 
-class MwgSampler:
-    """One-chain sampler core; :func:`run_mwg` orchestrates multiple chains.
+def _batch(x, chains):
+    """A writable copy of ``x`` with its leading axis broadcast to ``chains``."""
+    return np.broadcast_to(x, (chains,) + x.shape[1:]).copy()
 
-    The class also exposes prior simulation and data regeneration so the
-    Geweke-style successive-conditional check can reuse the exact conditional
-    updates it validates.
+
+class MwgSampler:
+    """Sampler core for a batch of chains; :func:`run_mwg` drives it.
+
+    Every state array has a leading chain axis, and the update methods take
+    one generator per chain. The class also exposes prior simulation and data
+    regeneration so the Geweke-style successive-conditional check can reuse
+    the exact conditional updates it validates.
     """
 
     def __init__(self, data: GroupedPairedSample, prior: PriorSpec):
@@ -112,7 +166,7 @@ class MwgSampler:
         self.sizes = data.group_sizes
         self.N = data.n_total
         self.labels = data.group_labels()
-        self._set_data(data.stacked())
+        self._set_data(data.stacked()[None])
         self.prior = prior
 
         eye = np.eye(self.T)
@@ -123,233 +177,266 @@ class MwgSampler:
             cov = p.scale_s2 * corr
             lcov = np.sqrt(p.scale_s2) * lcorr
             prec = cho_solve((np.linalg.cholesky(cov + 1e-10 * eye), True), eye)
-            return _Mixture(curves, hyper, indicator, lcorr, lcov, prec, p.offsets())
+            return _Mixture(curves, hyper, indicator, lcorr, lcov, prec, np.stack(p.offsets()))
 
         self.mu_mix = mixture("mu", "mu0", "d_mu", prior.mean_prior)
         self.levels = (
             _Level(
                 mixture("leps", "tau_e", "d_e", prior.error_var_prior), "rho_e",
                 ("leps_1", "leps_2"), float(self.N),
-                lambda s: self.y - s["alpha"][self.labels],
+                lambda s: self.y - s["alpha"][:, self.labels],
             ),
             _Level(
                 mixture("lalp", "tau_a", "d_a", prior.reffect_var_prior), "rho_a",
                 ("lalp_1", "lalp_2"), float(self.A),
-                lambda s: s["alpha"] - s["mu"],
+                lambda s: s["alpha"] - s["mu"][:, None],
             ),
         )
-
-        # Metropolis proposal scales; each chain adapts its own copy during
-        # burn-in only (see :func:`_run_chain`)
-        self.steps = dict(_INITIAL_STEPS)
-        self.accept_counts = {k: 0 for k in self.steps}
-        self.proposal_counts = {k: 0 for k in self.steps}
         self.inner_repeats = 5
         self.fixed_hypers = False  # Geweke mode: skip improper-prior updates
 
     def _set_data(self, y):
-        self.y = y  # (N, 2, T)
+        self.y = y  # (1 or chains, N, 2, T)
         self.ybar_group = np.stack(
-            [y[self.labels == i].mean(axis=0) for i in range(self.A)]
-        )  # (A, 2, T)
+            [y[:, self.labels == i].mean(axis=1) for i in range(self.A)], axis=1
+        )  # (1 or chains, A, 2, T)
+
+    def _start(self, chains: int):
+        """Initial proposal scales, one per chain and block, and zero counts;
+        each chain adapts its own scales during burn-in only."""
+        self.steps = {k: np.full(chains, v) for k, v in _INITIAL_STEPS.items()}
+        self.accept_counts = {k: 0 for k in self.steps}  # pooled over chains
+        self.proposal_counts = {k: 0 for k in self.steps}
 
     # ----- initialization -------------------------------------------------
 
-    def init_from_data(self, rng: np.random.Generator, spread: float = 0.0) -> dict:
-        """Moment-based initial state; ``spread`` adds overdispersion for
+    def init_from_data(self, rngs, spread=0.0) -> dict:
+        """Moment-based initial state of one chain per generator in ``rngs``;
+        ``spread`` (a scalar or one value per chain) adds overdispersion for
         distinct chain starting points."""
-        within = self.y - self.ybar_group[self.labels]
-        v_eps = np.maximum((within**2).sum(axis=0) / max(self.N - self.A, 1), 1e-8)
-        mu = self.ybar_group.mean(axis=0)
-        dev_a = self.ybar_group - mu
-        v_alp = np.maximum(dev_a.var(axis=0, ddof=1), 1e-8)
+        chains = len(rngs)
+        self._start(chains)
+        within = self.y - self.ybar_group[:, self.labels]
+        v_eps = np.maximum((within**2).sum(axis=1) / max(self.N - self.A, 1), 1e-8)
+        mu = self.ybar_group.mean(axis=1)
+        dev_a = self.ybar_group - mu[:, None]
+        v_alp = np.maximum(dev_a.var(axis=1, ddof=1), 1e-8)
 
         def corr(dev):
             s11, s22, s12 = _cross_sums(dev)
             with np.errstate(invalid="ignore", divide="ignore"):
                 r = s12 / np.sqrt(s11 * s22)
-            return np.clip(np.nan_to_num(r), -0.9, 0.9)
+            return _batch(np.clip(np.nan_to_num(r), -0.9, 0.9), chains)
 
-        jit = lambda shape: spread * rng.standard_normal(shape)
+        spread = np.broadcast_to(np.asarray(spread, float), (chains,))[:, None, None]
+        jit = lambda: spread * _normals(rngs, (2, self.T))
         state = {
-            "mu": mu + jit((2, self.T)) * 0.05,
-            "alpha": self.ybar_group.copy(),
-            "leps": np.log(v_eps) + jit((2, self.T)) * 0.3,
-            "lalp": np.log(v_alp) + jit((2, self.T)) * 0.3,
+            "mu": mu + jit() * 0.05,
+            "alpha": _batch(self.ybar_group, chains),
+            "leps": np.log(v_eps) + jit() * 0.3,
+            "lalp": np.log(v_alp) + jit() * 0.3,
             "rho_e": corr(within),
             "rho_a": corr(dev_a),
-            "mu0": mu.mean(axis=0),
-            "tau_e": np.log(v_eps).mean(axis=0),
-            "tau_a": np.log(v_alp).mean(axis=0),
-            "d_mu": int(rng.integers(2)),
-            "d_e": int(rng.integers(2)),
-            "d_a": int(rng.integers(2)),
+            "mu0": _batch(mu.mean(axis=1), chains),
+            "tau_e": _batch(np.log(v_eps).mean(axis=1), chains),
+            "tau_a": _batch(np.log(v_alp).mean(axis=1), chains),
+            "d_mu": _coin_flips(rngs),
+            "d_e": _coin_flips(rngs),
+            "d_a": _coin_flips(rngs),
         }
         return state
 
-    def init_from_prior(self, rng: np.random.Generator, mu0, tau_e, tau_a) -> dict:
-        """Draw every parameter from its prior with the hyper-means fixed.
+    def init_from_prior(self, rngs, mu0, tau_e, tau_a) -> dict:
+        """Draw every parameter of one chain per generator in ``rngs`` from its
+        prior, with the (T,) hyper-means fixed.
 
         The flat hyper-mean priors are improper, so prior simulation (needed by
         the Geweke check) conditions on supplied values and the corresponding
         Gibbs updates are skipped while ``fixed_hypers`` is set.
         """
+        chains = len(rngs)
+        self._start(chains)
         mixes = (self.mu_mix,) + tuple(lv.mix for lv in self.levels)
-        state = {m.hyper: np.asarray(h, float) for m, h in zip(mixes, (mu0, tau_e, tau_a))}
-        state.update({m.indicator: int(rng.integers(2)) for m in mixes})
+        state = {
+            m.hyper: _batch(np.asarray(h, float)[None], chains)
+            for m, h in zip(mixes, (mu0, tau_e, tau_a))
+        }
+        state.update({m.indicator: _coin_flips(rngs) for m in mixes})
         for m in mixes:
             hyper = state[m.hyper]
-            c1 = hyper + m.lcov @ rng.standard_normal(self.T)
-            c2 = hyper - m.offsets[state[m.indicator]] + m.lcov @ rng.standard_normal(self.T)
-            state[m.curves] = np.stack([c1, c2])
+            c1 = hyper + _mv(m.lcov, _normals(rngs, (self.T,)))
+            c2 = hyper - m.offsets[state[m.indicator]] + _mv(m.lcov, _normals(rngs, (self.T,)))
+            state[m.curves] = np.stack([c1, c2], axis=1)
         for lv in self.levels:
-            state[lv.rho] = rng.uniform(-1.0, 1.0, self.T)
-        state["alpha"] = self._draw_pairs(state["mu"], state["lalp"], state["rho_a"], self.A, rng)
+            state[lv.rho] = np.stack([r.uniform(-1.0, 1.0, self.T) for r in rngs])
+        state["alpha"] = self._draw_pairs(
+            state["mu"][:, None], state["lalp"], state["rho_a"], self.A, rngs
+        )
         return state
 
-    def _draw_pairs(self, mean, logvar, rho, n, rng):
-        """``n`` bivariate-normal curve pairs around ``mean`` (broadcast to
-        (n, 2, T)) with channel log-variances ``logvar`` and correlation ``rho``."""
-        s1, s2 = np.exp(0.5 * logvar)
-        l11, l21, l22 = _chol2x2(s1**2, rho * s1 * s2, s2**2)
-        z = rng.standard_normal((n, 2, self.T))
-        out = np.empty((n, 2, self.T))
-        out[:, 0, :] = mean[..., 0, :] + l11 * z[:, 0, :]
-        out[:, 1, :] = mean[..., 1, :] + l21 * z[:, 0, :] + l22 * z[:, 1, :]
+    def _draw_pairs(self, mean, logvar, rho, n, rngs):
+        """``n`` bivariate-normal curve pairs per chain around ``mean``
+        (broadcast to (chains, n, 2, T)) with channel log-variances ``logvar``
+        and correlation ``rho``."""
+        s = np.exp(0.5 * logvar)
+        s1, s2 = s[:, 0], s[:, 1]
+        l11, l21, l22 = (x[:, None] for x in _chol2x2(s1**2, rho * s1 * s2, s2**2))
+        z = _normals(rngs, (n, 2, self.T))
+        out = np.empty(z.shape)
+        out[..., 0, :] = mean[..., 0, :] + l11 * z[..., 0, :]
+        out[..., 1, :] = mean[..., 1, :] + l21 * z[..., 0, :] + l22 * z[..., 1, :]
         return out
 
-    def simulate_data(self, state, rng) -> None:
-        """Replace the observed curves by draws from the likelihood at
-        ``state`` (used by the successive-conditional Geweke check)."""
-        mean = state["alpha"][self.labels]
-        self._set_data(self._draw_pairs(mean, state["leps"], state["rho_e"], self.N, rng))
+    def simulate_data(self, state, rngs) -> None:
+        """Replace the observed curves by one draw per chain from the
+        likelihood at ``state`` (used by the successive-conditional Geweke
+        check)."""
+        mean = state["alpha"][:, self.labels]
+        self._set_data(self._draw_pairs(mean, state["leps"], state["rho_e"], self.N, rngs))
 
     # ----- conjugate updates ---------------------------------------------
 
-    def _update_alpha(self, state, rng):
-        pe11, pe12, pe22 = _precision(state, self.levels[0])  # (T,)
-        pa11, pa12, pa22 = _precision(state, self.levels[1])
+    def _update_alpha(self, state, rngs):
+        pe11, pe12, pe22 = (p[:, None] for p in _precision(state, self.levels[0]))
+        pa11, pa12, pa22 = (p[:, None] for p in _precision(state, self.levels[1]))
         n = self.sizes[:, None].astype(float)  # (A, 1)
-        q11 = n * pe11 + pa11  # (A, T)
+        q11 = n * pe11 + pa11  # (chains, A, T)
         q12 = n * pe12 + pa12
         q22 = n * pe22 + pa22
-        yb1 = self.ybar_group[:, 0, :]
-        yb2 = self.ybar_group[:, 1, :]
-        mu1, mu2 = state["mu"]
+        yb1 = self.ybar_group[..., 0, :]
+        yb2 = self.ybar_group[..., 1, :]
+        mu1 = state["mu"][:, 0, None]
+        mu2 = state["mu"][:, 1, None]
         h1 = n * (pe11 * yb1 + pe12 * yb2) + pa11 * mu1 + pa12 * mu2
         h2 = n * (pe12 * yb1 + pe22 * yb2) + pa12 * mu1 + pa22 * mu2
         c11, c12, c22 = _inv2x2(q11, q12, q22)  # posterior covariance entries
         m1 = c11 * h1 + c12 * h2
         m2 = c12 * h1 + c22 * h2
         l11, l21, l22 = _chol2x2(c11, c12, c22)
-        z = rng.standard_normal((self.A, 2, self.T))
-        state["alpha"][:, 0, :] = m1 + l11 * z[:, 0, :]
-        state["alpha"][:, 1, :] = m2 + l21 * z[:, 0, :] + l22 * z[:, 1, :]
+        z = _normals(rngs, (self.A, 2, self.T))
+        state["alpha"][..., 0, :] = m1 + l11 * z[..., 0, :]
+        state["alpha"][..., 1, :] = m2 + l21 * z[..., 0, :] + l22 * z[..., 1, :]
 
-    def _update_mu(self, state, rng):
-        T = self.T
+    def _update_mu(self, state, rngs):
+        T, A = self.T, self.A
         pmu = self.mu_mix.prec
         pa11, pa12, pa22 = _precision(state, self.levels[1])
-        abar = state["alpha"].mean(axis=0)  # (2, T)
-        P = np.zeros((2 * T, 2 * T))
-        P[:T, :T] = pmu + np.diag(self.A * pa11)
-        P[T:, T:] = pmu + np.diag(self.A * pa22)
-        od = np.diag(self.A * pa12)
-        P[:T, T:] = od
-        P[T:, :T] = od
-        h = np.empty(2 * T)
+        abar = state["alpha"].mean(axis=1)  # (chains, 2, T)
+        P = np.zeros((len(rngs), 2 * T, 2 * T))
+        P[:, :T, :T] = pmu + _diag(A * pa11)
+        P[:, T:, T:] = pmu + _diag(A * pa22)
+        od = _diag(A * pa12)
+        P[:, :T, T:] = od
+        P[:, T:, :T] = od
+        h = np.empty((len(rngs), 2 * T))
         prior2 = state["mu0"] - self.mu_mix.offsets[state["d_mu"]]
-        h[:T] = pmu @ state["mu0"] + self.A * (pa11 * abar[0] + pa12 * abar[1])
-        h[T:] = pmu @ prior2 + self.A * (pa12 * abar[0] + pa22 * abar[1])
+        h[:, :T] = _mv(pmu, state["mu0"]) + A * (pa11 * abar[:, 0] + pa12 * abar[:, 1])
+        h[:, T:] = _mv(pmu, prior2) + A * (pa12 * abar[:, 0] + pa22 * abar[:, 1])
         L = np.linalg.cholesky(P)
-        mean = cho_solve((L, True), h)
-        draw = mean + solve_triangular(L.T, rng.standard_normal(2 * T), lower=False)
-        state["mu"] = draw.reshape(2, T)
+        z = _normals(rngs, (2 * T,))
+        # a non-finite chain passes through, to be reported by the
+        # log-posterior check of the Metropolis updates
+        draws = [
+            cho_solve((Lc, True), hc, check_finite=False)
+            + solve_triangular(Lc.T, zc, lower=False, check_finite=False)
+            for Lc, hc, zc in zip(L, h, z)
+        ]
+        state["mu"] = np.stack(draws).reshape(-1, 2, T)
 
-    def _update_mixture(self, state, m: _Mixture, rng):
+    def _update_mixture(self, state, m: _Mixture, rngs):
         """Flat-prior hyper-mean draw (skipped in Geweke mode), then the
         mixture indicator, given the two channel curves."""
         x = state[m.curves]
         if not self.fixed_hypers:
-            mean = 0.5 * (x[0] + x[1] + m.offsets[state[m.indicator]])
-            state[m.hyper] = mean + (m.lcov / np.sqrt(2.0)) @ rng.standard_normal(self.T)
-        logw = []
-        for o in m.offsets:
-            dev = x[1] - (state[m.hyper] - o)
-            logw.append(-0.5 * dev @ m.prec @ dev)
-        logw = np.array(logw)
+            mean = 0.5 * (x[:, 0] + x[:, 1] + m.offsets[state[m.indicator]])
+            state[m.hyper] = mean + _mv(m.lcov / np.sqrt(2.0), _normals(rngs, (self.T,)))
+        logw = [_quad(m.prec, x[:, 1] - (state[m.hyper] - o)) for o in m.offsets]
         p1 = 1.0 / (1.0 + np.exp(logw[0] - logw[1]))
-        state[m.indicator] = int(rng.random() < p1)
+        state[m.indicator] = (_uniforms(rngs) < p1).astype(int)
 
     # ----- Metropolis updates --------------------------------------------
 
     def _adapt(self, key, accepted, proposed, cycle, adapting):
-        """Count ``accepted`` of ``proposed`` proposals; during burn-in, move
-        the block's scale toward the target rate (one scale per block)."""
-        self.proposal_counts[key] += proposed
-        self.accept_counts[key] += accepted
+        """Count each chain's ``accepted`` of ``proposed`` proposals; during
+        burn-in, move each chain's scale toward the target rate (one scale per
+        chain and block)."""
+        self.proposal_counts[key] += proposed * accepted.size
+        self.accept_counts[key] += int(accepted.sum())
         if adapting:
             gain = 2.0 / (10.0 + cycle) ** 0.6
-            self.steps[key] = float(
-                np.exp(np.log(self.steps[key]) + gain * (accepted / proposed - _TARGET_ACCEPT))
+            self.steps[key] = np.exp(
+                np.log(self.steps[key]) + gain * (accepted / proposed - _TARGET_ACCEPT)
             )
 
-    def _update_logvar_channel(self, state, lv: _Level, j, sums, rng, cycle, adapting):
+    def _update_logvars(self, state, lv: _Level, sums, rngs, cycle, adapting):
+        """Blocked random-walk Metropolis on each channel's log-variance curve,
+        ``inner_repeats`` times. The block log-likelihood sum and each
+        channel's prior term are cached and replaced only on acceptance."""
         m = lv.mix
-        l = state[m.curves]
-        s11, s22, s12 = sums
         rho = state[lv.rho]
         hyper = state[m.hyper]
-        offset = 0.0 if j == 0 else m.offsets[state[m.indicator]]
-        cur = paired_block_loglik(l[0], l[1], rho, s11, s22, s12, lv.count).sum()
-        dev = l[j] - (hyper - offset)
-        cur += -0.5 * dev @ m.prec @ dev
-        key = lv.steps[j]
-        prop_j = l[j] + self.steps[key] * (m.lcorr @ rng.standard_normal(self.T))
-        lp = l.copy()
-        lp[j] = prop_j
-        new = paired_block_loglik(lp[0], lp[1], rho, s11, s22, s12, lv.count).sum()
-        devp = prop_j - (hyper - offset)
-        new += -0.5 * devp @ m.prec @ devp
-        if not np.isfinite(cur):
-            raise SamplerDivergenceError("non-finite log-posterior", dict(state))
-        accepted = np.log(rng.random()) < new - cur
-        if accepted:
-            state[m.curves] = lp
-        self._adapt(key, int(accepted), 1, cycle, adapting)
+        centers = (hyper, hyper - m.offsets[state[m.indicator]])  # channel prior means
 
-    def _update_rho(self, state, lv: _Level, sums, rng, cycle, adapting):
-        rho = state[lv.rho]
+        def loglik(l):
+            return paired_block_loglik(l[:, 0], l[:, 1], rho, *sums, lv.count).sum(axis=-1)
+
+        l = state[m.curves]
+        ll = loglik(l)
+        prior = [_quad(m.prec, l[:, j] - centers[j]) for j in (0, 1)]
+        for _ in range(self.inner_repeats):
+            for j in (0, 1):
+                key = lv.steps[j]
+                cur = ll + prior[j]
+                lp = l.copy()
+                lp[:, j] = l[:, j] + self.steps[key][:, None] * _mv(
+                    m.lcorr, _normals(rngs, (self.T,))
+                )
+                ll_new = loglik(lp)
+                prior_new = _quad(m.prec, lp[:, j] - centers[j])
+                if not np.all(np.isfinite(cur)):
+                    raise SamplerDivergenceError("non-finite log-posterior", dict(state))
+                accepted = np.log(_uniforms(rngs)) < ll_new + prior_new - cur
+                state[m.curves] = l = np.where(accepted[:, None, None], lp, l)
+                ll = np.where(accepted, ll_new, ll)
+                prior[j] = np.where(accepted, prior_new, prior[j])
+                self._adapt(key, accepted, 1, cycle, adapting)
+
+    def _update_rho(self, state, lv: _Level, sums, rngs, cycle, adapting):
+        """Per-point Fisher-z random-walk Metropolis on the cross-correlation,
+        ``inner_repeats`` times, with each point's log-posterior cached."""
         l = state[lv.mix.curves]
-        s11, s22, s12 = sums
-        z = np.arctanh(rho)
-        zp = z + self.steps[lv.rho] * rng.standard_normal(self.T)
-        rp = np.tanh(zp)
-        cur = paired_block_loglik(l[0], l[1], rho, s11, s22, s12, lv.count)
-        cur = cur + np.log1p(-rho * rho)  # Fisher-z Jacobian of the flat prior
-        new = paired_block_loglik(l[0], l[1], rp, s11, s22, s12, lv.count)
-        new = new + np.log1p(-rp * rp)
-        acc = np.log(rng.random(self.T)) < new - cur
-        state[lv.rho] = np.where(acc, rp, rho)
-        # per-point proposals share one scale, adapted on the mean rate
-        self._adapt(lv.rho, int(acc.sum()), self.T, cycle, adapting)
+
+        def logpost(rho):  # the Fisher-z Jacobian of the flat prior included
+            loglik = paired_block_loglik(l[:, 0], l[:, 1], rho, *sums, lv.count)
+            return loglik + np.log1p(-rho * rho)
+
+        rho = state[lv.rho]
+        cur = logpost(rho)
+        for _ in range(self.inner_repeats):
+            zp = np.arctanh(rho) + self.steps[lv.rho][:, None] * _normals(rngs, (self.T,))
+            rp = np.tanh(zp)
+            new = logpost(rp)
+            acc = np.log(_uniforms(rngs, (self.T,))) < new - cur
+            state[lv.rho] = rho = np.where(acc, rp, rho)
+            cur = np.where(acc, new, cur)
+            # per-point proposals share one scale, adapted on the mean rate
+            self._adapt(lv.rho, acc.sum(axis=-1), self.T, cycle, adapting)
 
     # ----- one sweep ------------------------------------------------------
 
-    def sweep(self, state, rng, cycle=0, adapting=False):
-        self._update_alpha(state, rng)
-        self._update_mu(state, rng)
-        self._update_mixture(state, self.mu_mix, rng)
+    def sweep(self, state, rngs, cycle=0, adapting=False):
+        """Advance every chain by one Gibbs sweep; chain c draws only from
+        ``rngs[c]``."""
+        self._update_alpha(state, rngs)
+        self._update_mu(state, rngs)
+        self._update_mixture(state, self.mu_mix, rngs)
         for lv in self.levels:
             # repeating the cheap Metropolis updates sharpens mixing of the
             # log-variance curves, the sampler's slowest block
             sums = _cross_sums(lv.residuals(state))
-            for _ in range(self.inner_repeats):
-                for j in (0, 1):
-                    self._update_logvar_channel(state, lv, j, sums, rng, cycle, adapting)
-            self._update_mixture(state, lv.mix, rng)
-            for _ in range(self.inner_repeats):
-                self._update_rho(state, lv, sums, rng, cycle, adapting)
+            self._update_logvars(state, lv, sums, rngs, cycle, adapting)
+            self._update_mixture(state, lv.mix, rngs)
+            self._update_rho(state, lv, sums, rngs, cycle, adapting)
 
 
 def split_rhat(x: np.ndarray) -> np.ndarray:
@@ -367,29 +454,29 @@ def split_rhat(x: np.ndarray) -> np.ndarray:
     return np.nan_to_num(out, nan=1.0)
 
 
-def _run_chain(sampler: MwgSampler, seed, chain, iters, burnin, thin):
-    """Thinned post-burn-in draws of one chain: theta, log lambda, log psi
-    (each (draws, T)) and the (draws, 3) mixture indicators.
+def _run_chains(sampler: MwgSampler, seed, chains, iters, burnin, thin):
+    """Thinned post-burn-in draws of the chains numbered in ``chains``, all
+    advanced together: theta, log lambda, log psi (each (chains, draws, T))
+    and the (chains, draws, 3) mixture indicators.
 
-    The chain starts from the initial proposal scales and adapts its own copy,
-    so its draws do not depend on which chains ran before it.
+    Chain c draws from its own stream and adapts its own proposal scales, so
+    its draws do not depend on which other chains run beside it.
     """
-    rng = _chain_rng(seed, chain)
-    sampler.steps = dict(_INITIAL_STEPS)
-    state = sampler.init_from_data(rng, spread=0.5 * chain)
+    rngs = [_chain_rng(seed, c) for c in chains]
+    state = sampler.init_from_data(rngs, spread=[0.5 * c for c in chains])
     kept = range(burnin, iters, thin)
-    theta = np.empty((len(kept), sampler.T))
+    theta = np.empty((len(rngs), len(kept), sampler.T))
     llam = np.empty_like(theta)
     lpsi = np.empty_like(theta)
-    indicators = np.empty((len(kept), 3), dtype=int)
+    indicators = np.empty((len(rngs), len(kept), 3), dtype=int)
     keep = 0
     for it in range(iters):
-        sampler.sweep(state, rng, cycle=it, adapting=it < burnin)
+        sampler.sweep(state, rngs, cycle=it, adapting=it < burnin)
         if it >= burnin and (it - burnin) % thin == 0:
-            theta[keep] = state["mu"][0] - state["mu"][1]
-            llam[keep] = state["leps"][0] - state["leps"][1]
-            lpsi[keep] = state["lalp"][0] - state["lalp"][1]
-            indicators[keep] = (state["d_mu"], state["d_e"], state["d_a"])
+            theta[:, keep] = state["mu"][:, 0] - state["mu"][:, 1]
+            llam[:, keep] = state["leps"][:, 0] - state["leps"][:, 1]
+            lpsi[:, keep] = state["lalp"][:, 0] - state["lalp"][:, 1]
+            indicators[:, keep] = np.stack([state["d_mu"], state["d_e"], state["d_a"]], axis=1)
             keep += 1
     return theta, llam, lpsi, indicators
 
@@ -405,8 +492,10 @@ def run_mwg(
 ) -> PosteriorDraws:
     """Run the Metropolis-within-Gibbs sampler and emit thinned metric draws.
 
-    Returns draws of the three metric curves (variance ratios exponentiated at
-    emission), chain labels, acceptance rates, and split-R-hat diagnostics;
+    One sweep advances all ``chains`` chains together; each chain has its own
+    random stream and its own adapted proposal scales. Returns draws of the
+    three metric curves (variance ratios exponentiated at emission), chain
+    labels, acceptance rates pooled over chains, and split-R-hat diagnostics;
     ``rhat_warning`` is set when any coordinate exceeds 1.1.
     """
     if iters <= burnin:
@@ -414,8 +503,9 @@ def run_mwg(
     sampler = MwgSampler(data, prior)
     T = sampler.T
     per_chain = len(range(burnin, iters, thin))
-    runs = [_run_chain(sampler, seed, c, iters, burnin, thin) for c in range(chains)]
-    theta, llam, lpsi, indicators = (np.stack(draws) for draws in zip(*runs))
+    theta, llam, lpsi, indicators = _run_chains(
+        sampler, seed, range(chains), iters, burnin, thin
+    )
 
     rhat = {
         "theta": split_rhat(theta),

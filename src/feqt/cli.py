@@ -72,15 +72,30 @@ def _read_config_file(path):
 
 def _parse_args(parser, argv):
     """Parse ``argv``; a ``--config`` file preloads the chosen mode's defaults,
-    so argparse types its values and explicit flags override them."""
+    so argparse types its values and explicit flags override them.
+
+    Config keys must name one of the mode's own options (``--config`` itself
+    excluded), and a value must be one of the option's choices, if it has
+    any: argparse checks choices only for values given as flags.
+    """
     args = parser.parse_args(argv)
     if not args.config:
         return args
+    mode = parser.modes[args.mode]
+    options = {
+        a.dest: a for a in mode._actions if a.option_strings and a.dest not in ("help", "config")
+    }
     values = _read_config_file(args.config)
-    for key in values:
-        if not hasattr(args, key):
+    for key, value in values.items():
+        if key not in options:
             raise CliError("config-key", f"unknown config key {key!r}")
-    parser.modes[args.mode].set_defaults(**values)
+        choices = options[key].choices
+        if choices is not None and value not in choices:
+            raise CliError(
+                "config-value",
+                f"config key {key!r}: invalid choice {value!r} (choose from {', '.join(choices)})",
+            )
+    mode.set_defaults(**values)
     return parser.parse_args(argv)
 
 

@@ -21,8 +21,20 @@ from .fdata import (
     PairedFunctionalSample,
     band_contains,
 )
-from .tost import BootstrapConfig, Metric, run_tost
+from .estimators import DegenerateSpreadError, DegenerateVarianceError
+from .tost import BootstrapConfig, DegenerateReplicateError, Metric, run_tost
 from .bayes.kernels import MaternKernel, matern_corr, corr_cholesky
+from .bayes.sampler import SamplerDivergenceError
+
+#: Failures on data too degenerate for an engine. A study records these per
+#: replicate; any other exception is a bug and propagates.
+_REPLICATE_ERRORS = (
+    DegenerateVarianceError,
+    DegenerateSpreadError,
+    DegenerateReplicateError,
+    SamplerDivergenceError,
+    np.linalg.LinAlgError,
+)
 
 
 @dataclass(frozen=True)
@@ -340,8 +352,11 @@ def run_study(
     Only the varied metric's rejection is tallied: the other metrics sit at
     their null values and would dilute size/power estimates. Per-replicate
     randomness is keyed by (seed, scenario, replicate), so any subset of the
-    study can be reproduced in isolation. Engine failures are recorded and
-    excluded from the denominator rather than aborting the study.
+    study can be reproduced in isolation. Replicates whose data are too
+    degenerate for the engine (a zero variance or spread estimate, the redraw
+    cap, sampler divergence, a failed factorization) are recorded and excluded
+    from the denominator rather than aborting the study; any other exception
+    is a bug and propagates.
 
     For ``method="bayesian"`` supply ``bayes_runner(data) -> bool`` deciding
     rejection (typically posterior equivalence probability >= gamma).
@@ -367,7 +382,7 @@ def run_study(
                     reject = _frequentist_reject(data, rep_cfg, eq_bands, metric)
                 else:
                     reject = bool(bayes_runner(data))
-            except Exception as exc:  # noqa: BLE001 - recorded, never fatal
+            except _REPLICATE_ERRORS as exc:
                 errors.append((s, r, f"{type(exc).__name__}: {exc}"))
                 continue
             done[s - 1] += 1

@@ -266,23 +266,25 @@ def test_criterion_8_prior_recovery_cycling():
             float(s["d_mu"]), (s["leps"][0] ** 2).mean(),
         ])
 
+    chain0 = lambda s: {k: v[0] for k, v in s.items()}
     cycles = 2000
     marginal_sampler = MwgSampler(data, prior)
     marginal_sampler.fixed_hypers = True
     r1 = _chain_rng(1, 0)
     marginal = np.array(
-        [scalars(marginal_sampler.init_from_prior(r1, mu0, tau_e, tau_a)) for _ in range(cycles)]
+        [scalars(chain0(marginal_sampler.init_from_prior([r1], mu0, tau_e, tau_a)))
+         for _ in range(cycles)]
     )
 
     cyc_sampler = MwgSampler(data, prior)
     cyc_sampler.fixed_hypers = True
     r2 = _chain_rng(2, 0)
-    state = cyc_sampler.init_from_prior(r2, mu0, tau_e, tau_a)
+    state = cyc_sampler.init_from_prior([r2], mu0, tau_e, tau_a)
     successive = np.empty_like(marginal)
     for c in range(cycles):
-        cyc_sampler.simulate_data(state, r2)
-        cyc_sampler.sweep(state, r2)
-        successive[c] = scalars(state)
+        cyc_sampler.simulate_data(state, [r2])
+        cyc_sampler.sweep(state, [r2])
+        successive[c] = scalars(chain0(state))
 
     def batch_se(x, n_batches=40):
         b = len(x) // n_batches

@@ -199,6 +199,22 @@ class TestConfigFile:
         assert code == EXIT_ERROR
         assert "config-key" in capsys.readouterr().err
 
+    def test_bad_choice_value_is_error(self, equivalent_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("design = bogus\n")
+        code = run_cli(["tost", "--input", equivalent_file, "--config", str(cfg)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "config-value" in err and "'bogus'" in err
+
+    @pytest.mark.parametrize("key", ["mode", "config"])
+    def test_key_outside_the_mode_is_error(self, equivalent_file, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = bayes\n")
+        code = run_cli(["tost", "--input", equivalent_file, "--config", str(cfg)])
+        assert code == EXIT_ERROR
+        assert "config-key" in capsys.readouterr().err
+
     def test_malformed_line_is_error(self, equivalent_file, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this line has no equals\n")

@@ -5,6 +5,7 @@ from scipy.stats import multivariate_normal, norm
 from feqt.bayes.kernels import MaternKernel, matern_corr
 from feqt.bayes.mvnprob import (
     AccuracyError,
+    calibrate_prior_scale,
     mvn_rectangle_prob,
     prior_equivalence_prob,
 )
@@ -104,3 +105,13 @@ class TestPriorEquivalence:
             for s2 in (0.05, 0.1, 0.4)
         ]
         assert probs[0] > probs[1] > probs[2]
+
+
+class TestCalibrationPinned:
+    def test_criterion_3_scale_unchanged(self, grid25):
+        """The QMC path at the criterion 3 arguments reproduces the scale it
+        returned with ``scipy.stats.norm`` in the integrand (the direct
+        ``ndtr``/``ndtri`` calls are the same kernels)."""
+        kb = make_cosine_bands(grid25, BandKind.ADDITIVE)
+        s2 = calibrate_prior_scale(0.3, kb, grid25, 0.01, seed=2)
+        assert s2 == pytest.approx(0.0955874086715996, rel=1e-12)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from feqt.bayes import GPBandPrior, PriorSpec, run_mwg
-from feqt.bayes.sampler import MwgSampler, _chain_rng, _run_chain, split_rhat
+from feqt.bayes.sampler import (
+    MwgSampler,
+    SamplerDivergenceError,
+    _chain_rng,
+    _run_chains,
+    split_rhat,
+)
 from feqt.fdata import BandKind, equispaced_grid, make_cosine_bands
 
 from conftest import make_grouped
@@ -65,17 +71,17 @@ class TestRunMwg:
         assert not np.array_equal(a.theta, c.theta)
 
     def test_chain_draws_independent_of_execution_order(self):
-        """Chain c adapts its own proposal scales, so its draws are the same
-        whether it runs alone, first or last."""
+        """Chain c adapts its own proposal scales and draws from its own
+        stream, so its draws are the same whether it runs alone, first or
+        last in a batch."""
         rng = np.random.default_rng(0)
         data = make_grouped(rng, n_groups=4, group_size=4, n_points=5)
         prior = small_prior(data.grid)
         schedule = dict(iters=240, burnin=40, thin=10)
 
         def chain_draws(order, chain):
-            sampler = MwgSampler(data, prior)
-            runs = {c: _run_chain(sampler, 3, c, **schedule) for c in order}
-            return runs[chain]
+            runs = _run_chains(MwgSampler(data, prior), 3, order, **schedule)
+            return [draws[order.index(chain)] for draws in runs]
 
         for chain in (0, 1, 2):
             alone = chain_draws([chain], chain)
@@ -102,28 +108,41 @@ class TestSamplerCore:
         sampler.fixed_hypers = True
         r = _chain_rng(9, 0)
         T = 6
-        state = sampler.init_from_prior(r, np.zeros(T), np.full(T, -1.0), np.full(T, -2.0))
-        assert state["alpha"].shape == (3, 2, T)
+        state = sampler.init_from_prior([r], np.zeros(T), np.full(T, -1.0), np.full(T, -2.0))
+        assert state["alpha"][0].shape == (3, 2, T)
         assert np.all(np.abs(state["rho_e"]) < 1.0)
         before = sampler.y.copy()
-        sampler.simulate_data(state, r)
+        sampler.simulate_data(state, [r])
         assert sampler.y.shape == before.shape
         assert not np.array_equal(sampler.y, before)
         # a sweep on simulated data keeps the state finite
-        sampler.sweep(state, r)
+        sampler.sweep(state, [r])
         for key in ("mu", "leps", "lalp", "rho_e", "rho_a"):
             assert np.all(np.isfinite(state[key]))
         # fixed hyper-means must not move
-        np.testing.assert_array_equal(state["mu0"], np.zeros(T))
-        np.testing.assert_array_equal(state["tau_e"], np.full(T, -1.0))
+        np.testing.assert_array_equal(state["mu0"][0], np.zeros(T))
+        np.testing.assert_array_equal(state["tau_e"][0], np.full(T, -1.0))
 
     def test_zero_variance_data_simulation(self, rng):
         data = make_grouped(rng, n_groups=3, group_size=4, n_points=4)
         sampler = MwgSampler(data, small_prior(data.grid))
         r = _chain_rng(2, 0)
-        state = sampler.init_from_data(r)
-        state["leps"] = np.full((2, 4), -60.0)  # essentially noiseless
-        sampler.simulate_data(state, r)
+        state = sampler.init_from_data([r])
+        state["leps"][0] = np.full((2, 4), -60.0)  # essentially noiseless
+        sampler.simulate_data(state, [r])
         np.testing.assert_allclose(
-            sampler.y, state["alpha"][data.group_labels()], atol=1e-10
+            sampler.y[0], state["alpha"][0][data.group_labels()], atol=1e-10
         )
+
+    def test_non_finite_logvar_in_one_chain_diverges(self, rng):
+        data = make_grouped(rng, n_groups=3, group_size=4, n_points=4)
+        sampler = MwgSampler(data, small_prior(data.grid))
+        rngs = [_chain_rng(2, c) for c in range(3)]
+        state = sampler.init_from_data(rngs, spread=0.5)
+        sampler.sweep(state, rngs)  # finite chains sweep cleanly
+        state["leps"][1, 0, 2] = np.nan
+        with pytest.raises(SamplerDivergenceError, match="non-finite log-posterior") as info:
+            sampler.sweep(state, rngs)
+        dumped = info.value.state["leps"]
+        assert np.isnan(dumped[1, 0, 2])
+        assert np.all(np.isfinite(np.delete(dumped, 1, axis=0)))

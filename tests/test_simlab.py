@@ -18,6 +18,7 @@ from feqt.simlab import (
     mixed_outcome_truth,
     run_study,
 )
+from feqt.bayes.sampler import SamplerDivergenceError
 from feqt.tost import BootstrapConfig, Design, Metric
 from dataclasses import replace
 
@@ -217,6 +218,43 @@ class TestRunStudy:
         )
         assert len(calls) == 50
         assert res.rejections[0] == 25
+
+    def test_runner_bug_propagates(self, grid10):
+        base = default_truth(grid10, 4, 4)
+        bands = make_cosine_bands(grid10, BandKind.ADDITIVE)
+        seq = tiny_sequence(grid10, Metric.THETA, [np.zeros(10)], base)
+        cfg = BootstrapConfig(150, 0.05, 0, Design.RANDOM_EFFECTS_MATCHED)
+
+        def runner(data):
+            raise TypeError("unsupported operand type(s)")
+
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run_study(
+                seq, 50, cfg, {Metric.THETA: bands}, seed=1,
+                method="bayesian", bayes_runner=runner,
+            )
+
+    def test_sampler_divergence_recorded(self, grid10):
+        base = default_truth(grid10, 4, 4)
+        bands = make_cosine_bands(grid10, BandKind.ADDITIVE)
+        seq = tiny_sequence(grid10, Metric.THETA, [np.zeros(10)], base)
+        cfg = BootstrapConfig(150, 0.05, 0, Design.RANDOM_EFFECTS_MATCHED)
+        calls = []
+
+        def runner(data):
+            calls.append(data.n_total)
+            if len(calls) % 5 == 0:
+                raise SamplerDivergenceError("non-finite log-posterior", {})
+            return True
+
+        res = run_study(
+            seq, 50, cfg, {Metric.THETA: bands}, seed=1,
+            method="bayesian", bayes_runner=runner,
+        )
+        assert len(calls) == 50
+        assert res.replicates[0] == 40 and res.rejections[0] == 40
+        assert len(res.errors) == 10
+        assert res.errors[0] == (1, 4, "SamplerDivergenceError: non-finite log-posterior")
 
 
 class TestMixedOutcomeProfile:
