@@ -252,6 +252,7 @@ def _mode_simulate(args):
             f"scenario {result.scenarios[i]}: rate "
             f"{result.rates[i]:.4f} (se {result.standard_errors[i]:.4f})"
         )
+    print(f"replicate errors: {len(result.errors)}")
     return EXIT_OK
 
 

@@ -79,8 +79,8 @@ def read_curves_text(text: str, kind: str = None):
     grid = Grid(_parse_floats(lines[0][len(_HEADER_PREFIX):], 1))
     T = len(grid)
 
-    rows = {}  # (group, breath, channel) -> values
-    order = []  # first-appearance order of (group, breath)
+    rows = {}  # (group, breath, channel) -> (values, line number)
+    order = {}  # (group, breath) keys in first-appearance order
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -98,8 +98,7 @@ def read_curves_text(text: str, kind: str = None):
             raise CurveFileError(f"line {lineno}: duplicate row for group {group}, "
                                  f"channel {channel}, breath {breath}")
         rows[key] = (_parse_floats(parts[3], lineno, T), lineno)
-        if (group, breath) not in order:
-            order.append((group, breath))
+        order[(group, breath)] = None
     if not rows:
         raise CurveFileError("file contains no curve rows")
 
@@ -115,15 +114,17 @@ def read_curves_text(text: str, kind: str = None):
                         f"{3 - c} but no channel {c} row"
                     )
 
-    group_ids = sorted({g for (g, _) in order})
+    breaths = {}  # group -> its breaths in first-appearance order
+    for group, breath in order:
+        breaths.setdefault(group, []).append(breath)
+    group_ids = sorted(breaths)
     if kind is None:
         kind = "grouped" if len(group_ids) > 1 else ("paired" if paired else "single")
     if kind not in ("grouped", "paired", "single"):
         raise ValueError(f"unknown kind {kind!r}")
 
     def channel_matrix(group, channel):
-        breaths = [b for (g, b) in order if g == group]
-        return np.array([rows[(group, b, channel)][0] for b in breaths])
+        return np.array([rows[(group, b, channel)][0] for b in breaths[group]])
 
     try:
         if kind == "grouped":

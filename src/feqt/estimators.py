@@ -55,13 +55,19 @@ class AnovaDecomposition:
     group_sizes: np.ndarray  # (A,)
 
 
-def estimate_metrics_paired(s: PairedFunctionalSample) -> MetricEstimates:
-    """Mean-difference and variance-ratio estimates for a matched-pairs sample."""
-    if s.n < 2:
-        raise ValueError("metric estimation requires at least 2 pairs")
-    theta = s.curves_1.mean(axis=0) - s.curves_2.mean(axis=0)
-    v1 = s.curves_1.var(axis=0, ddof=1)
-    v2 = s.curves_2.var(axis=0, ddof=1)
+def estimate_metrics_paired(s) -> MetricEstimates:
+    """Mean-difference and variance-ratio estimates of two channels: a
+    matched-pairs sample, or a ``(FunctionalSample, FunctionalSample)`` pair
+    of independent samples."""
+    if isinstance(s, PairedFunctionalSample):
+        c1, c2 = s.curves_1, s.curves_2
+    else:
+        c1, c2 = (x.curves for x in s)
+    if min(c1.shape[0], c2.shape[0]) < 2:
+        raise ValueError("metric estimation requires at least 2 curves per channel")
+    theta = c1.mean(axis=0) - c2.mean(axis=0)
+    v1 = c1.var(axis=0, ddof=1)
+    v2 = c2.var(axis=0, ddof=1)
     if np.any(v2 <= 0.0):
         t = int(np.argmax(v2 <= 0.0))
         raise DegenerateVarianceError(f"zero denominator variance at grid index {t}")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from .estimators import (
     VARIANCE_FLOOR,
@@ -25,7 +26,6 @@ from .estimators import (
     anova_decompose,
     estimate_metrics_grouped,
     estimate_metrics_paired,
-    MetricEstimates,
 )
 from .fdata import (
     BandKind,
@@ -42,7 +42,7 @@ _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 REDRAW_CAP = 100
 
 #: Elements per computation chunk when vectorizing over replicates.
-_CHUNK_ELEMS = 8_000_000
+_CHUNK_ELEMS = 2_000_000
 
 
 class Design(enum.Enum):
@@ -88,6 +88,7 @@ class ReplicateDraws:
     theta: np.ndarray  # (B, T)
     lam: np.ndarray  # (B, T), strictly positive
     psi: Optional[np.ndarray] = None  # (B, T), hierarchical design only
+    redraws: Optional[np.ndarray] = None  # (B,), degenerate draws replaced
 
 
 @dataclass(frozen=True)
@@ -156,46 +157,117 @@ def _chunks(total: int, per_replicate_elems: int):
         yield start, min(start + step, total)
 
 
-def _resolve_replicates(cfg: BootstrapConfig, draw_one, compute_batch, per_rep_elems):
-    """Run B replicates with per-replicate redraw of degenerate draws.
+def _resolve_replicates(cfg: BootstrapConfig, draw_one, stats_of, per_rep_elems):
+    """Run B replicates chunk by chunk, redrawing degenerate ones.
 
-    ``draw_one(rng)`` returns a tuple of index arrays for one replicate;
-    ``compute_batch(idx_tuple)`` maps stacked index arrays to a tuple of
-    (stats..., ok) where ok flags replicates whose statistics are usable.
+    ``draw_one(rng)`` returns one replicate's drawn indices as a 1-D array;
+    ``stats_of(idx)`` maps an (m, slots) array of them to (stats..., ok), where
+    ok flags replicates whose statistics are usable. Every draw of replicate r
+    comes from its own generator, so chunking and redraws leave it unchanged.
+    Returns the statistics, each (B, ...), and the redraw count of each
+    replicate.
     """
     B = cfg.replicates
-    rngs = [replicate_rng(cfg.seed, r) for r in range(B)]
-    drawn = [draw_one(rng) for rng in rngs]
-    n_idx = len(drawn[0])
     stats_out = None
-    active = np.arange(B)
-    attempts = np.zeros(B, dtype=int)
-
-    while active.size:
-        ok = np.empty(active.size, dtype=bool)
-        for lo, hi in _chunks(active.size, per_rep_elems):
-            idx = tuple(
-                np.stack([drawn[r][k] for r in active[lo:hi]]) for k in range(n_idx)
-            )
-            *stats, good = compute_batch(idx)
+    redraws = np.zeros(B, dtype=int)
+    for lo, hi in _chunks(B, per_rep_elems):
+        rngs = [replicate_rng(cfg.seed, r) for r in range(lo, hi)]
+        idx = np.stack([draw_one(rng) for rng in rngs])
+        active = np.arange(hi - lo)
+        while True:
+            *stats, ok = stats_of(idx[active])
             if stats_out is None:
-                stats_out = tuple(
-                    np.empty((B,) + s.shape[1:], dtype=float) for s in stats
-                )
+                stats_out = tuple(np.empty((B,) + s.shape[1:]) for s in stats)
             for out, s in zip(stats_out, stats):
-                out[active[lo:hi]] = s
-            ok[lo:hi] = good
-        bad = active[~ok]
-        attempts[bad] += 1
-        if np.any(attempts[bad] > REDRAW_CAP):
-            r = int(bad[np.argmax(attempts[bad] > REDRAW_CAP)])
-            raise DegenerateReplicateError(
-                f"replicate {r} stayed degenerate after {REDRAW_CAP} redraws"
-            )
-        for r in bad:
-            drawn[r] = draw_one(rngs[r])
-        active = bad
-    return stats_out
+                out[lo + active] = s
+            active = active[~ok]
+            if not active.size:
+                break
+            # replicates still active have failed equally often
+            redraws[lo + active] += 1
+            if redraws[lo + active[0]] > REDRAW_CAP:
+                raise DegenerateReplicateError(
+                    f"replicate {lo + active[0]} stayed degenerate after {REDRAW_CAP} redraws"
+                )
+            rngs = {i: rngs[i] for i in active}  # only replicates to redraw keep theirs
+            for i in active:
+                idx[i] = draw_one(rngs[i])
+    return stats_out, redraws
+
+
+def _count_sums(idx: np.ndarray, sizes: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Per-(replicate, group) sums of the drawn rows of ``columns``: (m, G, K).
+
+    Row r of ``idx`` lists replicate r's drawn reservoir rows, ``sizes[g]`` of
+    them for group g, group after group. They form a sparse count matrix with
+    one row per (replicate, group) and one column per reservoir row; repeated
+    draws of a row add up in the product with ``columns`` (R, K).
+    """
+    m, G = idx.shape[0], sizes.size
+    indptr = np.zeros(m * G + 1, dtype=np.int64)
+    np.cumsum(np.tile(sizes, m), out=indptr[1:])
+    counts = sparse.csr_matrix(
+        (np.ones(idx.size), idx.ravel(), indptr), shape=(m * G, columns.shape[0])
+    )
+    return (counts @ columns).reshape(m, G, columns.shape[1])
+
+
+def _tied_labels(rows: np.ndarray):
+    """Tie classes of the columns of ``rows`` that repeat a value: (R, k)
+    labels, equal values sharing one; None if every column is tie-free."""
+    s = np.sort(rows, axis=0)
+    tied = np.flatnonzero(np.any(s[1:] == s[:-1], axis=0))
+    if not tied.size:
+        return None
+    return np.stack([np.unique(rows[:, k], return_inverse=True)[1] for k in tied], axis=1)
+
+
+def _bootstrap_two_channel(rows, sizes, cfg, draw_one) -> ReplicateDraws:
+    """Mean difference and variance ratio of two channels, from counts.
+
+    ``rows`` (R, K) is the reservoir, group g holding the next ``sizes[g]``
+    rows, and a replicate draws ``sizes[g]`` rows within each group. The
+    groups' column sums hold the two channels: one group of pairs (K = 2T)
+    or two groups of curves (K = T). A channel is degenerate at a grid point
+    iff all its drawn rows share one value there, which on a tie-free column
+    means one distinct row drawn; such replicates are redrawn.
+    """
+    G, K = sizes.size, rows.shape[1]
+    T = G * K // 2
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    mean = np.stack([rows[a:b].mean(axis=0) for a, b in zip(bounds[:-1], bounds[1:])])
+    centered = rows - np.repeat(mean, sizes, axis=0)
+    columns = np.concatenate([centered, centered**2], axis=1)
+    mean = mean.reshape(2, T)
+    n = np.repeat(sizes, 2 // G).astype(float)[:, None]  # rows per channel, (2, 1)
+    labels = _tied_labels(rows)
+    n_tied = 0 if labels is None else labels.shape[1]
+
+    def stats_of(idx):
+        m = idx.shape[0]
+        sq = _count_sums(idx, sizes, columns)
+        s = sq[..., :K].reshape(m, 2, T)
+        q = sq[..., K:].reshape(m, 2, T)
+        var = (q - s * s / n) / (n - 1.0)
+        one_value = np.zeros(m, dtype=bool)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            drawn = idx[:, a:b]
+            one_value |= drawn.min(axis=1) == drawn.max(axis=1)
+            if labels is not None:
+                lab = labels[drawn]  # (m, n_g, k)
+                one_value |= np.any(lab.min(axis=1) == lab.max(axis=1), axis=1)
+        # a variance that rounds to <= 0 cannot enter a ratio either
+        ok = ~one_value & np.all(var > 0.0, axis=(1, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = var[:, 0] / var[:, 1]
+        means = mean + s / n
+        return means[:, 0] - means[:, 1], lam, ok
+
+    # per drawn slot: its index, its count-matrix entry and its tie labels;
+    # per replicate: the sums and their temporaries, a few (2, T) arrays
+    per_rep = int(sizes.sum()) * (3 + n_tied) + 8 * T
+    (theta, lam), redraws = _resolve_replicates(cfg, draw_one, stats_of, per_rep)
+    return ReplicateDraws(theta=theta, lam=lam, redraws=redraws)
 
 
 def bootstrap_independent(
@@ -206,26 +278,13 @@ def bootstrap_independent(
         raise ValueError("both groups need at least 2 curves")
     if s1.grid != s2.grid:
         raise ValueError("groups must share a grid")
-    n1, n2, T = s1.n, s2.n, len(s1.grid)
-    c1, c2 = s1.curves, s2.curves
+    n1, n2 = s1.n, s2.n
 
     def draw_one(rng):
-        return rng.integers(0, n1, n1), rng.integers(0, n2, n2)
+        return np.concatenate([rng.integers(0, n1, n1), n1 + rng.integers(0, n2, n2)])
 
-    def compute(idx):
-        i1, i2 = idx  # (m, n1), (m, n2)
-        g1 = c1[i1]  # (m, n1, T)
-        g2 = c2[i2]
-        theta = g1.mean(axis=1) - g2.mean(axis=1)
-        v1 = g1.var(axis=1, ddof=1)
-        v2 = g2.var(axis=1, ddof=1)
-        ok = np.all(v1 > 0.0, axis=1) & np.all(v2 > 0.0, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.where(v2 > 0.0, v1 / np.where(v2 > 0.0, v2, 1.0), np.nan)
-        return theta, lam, ok
-
-    theta, lam = _resolve_replicates(cfg, draw_one, compute, (n1 + n2) * T)
-    return ReplicateDraws(theta=theta, lam=lam)
+    rows = np.concatenate([s1.curves, s2.curves])
+    return _bootstrap_two_channel(rows, np.array([n1, n2]), cfg, draw_one)
 
 
 def bootstrap_matched(s: PairedFunctionalSample, cfg: BootstrapConfig) -> ReplicateDraws:
@@ -233,25 +292,13 @@ def bootstrap_matched(s: PairedFunctionalSample, cfg: BootstrapConfig) -> Replic
     within-pair dependence."""
     if s.n < 2:
         raise ValueError("need at least 2 pairs")
-    n, T = s.n, len(s.grid)
-    pairs = s.stacked()  # (n, 2, T)
+    n = s.n
 
     def draw_one(rng):
-        return (rng.integers(0, n, n),)
+        return rng.integers(0, n, n)
 
-    def compute(idx):
-        (i,) = idx
-        g = pairs[i]  # (m, n, 2, T)
-        theta = g[:, :, 0, :].mean(axis=1) - g[:, :, 1, :].mean(axis=1)
-        v1 = g[:, :, 0, :].var(axis=1, ddof=1)
-        v2 = g[:, :, 1, :].var(axis=1, ddof=1)
-        ok = np.all(v1 > 0.0, axis=1) & np.all(v2 > 0.0, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.where(v2 > 0.0, v1 / np.where(v2 > 0.0, v2, 1.0), np.nan)
-        return theta, lam, ok
-
-    theta, lam = _resolve_replicates(cfg, draw_one, compute, n * 2 * T)
-    return ReplicateDraws(theta=theta, lam=lam)
+    rows = s.stacked().reshape(n, -1)  # (n, 2T): channel 1, then channel 2
+    return _bootstrap_two_channel(rows, np.array([n]), cfg, draw_one)
 
 
 def bootstrap_random_effects(
@@ -264,43 +311,44 @@ def bootstrap_random_effects(
     pooled N-pair reservoir, reconstruct curves, and recompute the three
     metric estimates from the ANOVA quantities. Pooling the reservoir ignores
     the within-group residual covariance, as in the source procedure.
+
+    The curves are never built: a group's mean is its drawn effect plus the
+    mean of its drawn residuals, and with the residuals' per-group sums S and
+    sums of squares Q, SSE is the within-group part sum(Q - S^2/n_i) plus SSA.
     """
     if np.any(g.group_sizes < 2):
         raise ValueError("every group needs at least 2 pairs")
     A, N, T = g.n_groups, g.n_total, len(g.grid)
     sizes = g.group_sizes
     decomp = anova_decompose(g)
-    a_hat = adjusted_random_effects(decomp)  # (A, 2, T)
-    reservoir = g.stacked() - decomp.mean_by_group[g.group_labels()]  # (N, 2, T)
-    slot_group = g.group_labels()  # group index of each curve slot
-    sizes_f = sizes.astype(float)
+    a_hat = adjusted_random_effects(decomp).reshape(A, 2 * T)
+    resid = (g.stacked() - decomp.mean_by_group[g.group_labels()]).reshape(N, 2 * T)
+    columns = np.concatenate([resid, resid**2], axis=1)
+    n_i = sizes.astype(float)
     n_star = decomp.n_star
-    # reduceat boundaries for per-group means over the slot axis
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
 
     def draw_one(rng):
-        return rng.integers(0, A, A), rng.integers(0, N, N)
+        return np.concatenate([rng.integers(0, A, A), rng.integers(0, N, N)])
 
-    def compute(idx):
-        ai, ri = idx  # (m, A), (m, N)
-        effects = a_hat[ai]  # (m, A, 2, T)
-        y = effects[:, slot_group] + reservoir[ri]  # (m, N, 2, T)
-        ybar = y.mean(axis=1)  # (m, 2, T)
-        group_means = np.add.reduceat(y, offsets, axis=1) / sizes_f[:, None, None]
-        sse = ((y - ybar[:, None]) ** 2).sum(axis=1)  # (m, 2, T)
-        dev = group_means - ybar[:, None]  # (m, A, 2, T)
-        ssa = (sizes_f[:, None, None] * dev**2).sum(axis=1)
-        s2a = (ssa / (A - 1) - sse / (N - 1)) / n_star
-        s2a = np.maximum(s2a, VARIANCE_FLOOR)
-        theta = (group_means[:, :, 0, :] - group_means[:, :, 1, :]).mean(axis=1)
-        ok = np.all(sse[:, 0] > 0.0, axis=1) & np.all(sse[:, 1] > 0.0, axis=1)
+    def stats_of(idx):
+        sq = _count_sums(idx[:, A:], sizes, columns)  # (m, A, 4T)
+        s, q = sq[..., : 2 * T], sq[..., 2 * T :]
+        means = a_hat[idx[:, :A]] + s / n_i[:, None]  # (m, A, 2T)
+        dev = means - (n_i @ means)[:, None] / N
+        ssa = n_i @ (dev * dev)  # (m, 2T)
+        sse = q.sum(axis=1) - (1.0 / n_i) @ (s * s) + ssa
+        s2a = np.maximum((ssa / (A - 1) - sse / (N - 1)) / n_star, VARIANCE_FLOOR)
+        theta = (means[..., :T] - means[..., T:]).mean(axis=1)
+        ok = np.all(sse > 0.0, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.where(sse[:, 1] > 0.0, sse[:, 0] / np.where(sse[:, 1] > 0.0, sse[:, 1], 1.0), np.nan)
-        psi = s2a[:, 0] / s2a[:, 1]
-        return theta, lam, psi, ok
+            lam = sse[:, :T] / sse[:, T:]
+        return theta, lam, s2a[:, :T] / s2a[:, T:], ok
 
-    theta, lam, psi = _resolve_replicates(cfg, draw_one, compute, 2 * N * 2 * T)
-    return ReplicateDraws(theta=theta, lam=lam, psi=psi)
+    # the drawn indices and count-matrix entries, then the (A, 4T) sums and
+    # the (A, 2T) group means and temporaries
+    per_rep = 3 * N + A + 12 * A * T
+    (theta, lam, psi), redraws = _resolve_replicates(cfg, draw_one, stats_of, per_rep)
+    return ReplicateDraws(theta=theta, lam=lam, psi=psi, redraws=redraws)
 
 
 def theta_bands(draws: np.ndarray, theta_hat: np.ndarray, alpha: float) -> OneSidedBands:
@@ -408,15 +456,8 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
     or a :class:`GroupedPairedSample` for the hierarchical design.
     """
     if cfg.design is Design.INDEPENDENT_IID:
-        s1, s2 = data
-        v2 = s1.curves.var(axis=0, ddof=1), s2.curves.var(axis=0, ddof=1)
-        if np.any(v2[1] <= 0.0):
-            raise ValueError("degenerate variance in group 2")
-        est = MetricEstimates(
-            theta_hat=s1.curves.mean(axis=0) - s2.curves.mean(axis=0),
-            lambda_hat=v2[0] / v2[1],
-        )
-        draws = bootstrap_independent(s1, s2, cfg)
+        est = estimate_metrics_paired(data)
+        draws = bootstrap_independent(*data, cfg)
     elif cfg.design is Design.MATCHED_PAIRS:
         est = estimate_metrics_paired(data)
         draws = bootstrap_matched(data, cfg)

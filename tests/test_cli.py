@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from feqt.cli import EXIT_ERROR, EXIT_FAIL_TO_REJECT, EXIT_OK, _parse_args, build_parser, run_cli
 from feqt.curvefile import write_curves
+from feqt.estimators import DegenerateVarianceError
 from feqt.fdata import equispaced_grid
 from feqt.simlab import default_truth, generate_dataset
 
@@ -253,6 +254,31 @@ class TestSimulateMode:
         assert text.splitlines()[0] == "scenario,replicates,rejections,rate,se"
         assert len(text.splitlines()) == 10  # header + 9 scenarios
 
+
+    def test_replicate_error_count_printed(self, tmp_path, capsys, monkeypatch):
+        import feqt.simlab as simlab
+
+        calls = []
+        real = simlab._frequentist_reject
+
+        def every_third_degenerate(*args):
+            calls.append(None)
+            if len(calls) % 3 == 0:
+                raise DegenerateVarianceError("zero SSE denominator at grid index 0")
+            return real(*args)
+
+        monkeypatch.setattr(simlab, "_frequentist_reject", every_third_degenerate)
+        args = [
+            "simulate", "--scenarios", "size-theta", "--replicates", "50",
+            "--replicates-bootstrap", "100", "--groups", "3",
+            "--group-size", "3", "--grid-size", "5", "--seed", "2",
+            "--out", str(tmp_path),
+        ]
+        assert run_cli(args) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "replicate errors: 150\n" in out  # 9 scenarios x 50 replicates / 3
+        for path in tmp_path.iterdir():
+            assert b"replicate errors" not in path.read_bytes()
 
 class TestReportMode:
     def test_rerender_matches_original(self, equivalent_file, tmp_path, capsys):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from feqt.curvefile import (
     CurveFileError,
@@ -10,6 +13,7 @@ from feqt.curvefile import (
 )
 from feqt.fdata import (
     FunctionalSample,
+    Grid,
     GroupedPairedSample,
     PairedFunctionalSample,
     equispaced_grid,
@@ -72,6 +76,42 @@ class TestRoundTrip:
         header, rows = header_and_rows(write_curves_text(data))
         assert header.startswith("#feqt-curves v1; grid=")
         assert len(rows) == 2 * 2 * 2  # groups x breaths x channels
+
+
+@st.composite
+def samples(draw):
+    """A single, paired or grouped sample of random shape and finite values."""
+    points = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True))
+    grid = Grid(sorted(points))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+
+    def curves(n):
+        return draw(arrays(np.float64, (n, len(grid)), elements=values))
+
+    def pairs():
+        n = draw(st.integers(1, 4))
+        return PairedFunctionalSample(grid, curves(n), curves(n))
+
+    kind = draw(st.sampled_from(["single", "paired", "grouped"]))
+    if kind == "single":
+        return FunctionalSample(grid, curves(draw(st.integers(1, 4))))
+    if kind == "paired":
+        return pairs()
+    return GroupedPairedSample(grid, tuple(pairs() for _ in range(draw(st.integers(2, 4)))))
+
+
+@given(samples())
+@settings(max_examples=80, deadline=None)
+def test_write_read_round_trip(sample):
+    text = write_curves_text(sample)
+    back = read_curves_text(text)
+    assert type(back) is type(sample)
+    np.testing.assert_array_equal(back.grid.points, sample.grid.points)
+    if isinstance(sample, FunctionalSample):
+        np.testing.assert_array_equal(back.curves, sample.curves)
+    else:
+        np.testing.assert_array_equal(back.stacked(), sample.stacked())
+    assert write_curves_text(back) == text  # signs of zeros survive too
 
 
 def small_text():

@@ -10,7 +10,7 @@ from feqt.estimators import (
     estimate_metrics_grouped,
     estimate_metrics_paired,
 )
-from feqt.fdata import PairedFunctionalSample, equispaced_grid
+from feqt.fdata import FunctionalSample, PairedFunctionalSample, equispaced_grid
 
 from conftest import make_grouped
 
@@ -90,6 +90,21 @@ class TestMetricEstimates:
             est.lambda_hat, c1.var(0, ddof=1) / c2.var(0, ddof=1)
         )
         assert est.psi_hat is None
+
+    def test_two_independent_samples(self, rng, grid25):
+        c1 = rng.normal(size=(6, 25))
+        c2 = rng.normal(size=(9, 25))
+        est = estimate_metrics_paired(
+            (FunctionalSample(grid25, c1), FunctionalSample(grid25, c2))
+        )
+        np.testing.assert_allclose(est.theta_hat, c1.mean(0) - c2.mean(0))
+        np.testing.assert_allclose(
+            est.lambda_hat, c1.var(0, ddof=1) / c2.var(0, ddof=1)
+        )
+        with pytest.raises(ValueError, match="at least 2 curves"):
+            estimate_metrics_paired(
+                (FunctionalSample(grid25, c1[:1]), FunctionalSample(grid25, c2))
+            )
 
     def test_paired_zero_denominator_names_index(self, grid25):
         c1 = np.random.default_rng(0).normal(size=(3, 25))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import feqt.tost as tost_mod
+from feqt.estimators import DegenerateVarianceError
 from feqt.fdata import (
     BandKind,
     BandPair,
@@ -22,6 +23,7 @@ from feqt.tost import (
     Metric,
     OneSidedBands,
     TostDecision,
+    bootstrap_independent,
     bootstrap_matched,
     bootstrap_random_effects,
     empirical_quantile,
@@ -34,6 +36,35 @@ from feqt.tost import (
 )
 
 from conftest import make_grouped
+import reference_bootstrap
+
+
+def dyadic_rows(rng, n, T):
+    """n rows of quarter-integers in [-5, 5], tie-free in every column. Sums
+    of a few such values are exact, so a floating-point variance of equal
+    values is exactly zero and the gather reference's redraw rule is exact."""
+    return np.stack([rng.permutation(np.arange(-20, 21))[:n] / 4 for _ in range(T)], axis=1)
+
+
+def _matched_run(rng):
+    grid = equispaced_grid(5)
+    s = PairedFunctionalSample(grid, dyadic_rows(rng, 3, 5), dyadic_rows(rng, 3, 5))
+    return lambda cfg: bootstrap_matched(s, cfg)
+
+
+def _independent_run(rng):
+    grid = equispaced_grid(5)
+    s1 = FunctionalSample(grid, dyadic_rows(rng, 3, 5))
+    s2 = FunctionalSample(grid, dyadic_rows(rng, 4, 5))
+    return lambda cfg: bootstrap_independent(s1, s2, cfg)
+
+
+def _grouped_run(rng):
+    g = make_grouped(rng, group_sizes=[3, 4, 5], n_points=4)
+    return lambda cfg: bootstrap_random_effects(g, cfg)
+
+
+_DESIGNS = {"matched": _matched_run, "independent": _independent_run, "grouped": _grouped_run}
 
 
 class TestEmpiricalQuantile:
@@ -145,15 +176,41 @@ class TestBootstrapMechanics:
         d3 = bootstrap_matched(s, BootstrapConfig(300, seed=12))
         assert not np.array_equal(d1.theta, d3.theta)
 
-    def test_chunking_invariant(self, rng, grid25, monkeypatch):
-        y = rng.normal(size=(5, 2, 25))
-        s = PairedFunctionalSample(grid25, y[:, 0], y[:, 1])
+    def test_chunking_invariant(self, rng, monkeypatch):
+        # one replicate per chunk, or a few: chunks then end between the
+        # replicates that need a redraw (the two-channel designs redraw
+        # often on three or four dyadic rows)
         cfg = BootstrapConfig(200, seed=4)
-        full = bootstrap_matched(s, cfg)
-        monkeypatch.setattr(tost_mod, "_CHUNK_ELEMS", 600)
-        chunked = bootstrap_matched(s, cfg)
-        np.testing.assert_array_equal(full.theta, chunked.theta)
-        np.testing.assert_array_equal(full.lam, chunked.lam)
+        default = tost_mod._CHUNK_ELEMS
+        for design, make_run in _DESIGNS.items():
+            run = make_run(rng)
+            monkeypatch.setattr(tost_mod, "_CHUNK_ELEMS", default)
+            full = run(cfg)
+            if design != "grouped":
+                assert np.count_nonzero(full.redraws[100:]) > 0, design
+            for chunk_elems in (1, 600):
+                monkeypatch.setattr(tost_mod, "_CHUNK_ELEMS", chunk_elems)
+                chunked = run(cfg)
+                for name in ("theta", "lam", "psi", "redraws"):
+                    np.testing.assert_array_equal(
+                        getattr(chunked, name), getattr(full, name), err_msg=design
+                    )
+
+    def test_single_row_resamples_are_redrawn(self):
+        # pair 3 has equal channels; drawn three times it gives theta == 0
+        # and a 0/0 variance ratio. Floating-point variances of three equal
+        # values are often a few ulps above zero, so a variance test lets
+        # such replicates through; the draw itself shows they are degenerate.
+        x1 = np.array([1.1, 2.3, 0.4])
+        x2 = np.array([0.9, 2.0, 0.4])
+        s = PairedFunctionalSample(Grid([0.5]), x1[:, None], x2[:, None])
+        cfg = BootstrapConfig(9000, seed=3)
+        (theta, _), _ = reference_bootstrap.matched(s, cfg)
+        assert np.count_nonzero(theta == 0.0) > 0  # the variance test's escapes
+        draws = bootstrap_matched(s, cfg)
+        assert not np.any(draws.theta == 0.0)
+        assert np.all(np.isfinite(draws.lam)) and np.all(draws.lam > 0.0)
+        assert draws.redraws.sum() > 0
 
     def test_redraw_cap_error(self, grid25):
         # every resample of identical pairs is degenerate
@@ -162,6 +219,35 @@ class TestBootstrapMechanics:
         with pytest.raises(DegenerateReplicateError, match="redraws"):
             bootstrap_matched(s, BootstrapConfig(100, seed=0))
 
+    def test_redraws_follow_the_drawn_values(self):
+        # a replicate is redrawn iff a channel drew one value only, whether
+        # from one row or from tied rows; on these rows the count-form
+        # variance of such draws often lands a few ulps above zero, so only
+        # the draw itself can tell
+        x1 = np.array([1.1, 1.1, 0.1])  # rows 0 and 1 tie
+        x2 = np.array([-1.3, -0.6, 0.0])
+        s = PairedFunctionalSample(Grid([0.5]), x1[:, None], x2[:, None])
+        cfg = BootstrapConfig(2000, seed=5)
+        expected = np.zeros(cfg.replicates, dtype=int)
+        for r in range(cfg.replicates):
+            rng = replicate_rng(cfg.seed, r)
+            while True:
+                idx = rng.integers(0, 3, 3)
+                if len(set(x1[idx])) > 1 and len(set(x2[idx])) > 1:
+                    break
+                expected[r] += 1
+        np.testing.assert_array_equal(bootstrap_matched(s, cfg).redraws, expected)
+
+    def test_variance_lost_to_rounding_is_redrawn(self):
+        # drawing only the first two rows, channel 1's variance (~1e-19) is
+        # far below the rounding of sums over the 1e9 row, so it may come
+        # out <= 0; such replicates are redrawn, never turned into a ratio
+        x1 = np.array([0.0, 1e-9, 1e9])
+        x2 = np.array([1.0, 2.0, 4.0])
+        s = PairedFunctionalSample(Grid([0.5]), x1[:, None], x2[:, None])
+        draws = bootstrap_matched(s, BootstrapConfig(1000, seed=1))
+        assert np.all(np.isfinite(draws.lam)) and np.all(draws.lam > 0.0)
+
     def test_random_effects_draw_shapes(self, rng):
         s = make_grouped(rng, group_sizes=[3, 4, 5], n_points=4)
         d = bootstrap_random_effects(s, BootstrapConfig(150, seed=2))
@@ -169,6 +255,64 @@ class TestBootstrapMechanics:
         assert d.lam.shape == (150, 4)
         assert d.psi.shape == (150, 4)
         assert np.all(d.lam > 0.0) and np.all(d.psi > 0.0)
+
+
+class TestAgainstGatherReference:
+    """The count kernel against the gather kernels it replaced
+    (``reference_bootstrap``), at tolerances fixed when it came in: theta
+    within 1e-10 of the data's scale (a difference of means has no relative
+    accuracy at its zero), lambda within rel 1e-10, psi within rel 1e-6 (its
+    floored difference of mean squares amplifies rounding), and the same
+    redrawn replicates wherever the reference's rule is exact."""
+
+    @staticmethod
+    def check(draws, reference, scale):
+        (theta, lam, *psi), redraws = reference
+        np.testing.assert_allclose(draws.theta, theta, rtol=0.0, atol=1e-10 * scale)
+        np.testing.assert_allclose(draws.lam, lam, rtol=1e-10)
+        if psi:
+            np.testing.assert_allclose(draws.psi, psi[0], rtol=1e-6)
+        np.testing.assert_array_equal(draws.redraws, redraws)
+
+    def test_matched(self, rng):
+        cfg = BootstrapConfig(1000, seed=8)
+        for c1, c2 in [
+            (dyadic_rows(rng, 3, 5), dyadic_rows(rng, 3, 5)),
+            (rng.normal(size=(12, 25)), rng.normal(size=(12, 25))),
+        ]:
+            s = PairedFunctionalSample(equispaced_grid(c1.shape[1]), c1, c2)
+            scale = max(np.abs(c1).max(), np.abs(c2).max())
+            self.check(bootstrap_matched(s, cfg), reference_bootstrap.matched(s, cfg), scale)
+
+    def test_independent(self, rng):
+        cfg = BootstrapConfig(1000, seed=9)
+        for c1, c2 in [
+            (dyadic_rows(rng, 3, 5), dyadic_rows(rng, 4, 5)),
+            (rng.normal(size=(9, 25)), rng.normal(size=(13, 25))),
+        ]:
+            grid = equispaced_grid(c1.shape[1])
+            s1, s2 = FunctionalSample(grid, c1), FunctionalSample(grid, c2)
+            scale = max(np.abs(c1).max(), np.abs(c2).max())
+            self.check(
+                bootstrap_independent(s1, s2, cfg),
+                reference_bootstrap.independent(s1, s2, cfg),
+                scale,
+            )
+
+    def test_redraws_happen_on_dyadic_rows(self, rng):
+        s = PairedFunctionalSample(
+            equispaced_grid(5), dyadic_rows(rng, 3, 5), dyadic_rows(rng, 3, 5)
+        )
+        assert bootstrap_matched(s, BootstrapConfig(1000, seed=8)).redraws.sum() > 0
+
+    @pytest.mark.parametrize("sizes", [[3, 4, 5, 2, 6], [5, 5, 5, 5]])
+    def test_grouped(self, rng, sizes):
+        g = make_grouped(rng, group_sizes=sizes, n_points=7)
+        cfg = BootstrapConfig(1000, seed=10)
+        scale = np.abs(g.stacked()).max()
+        self.check(
+            bootstrap_random_effects(g, cfg), reference_bootstrap.random_effects(g, cfg), scale
+        )
 
 
 class TestBandsAndDecision:
@@ -260,6 +404,15 @@ class TestRunTost:
         cfg = BootstrapConfig(800, seed=6, design=Design.INDEPENDENT_IID)
         rep = run_tost((s1, s2), cfg, bands)
         assert rep.decision is TostDecision.REJECT_NONEQUIVALENCE
+
+    def test_independent_zero_variance_is_degenerate(self, rng, grid25):
+        c2 = rng.normal(0.0, 0.1, (10, 25))
+        c2[:, 3] = 0.5
+        data = (FunctionalSample(grid25, rng.normal(0.0, 0.1, (10, 25))), FunctionalSample(grid25, c2))
+        bands = {Metric.THETA: make_cosine_bands(grid25, BandKind.ADDITIVE)}
+        cfg = BootstrapConfig(200, seed=6, design=Design.INDEPENDENT_IID)
+        with pytest.raises(DegenerateVarianceError, match="grid index 3"):
+            run_tost(data, cfg, bands)
 
     def test_separated_means_fail(self, rng, grid25):
         s1 = FunctionalSample(grid25, rng.normal(1.0, 0.1, (30, 25)))
