@@ -33,7 +33,6 @@ from .tost import (
     TostDecision,
     TostReport,
     run_tost,
-    tost_scalar,
 )
 from .simlab import (
     ScenarioSequence,
@@ -43,7 +42,6 @@ from .simlab import (
     default_truth,
     generate_dataset,
     interior_scenarios,
-    mixed_outcome_truth,
     run_study,
 )
 from .curvefile import CurveFileError, read_curves, write_curves
@@ -74,13 +72,11 @@ __all__ = [
     "TostDecision",
     "TostReport",
     "run_tost",
-    "tost_scalar",
     "ScenarioSequence",
     "StudyResult",
     "TruthSpec",
     "boundary_violation_scenarios",
     "default_truth",
-    "mixed_outcome_truth",
     "generate_dataset",
     "interior_scenarios",
     "run_study",

@@ -15,21 +15,17 @@ JITTER = 1e-10
 
 @dataclass(frozen=True)
 class MaternKernel:
-    """Matern correlation with range ``range_a`` and variance ``scale_s2``.
+    """Matern correlation with range ``range_a``.
 
     Smoothness is fixed at nu = 2: corr(d) = (1/2) (d/a)^2 K_2(d/a), with the
     analytic limit 1 at d = 0.
     """
 
     range_a: float
-    scale_s2: float = 1.0
-    nu: float = 2.0
 
     def __post_init__(self):
-        if self.range_a <= 0.0 or self.scale_s2 <= 0.0:
-            raise ValueError("kernel range and scale must be positive")
-        if self.nu != 2.0:
-            raise ValueError("only smoothness nu = 2 is supported")
+        if self.range_a <= 0.0:
+            raise ValueError("kernel range must be positive")
 
     def correlation(self, d) -> np.ndarray:
         """Correlation at distances ``d`` (elementwise)."""

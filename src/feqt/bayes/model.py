@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fdata import BandKind, BandPair
-from .kernels import MaternKernel
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -30,9 +29,6 @@ class GPBandPrior:
     def __post_init__(self):
         if self.range_a <= 0.0 or self.scale_s2 <= 0.0:
             raise ValueError("prior range and scale must be positive")
-
-    def kernel(self) -> MaternKernel:
-        return MaternKernel(self.range_a, self.scale_s2)
 
     def offsets(self) -> tuple:
         """The two mixture offsets on the band's working scale."""

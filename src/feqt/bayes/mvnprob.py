@@ -20,6 +20,14 @@ from ..fdata import BandPair, Grid
 from .kernels import MaternKernel, matern_corr, JITTER
 
 _PHI_EPS = 1e-15
+#: Independently scrambled Sobol streams per rectangle probability.
+_RANDOMIZATIONS = 12
+#: Cap on the QMC points of one stream.
+_MAX_POINTS = 1 << 17
+#: Relative accuracy of the calibration's probabilities, and the bracket of
+#: its root search on log(s2).
+_CALIBRATION_REL_TOL = 1e-3
+_LOG_S2_BRACKET = (-12.0, 8.0)
 
 
 class AccuracyError(RuntimeError):
@@ -103,14 +111,12 @@ def mvn_rectangle_prob(
     *,
     rel_accuracy: float = None,
     seed: int = 0,
-    n_randomizations: int = 12,
-    max_points_per_rand: int = 1 << 17,
 ) -> RectangleProb:
     """P{lower < X < upper} for X ~ MVN(mean, cov), with a standard error.
 
-    Runs ``n_randomizations`` independently scrambled Sobol streams and doubles
-    the per-stream sample until the standard error of the stream means falls
-    below ``accuracy``. When ``rel_accuracy`` is given, a standard error below
+    Runs 12 independently scrambled Sobol streams and doubles the per-stream
+    sample until the standard error of the stream means falls below
+    ``accuracy``. When ``rel_accuracy`` is given, a standard error below
     ``rel_accuracy * estimate`` also stops; use that form for tail
     probabilities where an absolute tolerance is meaningless.
     """
@@ -129,9 +135,9 @@ def mvn_rectangle_prob(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     engines = [
         qmc.Sobol(d - 1, scramble=True, seed=rng.integers(2**63))
-        for _ in range(n_randomizations)
+        for _ in range(_RANDOMIZATIONS)
     ]
-    sums = np.zeros(n_randomizations)
+    sums = np.zeros(_RANDOMIZATIONS)
     counts = 0
     n = 1 << 10
     while True:
@@ -141,13 +147,13 @@ def mvn_rectangle_prob(
         counts += n
         means = sums / counts
         est = float(means.mean())
-        se = float(means.std(ddof=1) / np.sqrt(n_randomizations))
+        se = float(means.std(ddof=1) / np.sqrt(_RANDOMIZATIONS))
         tol = accuracy
         if rel_accuracy is not None:
             tol = max(tol, abs(est) * rel_accuracy)
         if se <= tol:
             return RectangleProb(est, se)
-        if counts >= max_points_per_rand:
+        if counts >= _MAX_POINTS:
             raise AccuracyError(
                 f"standard error {se:.3g} above requested accuracy {accuracy:.3g} "
                 f"after {counts} points per randomization"
@@ -189,9 +195,7 @@ def calibrate_prior_scale(
     grid: Grid,
     target: float,
     *,
-    rel_tol: float = 1e-3,
     seed: int = 0,
-    log_s2_bracket=(-12.0, 8.0),
 ) -> float:
     """Solve for the prior scale s2 placing ``target`` mass in the band region.
 
@@ -203,12 +207,12 @@ def calibrate_prior_scale(
 
     def f(log_s2):
         p = prior_equivalence_prob(
-            range_a, float(np.exp(log_s2)), bands, grid, rel_tol * target,
-            rel_accuracy=rel_tol, seed=seed,
+            range_a, float(np.exp(log_s2)), bands, grid, _CALIBRATION_REL_TOL * target,
+            rel_accuracy=_CALIBRATION_REL_TOL, seed=seed,
         )
         return np.log(p.estimate) - np.log(target)
 
-    lo, hi = log_s2_bracket
+    lo, hi = _LOG_S2_BRACKET
     flo, fhi = f(lo), f(hi)
     if flo * fhi > 0.0:
         raise ValueError("target probability not attainable on the bracket")

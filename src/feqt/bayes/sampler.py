@@ -27,11 +27,13 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from ..fdata import GroupedPairedSample
-from .kernels import matern_corr, corr_cholesky
+from .kernels import MaternKernel, matern_corr, corr_cholesky
 from .model import GPBandPrior, PriorSpec, paired_block_loglik
 from .posterior import PosteriorDraws
 
 _TARGET_ACCEPT = 0.3
+#: Metropolis passes per variance-level block in one sweep.
+_INNER_REPEATS = 5
 _INITIAL_STEPS = {
     "leps_1": 0.1, "leps_2": 0.1, "lalp_1": 0.3, "lalp_2": 0.3, "rho_e": 0.5, "rho_a": 0.8,
 }
@@ -172,7 +174,7 @@ class MwgSampler:
         eye = np.eye(self.T)
 
         def mixture(curves, hyper, indicator, p: GPBandPrior):
-            corr = matern_corr(p.kernel(), self.grid)
+            corr = matern_corr(MaternKernel(p.range_a), self.grid)
             lcorr = corr_cholesky(corr)
             cov = p.scale_s2 * corr
             lcov = np.sqrt(p.scale_s2) * lcorr
@@ -192,7 +194,6 @@ class MwgSampler:
                 lambda s: s["alpha"] - s["mu"][:, None],
             ),
         )
-        self.inner_repeats = 5
         self.fixed_hypers = False  # Geweke mode: skip improper-prior updates
 
     def _set_data(self, y):
@@ -370,7 +371,7 @@ class MwgSampler:
 
     def _update_logvars(self, state, lv: _Level, sums, rngs, cycle, adapting):
         """Blocked random-walk Metropolis on each channel's log-variance curve,
-        ``inner_repeats`` times. The block log-likelihood sum and each
+        ``_INNER_REPEATS`` times. The block log-likelihood sum and each
         channel's prior term are cached and replaced only on acceptance."""
         m = lv.mix
         rho = state[lv.rho]
@@ -383,7 +384,7 @@ class MwgSampler:
         l = state[m.curves]
         ll = loglik(l)
         prior = [_quad(m.prec, l[:, j] - centers[j]) for j in (0, 1)]
-        for _ in range(self.inner_repeats):
+        for _ in range(_INNER_REPEATS):
             for j in (0, 1):
                 key = lv.steps[j]
                 cur = ll + prior[j]
@@ -403,7 +404,7 @@ class MwgSampler:
 
     def _update_rho(self, state, lv: _Level, sums, rngs, cycle, adapting):
         """Per-point Fisher-z random-walk Metropolis on the cross-correlation,
-        ``inner_repeats`` times, with each point's log-posterior cached."""
+        ``_INNER_REPEATS`` times, with each point's log-posterior cached."""
         l = state[lv.mix.curves]
 
         def logpost(rho):  # the Fisher-z Jacobian of the flat prior included
@@ -412,7 +413,7 @@ class MwgSampler:
 
         rho = state[lv.rho]
         cur = logpost(rho)
-        for _ in range(self.inner_repeats):
+        for _ in range(_INNER_REPEATS):
             zp = np.arctanh(rho) + self.steps[lv.rho][:, None] * _normals(rngs, (self.T,))
             rp = np.tanh(zp)
             new = logpost(rp)

@@ -186,8 +186,8 @@ def _mode_bayes(args):
     if not isinstance(sample, GroupedPairedSample):
         raise CliError("design-mismatch", "bayes mode requires a multi-group curve file")
     grid = sample.grid
-    add = make_cosine_bands(grid, BandKind.ADDITIVE)
-    mult = make_cosine_bands(grid, BandKind.MULTIPLICATIVE)
+    eq = _eq_bands(grid)
+    add, mult = eq[Metric.THETA], eq[Metric.LAMBDA]
     if args.scale is not None:
         s2 = args.scale
     else:
@@ -202,7 +202,6 @@ def _mode_bayes(args):
         sample, prior, chains=args.chains, iters=args.iters,
         burnin=args.burnin, thin=args.thin, seed=seed,
     )
-    eq = {Metric.THETA: add, Metric.LAMBDA: mult, Metric.PSI: mult}
     probs = posterior_equivalence_prob(draws, eq)
     flags = _emit_flags(args)
     if "json" in flags:
@@ -237,8 +236,7 @@ def _mode_simulate(args):
 
     grid = equispaced_grid(args.grid_size)
     truth = default_truth(grid, args.groups, args.group_size)
-    kind = BandKind.ADDITIVE if metric is Metric.THETA else BandKind.MULTIPLICATIVE
-    bands = make_cosine_bands(grid, kind)
+    bands = _eq_bands(grid)[metric]
     seq = builder(truth, bands, metric)
     cfg = BootstrapConfig(args.replicates_bootstrap, args.alpha, 0, Design.RANDOM_EFFECTS_MATCHED)
     result = run_study(seq, args.replicates, cfg, {metric: bands}, seed=seed)
@@ -326,7 +324,8 @@ def _report_from_json(payload):
             alpha=float(payload.get("alpha", 0.05)),
             replicates=int(payload.get("bootstrap_replicates", 0)),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        # a JSON array or a metrics list fails here with a type error
         raise CliError("report-schema", f"report JSON missing or bad field: {exc}") from exc
 
 

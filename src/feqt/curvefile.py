@@ -11,6 +11,8 @@ to the same double, so ``read(write(x)) == x`` exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fdata import (
@@ -63,20 +65,27 @@ def write_curves(sample, path) -> None:
 
 def _parse_floats(text, lineno, expect=None):
     try:
-        vals = np.array([float(x) for x in text.split(",")], dtype=float)
+        vals = [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise CurveFileError(f"line {lineno}: bad float ({exc})") from None
-    if expect is not None and vals.size != expect:
-        raise CurveFileError(f"line {lineno}: expected {expect} values, got {vals.size}")
-    return vals
+    # a non-finite value makes the sum non-finite; only then (or on overflow)
+    # is each value checked
+    if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
+        raise CurveFileError(f"line {lineno}: non-finite value")
+    if expect is not None and len(vals) != expect:
+        raise CurveFileError(f"line {lineno}: expected {expect} values, got {len(vals)}")
+    return np.array(vals)
 
 
-def read_curves_text(text: str, kind: str = None):
+def read_curves_text(text: str):
     """Parse curve file text; see :func:`read_curves`."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
         raise CurveFileError(f"line 1: missing header {_HEADER_PREFIX!r}...")
-    grid = Grid(_parse_floats(lines[0][len(_HEADER_PREFIX):], 1))
+    try:
+        grid = Grid(_parse_floats(lines[0][len(_HEADER_PREFIX):], 1))
+    except ValidationError as exc:
+        raise CurveFileError(f"line 1: {exc}") from exc
     T = len(grid)
 
     rows = {}  # (group, breath, channel) -> (values, line number)
@@ -118,45 +127,31 @@ def read_curves_text(text: str, kind: str = None):
     for group, breath in order:
         breaths.setdefault(group, []).append(breath)
     group_ids = sorted(breaths)
-    if kind is None:
-        kind = "grouped" if len(group_ids) > 1 else ("paired" if paired else "single")
-    if kind not in ("grouped", "paired", "single"):
-        raise ValueError(f"unknown kind {kind!r}")
 
     def channel_matrix(group, channel):
         return np.array([rows[(group, b, channel)][0] for b in breaths[group]])
 
+    def pair(group):
+        return PairedFunctionalSample(grid, channel_matrix(group, 1), channel_matrix(group, 2))
+
     try:
-        if kind == "grouped":
+        if len(group_ids) > 1:
             if not paired:
                 raise CurveFileError("grouped samples need both channels")
-            groups = tuple(
-                PairedFunctionalSample(grid, channel_matrix(g, 1), channel_matrix(g, 2))
-                for g in group_ids
-            )
-            return GroupedPairedSample(grid, groups)
-        if kind == "paired":
-            if not paired:
-                raise CurveFileError("paired sample needs both channels")
-            if len(group_ids) > 1:
-                raise CurveFileError("paired sample cannot span multiple groups")
-            g = group_ids[0]
-            return PairedFunctionalSample(grid, channel_matrix(g, 1), channel_matrix(g, 2))
-        if paired or len(group_ids) > 1:
-            raise CurveFileError("single sample must have one group and channel 1 only")
+            return GroupedPairedSample(grid, tuple(pair(g) for g in group_ids))
+        if paired:
+            return pair(group_ids[0])
         return FunctionalSample(grid, channel_matrix(group_ids[0], 1))
     except ValidationError as exc:
         raise CurveFileError(str(exc)) from exc
 
 
-def read_curves(path, kind: str = None):
+def read_curves(path):
     """Read a curve file; the sample shape is inferred from the rows.
 
     Multiple groups give a :class:`GroupedPairedSample`, one group with both
     channels a :class:`PairedFunctionalSample`, channel 1 only a
-    :class:`FunctionalSample`. Pass ``kind`` ("grouped", "paired", "single")
-    to demand a shape instead; a 1-group file read as "grouped" fails the
-    A >= 2 validation with a clear message.
+    :class:`FunctionalSample`.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        return read_curves_text(fh.read(), kind=kind)
+        return read_curves_text(fh.read())

@@ -74,12 +74,11 @@ def estimate_metrics_paired(s) -> MetricEstimates:
     return MetricEstimates(theta_hat=theta, lambda_hat=v1 / v2)
 
 
-def anova_decompose(g: GroupedPairedSample, *, classical: bool = False) -> AnovaDecomposition:
+def anova_decompose(g: GroupedPairedSample) -> AnovaDecomposition:
     """Pointwise SSE, SSA, n* and the random-effect variance estimate.
 
     SSE is taken around the overall mean with divisor N-1 inside ``s2_alpha``,
-    following the printed estimator. ``classical=True`` switches to the
-    textbook one-way ANOVA form (within-group SS with divisor N-A).
+    following the printed estimator.
     """
     A = g.n_groups
     sizes = g.group_sizes
@@ -96,12 +95,7 @@ def anova_decompose(g: GroupedPairedSample, *, classical: bool = False) -> Anova
     ssa = (sizes[:, None, None] * (ybar_group - ybar) ** 2).sum(axis=0)
     n_star = (N - (sizes.astype(float) ** 2).sum() / N) / (A - 1)
 
-    if classical:
-        within = ((y - ybar_group[labels]) ** 2).sum(axis=0)
-        s2_alpha = (ssa / (A - 1) - within / (N - A)) / n_star
-    else:
-        s2_alpha = (ssa / (A - 1) - sse / (N - 1)) / n_star
-    s2_alpha = np.maximum(s2_alpha, VARIANCE_FLOOR)
+    s2_alpha = np.maximum((ssa / (A - 1) - sse / (N - 1)) / n_star, VARIANCE_FLOOR)
 
     return AnovaDecomposition(
         mean_overall=ybar,
@@ -114,15 +108,13 @@ def anova_decompose(g: GroupedPairedSample, *, classical: bool = False) -> Anova
     )
 
 
-def estimate_metrics_grouped(
-    g: GroupedPairedSample, *, classical: bool = False
-) -> MetricEstimates:
+def estimate_metrics_grouped(g: GroupedPairedSample) -> MetricEstimates:
     """Metric estimates for the hierarchical design.
 
     theta_hat is the unweighted mean of group-mean differences, lambda_hat the
     SSE ratio, psi_hat the (floored) random-effect variance ratio.
     """
-    d = anova_decompose(g, classical=classical)
+    d = anova_decompose(g)
     theta = (d.mean_by_group[:, 0, :] - d.mean_by_group[:, 1, :]).mean(axis=0)
     if np.any(d.sse[1] <= 0.0):
         t = int(np.argmax(d.sse[1] <= 0.0))

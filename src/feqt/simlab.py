@@ -24,17 +24,13 @@ from .fdata import (
 from .estimators import DegenerateSpreadError, DegenerateVarianceError
 from .tost import BootstrapConfig, DegenerateReplicateError, Metric, run_tost
 from .bayes.kernels import MaternKernel, matern_corr, corr_cholesky
-from .bayes.sampler import SamplerDivergenceError
 
-#: Failures on data too degenerate for an engine. A study records these per
+#: Failures on data too degenerate for the engine. A study records these per
 #: replicate; any other exception is a bug and propagates.
-_REPLICATE_ERRORS = (
-    DegenerateVarianceError,
-    DegenerateSpreadError,
-    DegenerateReplicateError,
-    SamplerDivergenceError,
-    np.linalg.LinAlgError,
-)
+_REPLICATE_ERRORS = (DegenerateVarianceError, DegenerateSpreadError, DegenerateReplicateError)
+
+#: Scenarios per sequence.
+_SCENARIOS = 9
 
 
 @dataclass(frozen=True)
@@ -190,29 +186,6 @@ def default_truth(grid: Grid, n_groups: int = 20, group_size: int = 20) -> Truth
     )
 
 
-def mixed_outcome_truth(grid: Grid, n_groups: int = 60, group_size: int = 8) -> TruthSpec:
-    """Truth profile producing a split decision across the three metrics.
-
-    Channel means agree (the location test rejects nonequivalence), channel 1
-    is strictly less noisy (the error-variance ratio fails the two-sided test
-    on the low side but passes noninferiority), and the random-effect variance
-    ratio sits above the upper band (its test fails). Because the error
-    variance is estimated from spread around the overall mean, the channel-2
-    error level compensates for the random-effect imbalance so the estimated
-    total-variance ratio lands near 0.45.
-    """
-    base = default_truth(grid, n_groups, group_size)
-    T = len(grid)
-    a1, a2 = 0.05, 0.05 / 2.2
-    e1 = 0.02
-    e2 = (e1 + a1) / 0.45 - a2
-    return replace(
-        base,
-        s2_eps=np.stack([np.full(T, e1), np.full(T, e2)]),
-        s2_alpha=np.stack([np.full(T, a1), np.full(T, a2)]),
-    )
-
-
 def _correlated_pair(rng, rho, chol, shape):
     """Draw ``shape + (2, T)`` zero-mean unit-variance curve pairs.
 
@@ -277,28 +250,20 @@ def _band_interp(bands: BandPair, weight: np.ndarray) -> np.ndarray:
 
 
 def boundary_violation_scenarios(
-    base: TruthSpec,
-    bands: BandPair,
-    metric: Metric,
-    count: int = 9,
-    pin_index: int = 0,
+    base: TruthSpec, bands: BandPair, metric: Metric
 ) -> ScenarioSequence:
     """Scenarios violating equivalence at exactly one grid point.
 
-    Scenario 1 sits on the upper band everywhere; scenario k contracts the
-    rest of the curve toward the band midline by (k - 1) / (count - 1) while
-    the value at ``pin_index`` stays pinned to the band. Every scenario fails
-    the (strict) band containment, so rejection rates estimate test size.
+    Scenario 1 sits on the upper band everywhere; scenario k of 9 contracts
+    the rest of the curve toward the band midline by (k - 1) / 8 while the
+    value at the first grid point stays pinned to the band. Every scenario
+    fails the (strict) band containment, so rejection rates estimate test size.
     """
-    if count < 2:
-        raise ValueError("count must be at least 2")
     T = len(base.grid)
-    if not 0 <= pin_index < T:
-        raise ValueError("pin_index outside the grid")
-    targets = np.empty((count, T))
-    for k in range(1, count + 1):
-        weight = np.full(T, 1.0 - (k - 1) / (count - 1))
-        weight[pin_index] = 1.0
+    targets = np.empty((_SCENARIOS, T))
+    for k in range(1, _SCENARIOS + 1):
+        weight = np.full(T, 1.0 - (k - 1) / (_SCENARIOS - 1))
+        weight[0] = 1.0
         targets[k - 1] = _band_interp(bands, weight)
     truths = tuple(_apply_metric_curve(base, metric, c) for c in targets)
     for c in targets:
@@ -306,26 +271,16 @@ def boundary_violation_scenarios(
     return ScenarioSequence(metric=metric, truths=truths, target_curves=targets, boundary=True)
 
 
-def interior_scenarios(
-    base: TruthSpec,
-    bands: BandPair,
-    metric: Metric,
-    count: int = 9,
-    start: float = 0.95,
-) -> ScenarioSequence:
+def interior_scenarios(base: TruthSpec, bands: BandPair, metric: Metric) -> ScenarioSequence:
     """Scenarios strictly inside the bands, approaching the midline.
 
-    Scenario 1 runs at ``start`` of the half-width from the midline; scenario
-    ``count`` is the midline itself. Rejection rates estimate power.
+    Scenario 1 runs at 0.95 of the half-width from the midline; scenario 9 is
+    the midline itself. Rejection rates estimate power.
     """
-    if count < 2:
-        raise ValueError("count must be at least 2")
-    if not 0.0 <= start < 1.0:
-        raise ValueError("start must lie in [0, 1)")
     T = len(base.grid)
-    targets = np.empty((count, T))
-    for k in range(1, count + 1):
-        weight = np.full(T, start * (count - k) / (count - 1))
+    targets = np.empty((_SCENARIOS, T))
+    for k in range(1, _SCENARIOS + 1):
+        weight = np.full(T, 0.95 * (_SCENARIOS - k) / (_SCENARIOS - 1))
         targets[k - 1] = _band_interp(bands, weight)
     truths = tuple(_apply_metric_curve(base, metric, c) for c in targets)
     for c in targets:
@@ -344,8 +299,6 @@ def run_study(
     cfg: BootstrapConfig,
     eq_bands: dict,
     seed: int = 0,
-    method: str = "frequentist",
-    bayes_runner=None,
 ) -> StudyResult:
     """Monte Carlo rejection-rate study over a scenario sequence.
 
@@ -354,19 +307,11 @@ def run_study(
     randomness is keyed by (seed, scenario, replicate), so any subset of the
     study can be reproduced in isolation. Replicates whose data are too
     degenerate for the engine (a zero variance or spread estimate, the redraw
-    cap, sampler divergence, a failed factorization) are recorded and excluded
-    from the denominator rather than aborting the study; any other exception
-    is a bug and propagates.
-
-    For ``method="bayesian"`` supply ``bayes_runner(data) -> bool`` deciding
-    rejection (typically posterior equivalence probability >= gamma).
+    cap) are recorded and excluded from the denominator rather than aborting
+    the study; any other exception is a bug and propagates.
     """
     if replicates < 50:
         raise ValueError("need at least 50 replicates")
-    if method not in ("frequentist", "bayesian"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "bayesian" and bayes_runner is None:
-        raise ValueError("bayesian method requires bayes_runner")
     metric = seq.metric
     counts = np.zeros(seq.count, dtype=int)
     done = np.zeros(seq.count, dtype=int)
@@ -375,20 +320,17 @@ def run_study(
         for r in range(replicates):
             ss = np.random.SeedSequence(entropy=seed, spawn_key=(s, r))
             data = generate_dataset(truth, ss)
+            rep_seed = int(ss.generate_state(1)[0] >> 1)
+            rep_cfg = BootstrapConfig(cfg.replicates, cfg.alpha, rep_seed, cfg.design)
             try:
-                if method == "frequentist":
-                    rep_seed = int(ss.generate_state(1)[0] >> 1)
-                    rep_cfg = BootstrapConfig(cfg.replicates, cfg.alpha, rep_seed, cfg.design)
-                    reject = _frequentist_reject(data, rep_cfg, eq_bands, metric)
-                else:
-                    reject = bool(bayes_runner(data))
+                reject = _frequentist_reject(data, rep_cfg, eq_bands, metric)
             except _REPLICATE_ERRORS as exc:
                 errors.append((s, r, f"{type(exc).__name__}: {exc}"))
                 continue
             done[s - 1] += 1
             counts[s - 1] += int(reject)
     return StudyResult(
-        method=method,
+        method="frequentist",
         metric=metric.value,
         scenarios=np.arange(1, seq.count + 1),
         replicates=done,

@@ -486,21 +486,3 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
         bands, eq_bands, estimates, alpha=cfg.alpha, replicates=cfg.replicates
     )
 
-
-def tost_scalar(x1, x2, bounds, cfg: BootstrapConfig) -> TostReport:
-    """Scalar TOST as a grid-of-size-1 instance of the functional pipeline.
-
-    ``bounds`` is the (lower, upper) additive equivalence interval for the
-    difference of means.
-    """
-    x1 = np.asarray(x1, dtype=float).reshape(-1, 1)
-    x2 = np.asarray(x2, dtype=float).reshape(-1, 1)
-    grid = Grid([0.0])
-    lo, hi = bounds
-    band = BandPair(grid, [lo], [hi], BandKind.ADDITIVE)
-    if cfg.design is Design.MATCHED_PAIRS:
-        data = PairedFunctionalSample(grid, x1, x2)
-    else:
-        cfg = BootstrapConfig(cfg.replicates, cfg.alpha, cfg.seed, Design.INDEPENDENT_IID)
-        data = (FunctionalSample(grid, x1), FunctionalSample(grid, x2))
-    return run_tost(data, cfg, {Metric.THETA: band})

@@ -104,6 +104,13 @@ class TestTostMode:
         assert code == EXIT_ERROR
         assert "missing-input" in capsys.readouterr().err
 
+    def test_bad_curve_file_is_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("#feqt-curves v1; grid=0.5,0.2\n1,1,1,0.0,0.0\n")
+        assert run_cli(["tost", "--input", str(bad), "--out", str(tmp_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error [curve-parse]: line 1: grid points must be strictly increasing" in err
+
     def test_design_mismatch_is_error(self, equivalent_file, tmp_path, capsys):
         code = run_cli([
             "tost", "--input", equivalent_file, "--design", "matched",
@@ -306,3 +313,10 @@ class TestReportMode:
         bad.write_text('{"grid": [0.0, 1.0]}')
         assert run_cli(["report", "--input", str(bad)]) == EXIT_ERROR
         assert "report-schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", ['[1, 2]', '{"grid": [0.5], "metrics": []}'])
+    def test_wrong_json_types_are_schema_errors(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        assert run_cli(["report", "--input", str(bad)]) == EXIT_ERROR
+        assert "error [report-schema]" in capsys.readouterr().err

@@ -166,26 +166,28 @@ class TestErrors:
         with pytest.raises(CurveFileError, match="must be integers"):
             read_curves_text("\n".join(lines) + "\n")
 
+    def test_bad_header_grid_names_line_1(self):
+        body = small_text().split("\n", 1)[1]
+        with pytest.raises(CurveFileError, match="line 1: grid points must be strictly increasing"):
+            read_curves_text("#feqt-curves v1; grid=0.5,0.2\n" + body)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_its_line(self, value):
+        lines = small_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + value
+        with pytest.raises(CurveFileError, match="line 4: non-finite value"):
+            read_curves_text("\n".join(lines) + "\n")
+
+    def test_finite_values_whose_sum_overflows_are_read(self):
+        lines = small_text().splitlines()
+        lines[2] = "1,2,1,1e308,1e308,1e308"
+        back = read_curves_text("\n".join(lines) + "\n")
+        assert np.all(back.groups[0].curves_2[0] == 1e308)
+
     def test_empty_body(self):
         header = small_text().splitlines()[0]
         with pytest.raises(CurveFileError, match="no curve rows"):
             read_curves_text(header + "\n")
-
-    def test_one_group_as_grouped_fails_clearly(self, rng):
-        grid = equispaced_grid(3)
-        data = PairedFunctionalSample(
-            grid, rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
-        )
-        with pytest.raises(CurveFileError, match="at least 2 groups"):
-            read_curves_text(write_curves_text(data), kind="grouped")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown kind"):
-            read_curves_text(small_text(), kind="banana")
-
-    def test_single_rejects_paired_rows(self):
-        with pytest.raises(CurveFileError, match="channel 1 only"):
-            read_curves_text(small_text(), kind="single")
 
 
 class TestKindInference:
@@ -194,11 +196,3 @@ class TestKindInference:
         lines.insert(2, "")
         back = read_curves_text("\n".join(lines) + "\n")
         assert isinstance(back, GroupedPairedSample)
-
-    def test_explicit_paired_on_one_group(self, rng):
-        grid = equispaced_grid(3)
-        data = PairedFunctionalSample(
-            grid, rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
-        )
-        back = read_curves_text(write_curves_text(data), kind="paired")
-        assert isinstance(back, PairedFunctionalSample)

@@ -15,7 +15,7 @@ from feqt.fdata import FunctionalSample, PairedFunctionalSample, equispaced_grid
 from conftest import make_grouped
 
 
-def anova_oracle(sample, classical=False):
+def anova_oracle(sample):
     """Brute-force double-loop ANOVA quantities, one grid point at a time."""
     y = sample.stacked()
     labels = sample.group_labels()
@@ -25,7 +25,6 @@ def anova_oracle(sample, classical=False):
     T = y.shape[2]
     sse = np.zeros((2, T))
     ssa = np.zeros((2, T))
-    within = np.zeros((2, T))
     for j in range(2):
         for t in range(T):
             vals = y[:, j, t]
@@ -35,23 +34,18 @@ def anova_oracle(sample, classical=False):
                 gv = [vals[k] for k in range(N) if labels[k] == i]
                 gbar = sum(gv) / len(gv)
                 ssa[j, t] += len(gv) * (gbar - ybar) ** 2
-                within[j, t] += sum((v - gbar) ** 2 for v in gv)
     n_star = (N - sum(n**2 for n in sizes) / N) / (A - 1)
-    if classical:
-        s2a = (ssa / (A - 1) - within / (N - A)) / n_star
-    else:
-        s2a = (ssa / (A - 1) - sse / (N - 1)) / n_star
+    s2a = (ssa / (A - 1) - sse / (N - 1)) / n_star
     return sse, ssa, n_star, np.maximum(s2a, VARIANCE_FLOOR)
 
 
 class TestAnova:
-    @pytest.mark.parametrize("classical", [False, True])
-    def test_matches_brute_force(self, rng, classical):
+    def test_matches_brute_force(self, rng):
         for _ in range(5):
             sizes = rng.integers(2, 7, size=rng.integers(2, 5)).tolist()
             s = make_grouped(rng, group_sizes=sizes, n_points=4)
-            d = anova_decompose(s, classical=classical)
-            sse, ssa, n_star, s2a = anova_oracle(s, classical=classical)
+            d = anova_decompose(s)
+            sse, ssa, n_star, s2a = anova_oracle(s)
             np.testing.assert_allclose(d.sse, sse, rtol=1e-9)
             np.testing.assert_allclose(d.ssa, ssa, rtol=1e-9)
             assert d.n_star == pytest.approx(n_star, rel=1e-12)

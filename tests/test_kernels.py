@@ -22,8 +22,6 @@ class TestMaternKernel:
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
             MaternKernel(-1.0)
-        with pytest.raises(ValueError, match="nu = 2"):
-            MaternKernel(0.3, nu=1.5)
 
     def test_unit_at_zero(self):
         assert MaternKernel(0.3).correlation(0.0) == 1.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
+import feqt.bayes.mvnprob as mvnprob_mod
 from feqt.bayes.kernels import MaternKernel, matern_corr
 from feqt.bayes.mvnprob import (
     AccuracyError,
@@ -68,11 +69,11 @@ class TestRectangleProb:
         with pytest.raises(ValueError, match="strictly below"):
             mvn_rectangle_prob([0.0, 0.0], np.eye(2), [0.0, 0.0], [1.0, 0.0])
 
-    def test_accuracy_cap_raises(self):
-        with pytest.raises(AccuracyError, match="standard error"):
+    def test_accuracy_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(mvnprob_mod, "_MAX_POINTS", 2048)
+        with pytest.raises(AccuracyError, match="after 2048 points"):
             mvn_rectangle_prob(
-                np.zeros(5), np.eye(5) + 0.5, -np.ones(5), np.ones(5),
-                accuracy=1e-12, max_points_per_rand=2048,
+                np.zeros(5), np.eye(5) + 0.5, -np.ones(5), np.ones(5), accuracy=1e-12,
             )
 
     def test_relative_accuracy_for_tails(self):

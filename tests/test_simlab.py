@@ -15,10 +15,9 @@ from feqt.simlab import (
     default_truth,
     generate_dataset,
     interior_scenarios,
-    mixed_outcome_truth,
     run_study,
 )
-from feqt.bayes.sampler import SamplerDivergenceError
+import feqt.simlab as simlab_mod
 from feqt.tost import BootstrapConfig, Design, Metric
 from dataclasses import replace
 
@@ -124,20 +123,6 @@ class TestScenarios:
             assert band_contains(bands, c)
         np.testing.assert_allclose(seq.target_curves[8], bands.midline, atol=1e-12)
 
-    def test_pin_index_configurable(self, grid10):
-        base = default_truth(grid10)
-        bands = make_cosine_bands(grid10, BandKind.ADDITIVE)
-        seq = boundary_violation_scenarios(base, bands, Metric.THETA, pin_index=4)
-        last = seq.target_curves[8]
-        assert last[4] == pytest.approx(bands.upper[4])
-        assert last[0] == pytest.approx(bands.midline[0])
-
-    def test_count_validation(self, grid10):
-        base = default_truth(grid10)
-        bands = make_cosine_bands(grid10, BandKind.ADDITIVE)
-        with pytest.raises(ValueError, match="count"):
-            boundary_violation_scenarios(base, bands, Metric.THETA, count=1)
-
 
 def tiny_sequence(grid, metric, target_curves, base):
     truths = []
@@ -198,88 +183,19 @@ class TestRunStudy:
         cfg = BootstrapConfig(150, 0.05, 0, Design.RANDOM_EFFECTS_MATCHED)
         with pytest.raises(ValueError, match="50 replicates"):
             run_study(seq, 10, cfg, {Metric.THETA: bands})
-        with pytest.raises(ValueError, match="bayes_runner"):
-            run_study(seq, 50, cfg, {Metric.THETA: bands}, method="bayesian")
 
-    def test_bayesian_arm_uses_runner(self, grid10):
-        base = default_truth(grid10, 4, 4)
-        bands = make_cosine_bands(grid10, BandKind.ADDITIVE)
-        seq = tiny_sequence(grid10, Metric.THETA, [np.zeros(10)], base)
-        cfg = BootstrapConfig(150, 0.05, 0, Design.RANDOM_EFFECTS_MATCHED)
-        calls = []
-
-        def runner(data):
-            calls.append(data.n_total)
-            return len(calls) % 2 == 0
-
-        res = run_study(
-            seq, 50, cfg, {Metric.THETA: bands}, seed=1,
-            method="bayesian", bayes_runner=runner,
-        )
-        assert len(calls) == 50
-        assert res.rejections[0] == 25
-
-    def test_runner_bug_propagates(self, grid10):
+    def test_runner_bug_propagates(self, grid10, monkeypatch):
         base = default_truth(grid10, 4, 4)
         bands = make_cosine_bands(grid10, BandKind.ADDITIVE)
         seq = tiny_sequence(grid10, Metric.THETA, [np.zeros(10)], base)
         cfg = BootstrapConfig(150, 0.05, 0, Design.RANDOM_EFFECTS_MATCHED)
 
-        def runner(data):
+        def runner(data, cfg, eq_bands, metric):
             raise TypeError("unsupported operand type(s)")
 
+        monkeypatch.setattr(simlab_mod, "_frequentist_reject", runner)
         with pytest.raises(TypeError, match="unsupported operand"):
-            run_study(
-                seq, 50, cfg, {Metric.THETA: bands}, seed=1,
-                method="bayesian", bayes_runner=runner,
-            )
-
-    def test_sampler_divergence_recorded(self, grid10):
-        base = default_truth(grid10, 4, 4)
-        bands = make_cosine_bands(grid10, BandKind.ADDITIVE)
-        seq = tiny_sequence(grid10, Metric.THETA, [np.zeros(10)], base)
-        cfg = BootstrapConfig(150, 0.05, 0, Design.RANDOM_EFFECTS_MATCHED)
-        calls = []
-
-        def runner(data):
-            calls.append(data.n_total)
-            if len(calls) % 5 == 0:
-                raise SamplerDivergenceError("non-finite log-posterior", {})
-            return True
-
-        res = run_study(
-            seq, 50, cfg, {Metric.THETA: bands}, seed=1,
-            method="bayesian", bayes_runner=runner,
-        )
-        assert len(calls) == 50
-        assert res.replicates[0] == 40 and res.rejections[0] == 40
-        assert len(res.errors) == 10
-        assert res.errors[0] == (1, 4, "SamplerDivergenceError: non-finite log-posterior")
-
-
-class TestMixedOutcomeProfile:
-    def test_split_decision_pattern(self):
-        """Regression: the packaged profile keeps its three-way split —
-        location rejects, the error-variance ratio fails two-sided but passes
-        noninferiority, the random-effect variance ratio fails."""
-        from feqt.fdata import equispaced_grid
-        from feqt.tost import Design, TostDecision, run_tost
-
-        grid = equispaced_grid(25)
-        truth = mixed_outcome_truth(grid)
-        data = generate_dataset(truth, 0)
-        bands = {
-            Metric.THETA: make_cosine_bands(grid, BandKind.ADDITIVE),
-            Metric.LAMBDA: make_cosine_bands(grid, BandKind.MULTIPLICATIVE),
-            Metric.PSI: make_cosine_bands(grid, BandKind.MULTIPLICATIVE),
-        }
-        cfg = BootstrapConfig(1000, 0.05, 5, Design.RANDOM_EFFECTS_MATCHED)
-        rep = run_tost(data, cfg, bands)
-        assert rep.results[Metric.THETA].reject
-        assert not rep.results[Metric.LAMBDA].reject
-        assert rep.lambda_noninferiority is TostDecision.REJECT_NONEQUIVALENCE
-        assert not rep.results[Metric.PSI].reject
-        assert rep.decision is TostDecision.FAIL_TO_REJECT
+            run_study(seq, 50, cfg, {Metric.THETA: bands}, seed=1)
 
 
 class TestStudyResult:

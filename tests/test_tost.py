@@ -32,7 +32,6 @@ from feqt.tost import (
     run_tost,
     theta_bands,
     tost_decide,
-    tost_scalar,
 )
 
 from conftest import make_grouped
@@ -361,6 +360,28 @@ class TestBandsAndDecision:
     def test_overlap_beyond_band_fails(self):
         assert self._decision(-0.5, 1.2).decision is TostDecision.FAIL_TO_REJECT
 
+    def test_split_decision_pattern(self):
+        """Location rejects; the error-variance ratio's overlap crosses only
+        the lower band, so its two-sided test fails while noninferiority
+        (upper band only) rejects; the overall IUT decision fails."""
+        grid = Grid([0.0, 0.5])
+        add = BandPair(grid, [-1.0, -1.0], [1.0, 1.0], BandKind.ADDITIVE)
+        mult = BandPair(grid, [0.5, 0.5], [2.0, 2.0], BandKind.MULTIPLICATIVE)
+        bands = {
+            Metric.THETA: OneSidedBands(Metric.THETA, np.array([0.3, 0.4]), np.array([-0.2, -0.1])),
+            Metric.LAMBDA: OneSidedBands(Metric.LAMBDA, np.array([0.9, 1.2]), np.array([0.7, 0.4])),
+        }
+        rep = tost_decide(
+            bands,
+            {Metric.THETA: add, Metric.LAMBDA: mult},
+            {Metric.THETA: np.zeros(2), Metric.LAMBDA: np.array([0.8, 0.7])},
+        )
+        assert rep.results[Metric.THETA].reject
+        assert not rep.results[Metric.LAMBDA].reject
+        np.testing.assert_array_equal(rep.results[Metric.LAMBDA].violations, [1])
+        assert rep.lambda_noninferiority is TostDecision.REJECT_NONEQUIVALENCE
+        assert rep.decision is TostDecision.FAIL_TO_REJECT
+
     def test_kind_mismatch_rejected(self):
         grid = Grid([0.0])
         band = BandPair(grid, [0.5], [2.0], BandKind.MULTIPLICATIVE)
@@ -422,21 +443,3 @@ class TestRunTost:
         rep = run_tost((s1, s2), cfg, bands)
         assert rep.decision is TostDecision.FAIL_TO_REJECT
 
-
-class TestTostScalar:
-    def test_equivalent_samples_reject(self):
-        rng = np.random.default_rng(2)
-        x1 = rng.normal(0.0, 0.1, 60)
-        x2 = x1 + rng.normal(0.0, 0.05, 60)
-        rep = tost_scalar(x1, x2, (-0.2, 0.2), BootstrapConfig(2000, seed=9))
-        assert rep.decision is TostDecision.REJECT_NONEQUIVALENCE
-
-    def test_wide_difference_fails(self):
-        rng = np.random.default_rng(2)
-        x1 = rng.normal(1.0, 0.1, 30)
-        x2 = rng.normal(0.0, 0.1, 30)
-        rep = tost_scalar(
-            x1, x2, (-0.2, 0.2),
-            BootstrapConfig(500, seed=9, design=Design.INDEPENDENT_IID),
-        )
-        assert rep.decision is TostDecision.FAIL_TO_REJECT
