@@ -160,6 +160,14 @@ def _mode_tost(args):
         raise CliError("design-mismatch", "grouped design requires a multi-group curve file")
     if design is Design.MATCHED_PAIRS and not isinstance(sample, PairedFunctionalSample):
         raise CliError("design-mismatch", "matched design requires a single-group paired file")
+    if design is Design.RANDOM_EFFECTS_MATCHED:
+        for i, n in enumerate(sample.group_sizes, start=1):
+            if n < 2:
+                raise CliError(
+                    "design-mismatch",
+                    f"grouped design needs at least 2 pairs per group; group {i} "
+                    f"(in group id order) has {n}",
+                )
     include_psi = design is Design.RANDOM_EFFECTS_MATCHED
     bands = _eq_bands(sample.grid, include_psi=include_psi)
     rep = run_tost(sample, cfg, bands)
@@ -294,14 +302,27 @@ def _mode_report(args):
     return EXIT_OK
 
 
+#: Per-metric report fields that hold one value per grid point.
+_CURVE_FIELDS = ("estimate", "overlap_lower", "overlap_upper", "band_lower", "band_upper")
+
+
 def _report_from_json(payload):
     from .tost import MetricResult, OneSidedBands, TostReport
 
     try:
         grid = Grid(payload["grid"])
+        T = len(grid)
         results = {}
         for name, m in payload["metrics"].items():
             metric = Metric(name)
+            for field in _CURVE_FIELDS:
+                if np.shape(m[field]) != (T,):
+                    raise ValueError(
+                        f"{name}.{field} needs one value per grid point ({T}), "
+                        f"got shape {np.shape(m[field])}"
+                    )
+            if not all(0 <= i < T for i in m["violations"]):
+                raise ValueError(f"{name}.violations must index the {T}-point grid")
             kind = BandKind.ADDITIVE if metric is Metric.THETA else BandKind.MULTIPLICATIVE
             results[metric] = MetricResult(
                 metric=metric,

@@ -5,9 +5,12 @@ The overall test is an Intersection-Union Test: each pointwise one-sided test
 runs at level alpha, and nonequivalence is rejected only if every one of them
 rejects, which bounds the overall size by alpha.
 
-Randomness contract: replicate r draws only from a counter-based substream
-keyed by (seed, r), so results do not depend on execution order and replicates
-can run concurrently.
+Randomness contract: replicate r draws only from the Philox substream keyed by
+(seed, r) with its counter starting at 0, exactly the stream of
+``replicate_rng(seed, r)``, so results do not depend on execution order or
+chunking. The draws of a chunk come from one bit generator re-keyed per
+replicate and are mapped to indices in bulk, bit for bit as
+``Generator.integers`` maps them.
 """
 
 from __future__ import annotations
@@ -157,22 +160,76 @@ def _chunks(total: int, per_replicate_elems: int):
         yield start, min(start + step, total)
 
 
-def _resolve_replicates(cfg: BootstrapConfig, draw_one, stats_of, per_rep_elems):
+def _draw(rng: np.random.Generator, segments) -> np.ndarray:
+    """One draw of ``segments`` from ``rng``, one ``integers`` call each."""
+    return np.concatenate([off + rng.integers(0, n, size) for size, n, off in segments])
+
+
+def _draw_chunk(seed: int, lo: int, hi: int, segments):
+    """The first draws of replicates lo..hi-1, as :func:`_draw` makes them
+    from ``replicate_rng(seed, r)``.
+
+    Philox makes each 64-bit word from (key, counter) alone, so one bit
+    generator re-keyed per replicate yields every replicate's words. numpy's
+    ``integers`` takes 32-bit halves, low half first, carrying a half into
+    the next call, and maps a half u to ``(u * n) >> 32``; it rejects u and
+    takes the next half when ``(u * n) mod 2**32 < 2**32 mod n`` (Lemire's
+    method). Returns the (m, slots) indices and, per replicate, whether a
+    half was rejected: that replicate's row is not its draw.
+    """
+    if any(not 2 <= n <= 2**32 for _, n, _ in segments):
+        # integers(0, 1, k) consumes no bits; wider ranges take 64-bit words
+        raise ValueError("bulk draws need ranges in [2, 2**32]")
+    total = sum(size for size, _, _ in segments)
+    bitgen = np.random.Philox(0)
+    state = bitgen.state
+    state["state"]["key"][0] = seed & _SEED_MASK
+    state["state"]["counter"][:] = 0
+    state.update(buffer_pos=4, has_uint32=0)  # empty buffer, no carried half
+    words = np.empty((hi - lo, (total + 1) // 2), dtype="<u8")
+    for i, r in enumerate(range(lo, hi)):
+        state["state"]["key"][1] = r
+        bitgen.state = state
+        words[i] = bitgen.random_raw(words.shape[1])
+    # one buffer, worked in place: the half, its product, then the index
+    idx = words.view("<u4")[:, :total].astype("<u8")
+    del words
+    low = idx.view("<u4")[:, ::2]
+    rejected = np.zeros(hi - lo, dtype=bool)
+    a = 0
+    for size, n, off in segments:
+        seg = idx[:, a : a + size]
+        np.multiply(seg, np.uint64(n), out=seg)
+        rejected |= np.any(low[:, a : a + size] < np.uint32(2**32 % n), axis=1)
+        np.right_shift(seg, np.uint64(32), out=seg)
+        np.add(seg, np.uint64(off), out=seg)
+        a += size
+    return idx.view("<i8"), rejected
+
+
+def _resolve_replicates(cfg: BootstrapConfig, segments, stats_of, per_rep_elems):
     """Run B replicates chunk by chunk, redrawing degenerate ones.
 
-    ``draw_one(rng)`` returns one replicate's drawn indices as a 1-D array;
-    ``stats_of(idx)`` maps an (m, slots) array of them to (stats..., ok), where
-    ok flags replicates whose statistics are usable. Every draw of replicate r
-    comes from its own generator, so chunking and redraws leave it unchanged.
-    Returns the statistics, each (B, ...), and the redraw count of each
-    replicate.
+    A replicate draws ``segments``, a tuple of (size, n, offset): ``size``
+    indices uniform on ``offset + [0, n)``, segment after segment, into one
+    1-D row. ``stats_of(idx)`` maps an (m, slots) array of rows to
+    (stats..., ok), where ok flags replicates whose statistics are usable.
+    First draws come in bulk from :func:`_draw_chunk`; a replicate whose
+    bulk draw hit a rejection, or that needs a redraw, continues from its
+    own ``replicate_rng``, replaying the first draw. Every draw of replicate
+    r is thus the one ``replicate_rng(seed, r)`` makes, whatever the
+    chunking. Returns the statistics, each (B, ...), and the redraw count of
+    each replicate.
     """
     B = cfg.replicates
     stats_out = None
     redraws = np.zeros(B, dtype=int)
     for lo, hi in _chunks(B, per_rep_elems):
-        rngs = [replicate_rng(cfg.seed, r) for r in range(lo, hi)]
-        idx = np.stack([draw_one(rng) for rng in rngs])
+        idx, rejected = _draw_chunk(cfg.seed, lo, hi, segments)
+        rngs = {}
+        for i in np.flatnonzero(rejected):
+            rngs[i] = replicate_rng(cfg.seed, lo + i)
+            idx[i] = _draw(rngs[i], segments)
         active = np.arange(hi - lo)
         while True:
             *stats, ok = stats_of(idx[active])
@@ -189,9 +246,11 @@ def _resolve_replicates(cfg: BootstrapConfig, draw_one, stats_of, per_rep_elems)
                 raise DegenerateReplicateError(
                     f"replicate {lo + active[0]} stayed degenerate after {REDRAW_CAP} redraws"
                 )
-            rngs = {i: rngs[i] for i in active}  # only replicates to redraw keep theirs
             for i in active:
-                idx[i] = draw_one(rngs[i])
+                if i not in rngs:
+                    rngs[i] = replicate_rng(cfg.seed, lo + i)
+                    _draw(rngs[i], segments)  # replay the bulk first draw
+                idx[i] = _draw(rngs[i], segments)
     return stats_out, redraws
 
 
@@ -222,7 +281,7 @@ def _tied_labels(rows: np.ndarray):
     return np.stack([np.unique(rows[:, k], return_inverse=True)[1] for k in tied], axis=1)
 
 
-def _bootstrap_two_channel(rows, sizes, cfg, draw_one) -> ReplicateDraws:
+def _bootstrap_two_channel(rows, sizes, cfg) -> ReplicateDraws:
     """Mean difference and variance ratio of two channels, from counts.
 
     ``rows`` (R, K) is the reservoir, group g holding the next ``sizes[g]``
@@ -266,7 +325,8 @@ def _bootstrap_two_channel(rows, sizes, cfg, draw_one) -> ReplicateDraws:
     # per drawn slot: its index, its count-matrix entry and its tie labels;
     # per replicate: the sums and their temporaries, a few (2, T) arrays
     per_rep = int(sizes.sum()) * (3 + n_tied) + 8 * T
-    (theta, lam), redraws = _resolve_replicates(cfg, draw_one, stats_of, per_rep)
+    segments = tuple((n, n, a) for n, a in zip(sizes, bounds[:-1]))
+    (theta, lam), redraws = _resolve_replicates(cfg, segments, stats_of, per_rep)
     return ReplicateDraws(theta=theta, lam=lam, redraws=redraws)
 
 
@@ -278,13 +338,8 @@ def bootstrap_independent(
         raise ValueError("both groups need at least 2 curves")
     if s1.grid != s2.grid:
         raise ValueError("groups must share a grid")
-    n1, n2 = s1.n, s2.n
-
-    def draw_one(rng):
-        return np.concatenate([rng.integers(0, n1, n1), n1 + rng.integers(0, n2, n2)])
-
     rows = np.concatenate([s1.curves, s2.curves])
-    return _bootstrap_two_channel(rows, np.array([n1, n2]), cfg, draw_one)
+    return _bootstrap_two_channel(rows, np.array([s1.n, s2.n]), cfg)
 
 
 def bootstrap_matched(s: PairedFunctionalSample, cfg: BootstrapConfig) -> ReplicateDraws:
@@ -292,13 +347,8 @@ def bootstrap_matched(s: PairedFunctionalSample, cfg: BootstrapConfig) -> Replic
     within-pair dependence."""
     if s.n < 2:
         raise ValueError("need at least 2 pairs")
-    n = s.n
-
-    def draw_one(rng):
-        return rng.integers(0, n, n)
-
-    rows = s.stacked().reshape(n, -1)  # (n, 2T): channel 1, then channel 2
-    return _bootstrap_two_channel(rows, np.array([n]), cfg, draw_one)
+    rows = s.stacked().reshape(s.n, -1)  # (n, 2T): channel 1, then channel 2
+    return _bootstrap_two_channel(rows, np.array([s.n]), cfg)
 
 
 def bootstrap_random_effects(
@@ -327,9 +377,6 @@ def bootstrap_random_effects(
     n_i = sizes.astype(float)
     n_star = decomp.n_star
 
-    def draw_one(rng):
-        return np.concatenate([rng.integers(0, A, A), rng.integers(0, N, N)])
-
     def stats_of(idx):
         sq = _count_sums(idx[:, A:], sizes, columns)  # (m, A, 4T)
         s, q = sq[..., : 2 * T], sq[..., 2 * T :]
@@ -347,7 +394,8 @@ def bootstrap_random_effects(
     # the drawn indices and count-matrix entries, then the (A, 4T) sums and
     # the (A, 2T) group means and temporaries
     per_rep = 3 * N + A + 12 * A * T
-    (theta, lam, psi), redraws = _resolve_replicates(cfg, draw_one, stats_of, per_rep)
+    segments = ((A, A, 0), (N, N, 0))
+    (theta, lam, psi), redraws = _resolve_replicates(cfg, segments, stats_of, per_rep)
     return ReplicateDraws(theta=theta, lam=lam, psi=psi, redraws=redraws)
 
 

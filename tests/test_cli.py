@@ -119,6 +119,20 @@ class TestTostMode:
         assert code == EXIT_ERROR
         assert "design-mismatch" in capsys.readouterr().err
 
+    def test_one_pair_group_is_design_mismatch(self, tmp_path, capsys):
+        rows = [(1, 1, 1), (1, 2, 1)] + [(2, c, b) for b in (1, 2) for c in (1, 2)]
+        data = tmp_path / "one_pair.csv"
+        data.write_text(
+            "#feqt-curves v1; grid=0.25,0.75\n"
+            + "".join(f"{g},{c},{b},{0.1 * b + c},{0.2 * g - b}\n" for g, c, b in rows)
+        )
+        out = tmp_path / "out"
+        code = run_cli(["tost", "--input", str(data), "--design", "grouped", "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error [design-mismatch]" in err and "group 1 (in group id order) has 1" in err
+        assert not out.exists()
+
     def test_bad_emit_flag_is_error(self, equivalent_file, capsys):
         code = run_cli([
             "tost", "--input", equivalent_file, "--emit", "csv,pdf",
@@ -320,3 +334,29 @@ class TestReportMode:
         bad.write_text(payload)
         assert run_cli(["report", "--input", str(bad)]) == EXIT_ERROR
         assert "error [report-schema]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("estimate", [0.0]),
+        ("band_upper", [[1.0], [2.0]]),
+        ("violations", [8]),
+    ])
+    def test_arrays_off_the_grid_are_schema_errors(
+        self, equivalent_file, tmp_path, capsys, field, value
+    ):
+        import json
+
+        first = tmp_path / "first"
+        run_cli(["tost", "--input", equivalent_file, "--seed", "5",
+                 "--replicates", "200", "--out", str(first), "--emit", "json"])
+        payload = json.loads(read_bytes(first / "tost_report.json"))
+        assert len(payload["grid"]) == 8
+        payload["metrics"]["theta"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli(["report", "--input", str(bad), "--out", str(out)]) == EXIT_ERROR
+        assert f"error [report-schema]: report JSON missing or bad field: theta.{field}" in (
+            capsys.readouterr().err
+        )
+        assert list(out.iterdir()) == []

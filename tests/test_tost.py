@@ -97,6 +97,85 @@ class TestReplicateRng:
         assert not np.array_equal(replicate_rng(7, 3).random(4), replicate_rng(8, 3).random(4))
 
 
+def scalar_draw(seed, r, segments):
+    """Replicate r's draw of ``segments``, one ``integers`` call per segment."""
+    rng = replicate_rng(seed, r)
+    return np.concatenate([off + rng.integers(0, n, size) for size, n, off in segments])
+
+
+def bulk_draws(seed, segments, B=300):
+    """Every replicate's first draw through the chunked bulk path."""
+    def keep(idx):  # every draw usable, returned as its own statistic
+        return idx.astype(float), np.ones(len(idx), dtype=bool)
+
+    slots = sum(size for size, _, _ in segments)
+    (idx,), redraws = tost_mod._resolve_replicates(
+        BootstrapConfig(B, seed=seed), segments, keep, slots
+    )
+    assert not redraws.any()
+    return idx
+
+
+class TestBulkDraws:
+    """The bulk draws against ``replicate_rng``, index for index.
+
+    The bulk path reproduces numpy's Philox state layout and the 32-bit
+    Lemire path of ``Generator.integers``; this pins both across numpy
+    versions. If it fails, fix the bulk path or fall back to the scalar one;
+    never loosen it."""
+
+    LAYOUTS = {
+        "grouped": ((20, 20, 0), (400, 400, 0)),
+        "matched": ((12, 12, 0),),
+        "independent": ((9, 9, 0), (13, 13, 9)),
+        "odd lengths": ((9, 9, 0), (45, 45, 0)),
+        "full 32-bit range": ((3, 2**32, 0), (5, 7, 3)),
+        # a half is rejected with probability 1/4, so about two thirds of
+        # the replicates fall back, mid-row, and the next segment continues
+        # their streams
+        "forced rejections": ((4, 3 * 2**30, 0), (3, 5, 2)),
+    }
+
+    @pytest.mark.parametrize("chunk_elems", [1, 600, tost_mod._CHUNK_ELEMS])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_matches_replicate_rng(self, layout, chunk_elems, monkeypatch):
+        segments = self.LAYOUTS[layout]
+        monkeypatch.setattr(tost_mod, "_CHUNK_ELEMS", chunk_elems)
+        idx = bulk_draws(17, segments)
+        for r in range(idx.shape[0]):
+            np.testing.assert_array_equal(idx[r], scalar_draw(17, r, segments), err_msg=str(r))
+
+    def test_rejections_are_flagged(self):
+        _, rejected = tost_mod._draw_chunk(17, 0, 300, self.LAYOUTS["forced rejections"])
+        assert 0.55 < rejected.mean() < 0.8  # 1 - (3/4)**4 = 0.68
+        _, rejected = tost_mod._draw_chunk(17, 0, 300, self.LAYOUTS["odd lengths"])
+        assert not rejected.any()
+
+    @pytest.mark.parametrize("n", [0, 1, 2**32 + 1])
+    def test_range_outside_the_32_bit_path_is_refused(self, n):
+        # integers(0, 1, k) consumes no bits; wider ranges take 64-bit words
+        with pytest.raises(ValueError, match="ranges"):
+            tost_mod._draw_chunk(0, 0, 3, ((4, n, 0),))
+
+    def test_scalar_path_is_only_a_fallback(self, rng, grid25, monkeypatch):
+        calls = []
+
+        def counted(seed, r):
+            calls.append(r)
+            return replicate_rng(seed, r)
+
+        monkeypatch.setattr(tost_mod, "replicate_rng", counted)
+        g = make_grouped(rng, n_groups=6, group_size=5, n_points=len(grid25))
+        bootstrap_random_effects(g, BootstrapConfig(1000, seed=6))
+        assert calls == []
+        s = PairedFunctionalSample(
+            equispaced_grid(5), dyadic_rows(rng, 3, 5), dyadic_rows(rng, 3, 5)
+        )
+        draws = bootstrap_matched(s, BootstrapConfig(1000, seed=8))
+        assert draws.redraws.sum() > 0
+        assert calls == list(np.flatnonzero(draws.redraws))
+
+
 class TestBootstrapConfig:
     def test_bounds(self):
         with pytest.raises(ValueError, match="at least 100"):
