@@ -54,21 +54,40 @@ class PriorSpec:
                 raise ValueError("variance priors need multiplicative bands")
 
 
+def channel_term(l, s):
+    """One channel's quadratic-form term ``s * exp(-l)`` (s its sum of squares)."""
+    return s * np.exp(-l)
+
+
+def rho_terms(rho, rr, s12):
+    """The terms of ``rho`` (``rr = rho * rho``): ``1 - rho^2``, its log, and
+    ``2 rho s12``."""
+    omr2 = 1.0 - rr
+    return omr2, np.log(omr2), 2.0 * rho * s12
+
+
+def block_loglik(a, b, lsum, e12, rterms, count):
+    """Combine the cached terms of :func:`paired_block_loglik`: the channel
+    terms ``a``, ``b`` (:func:`channel_term`), ``lsum = l1 + l2``,
+    ``e12 = exp(-0.5 * lsum)`` and ``rterms`` (:func:`rho_terms`)."""
+    omr2, log_omr2, r2s12 = rterms
+    quad = a - r2s12 * e12 + b
+    return -count * _LOG_2PI - 0.5 * count * (lsum + log_omr2) - 0.5 * quad / omr2
+
+
 def paired_block_loglik(l1, l2, rho, s11, s22, s12, count):
     """Per-gridpoint log-likelihood of ``count`` zero-mean bivariate-normal
     pairs, from their sufficient statistics.
 
     (l1, l2) are the channel log-variances, ``rho`` the cross-correlation and
     (s11, s22, s12) the residual sums of squares and cross-products at each
-    grid point; all arguments broadcast elementwise.
+    grid point; all arguments broadcast elementwise. It is the composition of
+    :func:`channel_term`, :func:`rho_terms` and :func:`block_loglik`; a
+    sampler that holds some terms fixed calls those parts with cached terms
+    and gets the same bits.
     """
-    omr2 = 1.0 - rho * rho
-    e1 = np.exp(-l1)
-    e2 = np.exp(-l2)
-    e12 = np.exp(-0.5 * (l1 + l2))
-    quad = s11 * e1 - 2.0 * rho * s12 * e12 + s22 * e2
-    return (
-        -count * _LOG_2PI
-        - 0.5 * count * (l1 + l2 + np.log(omr2))
-        - 0.5 * quad / omr2
+    lsum = l1 + l2
+    return block_loglik(
+        channel_term(l1, s11), channel_term(l2, s22), lsum, np.exp(-0.5 * lsum),
+        rho_terms(rho, rho * rho, s12), count,
     )

@@ -5,10 +5,15 @@ sequential-conditioning (separation-of-variables) reparameterization: the
 integrand is a product of conditional one-dimensional normal probabilities
 driven by a scrambled Sobol sequence. Because the estimate is a product of
 conditional probabilities, tiny probabilities retain good relative accuracy.
+
+Scrambling is the costly part of building a Sobol engine, so the engines of
+one (seed, dimension) are built once and reset before each use; a reset
+engine yields the same points as a fresh one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +107,17 @@ def _genz_batch(L, a, b, u):
     return p
 
 
+@functools.lru_cache(maxsize=8)
+def _sobol_engines(seed: int, dim: int) -> tuple:
+    """The scrambled Sobol engines of ``seed`` in ``dim`` dimensions, built
+    once per process. Every call shares them, so a caller ``reset()``s each
+    before drawing, and calls must not overlap (feqt makes them one at a time)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return tuple(
+        qmc.Sobol(dim, scramble=True, seed=rng.integers(2**63)) for _ in range(_RANDOMIZATIONS)
+    )
+
+
 def mvn_rectangle_prob(
     mean,
     cov,
@@ -132,11 +148,9 @@ def mvn_rectangle_prob(
         return RectangleProb(float(ndtr(b[0] / s) - ndtr(a[0] / s)), 0.0)
 
     L, a, b = _ordered_cholesky(cov, a, b)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    engines = [
-        qmc.Sobol(d - 1, scramble=True, seed=rng.integers(2**63))
-        for _ in range(_RANDOMIZATIONS)
-    ]
+    engines = _sobol_engines(seed, d - 1)
+    for eng in engines:
+        eng.reset()
     sums = np.zeros(_RANDOMIZATIONS)
     counts = 0
     n = 1 << 10

@@ -7,8 +7,13 @@ the cross-correlations (per-point Metropolis on the Fisher-z scale) need
 Metropolis steps. The two variance levels, error and random effect, share one
 update: each is a pair of log-variance curves under a band-centred mixture
 GP prior plus a pointwise cross-correlation. Within a level's Metropolis
-loops the current log-posterior terms are cached and replaced only where a
-proposal is accepted.
+loops the current log-posterior terms are cached and overwritten in place only
+where a proposal is accepted. The block log-likelihood comes from cached
+invariant terms through :func:`~feqt.bayes.model.block_loglik`: a
+log-variance proposal recomputes only its own channel's term, a
+cross-correlation proposal only the terms of rho. Each term is computed as
+:func:`~feqt.bayes.model.paired_block_loglik` computes it, so the draws are
+the same bits.
 
 Chains run side by side: every state array has a leading chain axis, and one
 :meth:`MwgSampler.sweep` advances all of them. Each chain keeps its own
@@ -24,11 +29,12 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from ..fdata import GroupedPairedSample
 from .kernels import MaternKernel, matern_corr, corr_cholesky
-from .model import GPBandPrior, PriorSpec, paired_block_loglik
+from .model import GPBandPrior, PriorSpec, block_loglik, channel_term, rho_terms
 from .posterior import PosteriorDraws
 
 _TARGET_ACCEPT = 0.3
@@ -109,14 +115,6 @@ def _quad(prec, dev):
     return np.matmul(np.matmul(-0.5 * dev[..., None, :], prec), dev[..., :, None])[..., 0, 0]
 
 
-def _diag(v):
-    """Stacked diagonal matrices with the (chains, T) entries ``v``."""
-    out = np.zeros(v.shape + v.shape[-1:])
-    i = np.arange(v.shape[-1])
-    out[..., i, i] = v
-    return out
-
-
 def _inv2x2(a, b, c):
     """Inverse entries of symmetric 2x2 [[a, b], [b, c]] (elementwise arrays)."""
     det = a * c - b * b
@@ -134,10 +132,9 @@ def _chol2x2(a, b, c):
 def _cross_sums(dev):
     """Per-gridpoint sums (s11, s22, s12) of squares and cross-products of
     (..., n, 2, T) residuals over n."""
-    s11 = (dev[..., 0, :] ** 2).sum(axis=-2)
-    s22 = (dev[..., 1, :] ** 2).sum(axis=-2)
+    sq = (dev * dev).sum(axis=-3)
     s12 = (dev[..., 0, :] * dev[..., 1, :]).sum(axis=-2)
-    return s11, s22, s12
+    return sq[..., 0, :], sq[..., 1, :], s12
 
 
 def _precision(state, level):
@@ -145,6 +142,14 @@ def _precision(state, level):
     v = np.exp(state[level.mix.curves])
     v1, v2 = v[:, 0], v[:, 1]
     return _inv2x2(v1, state[level.rho] * np.sqrt(v1 * v2), v2)
+
+
+def _lapack(routine, *args, **kwargs):
+    """Call a LAPACK wrapper from ``scipy.linalg.lapack``; raise on nonzero ``info``."""
+    x, info = routine(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine.__name__} failed with info={info}")
+    return x
 
 
 def _batch(x, chains):
@@ -182,11 +187,16 @@ class MwgSampler:
             return _Mixture(curves, hyper, indicator, lcorr, lcov, prec, np.stack(p.offsets()))
 
         self.mu_mix = mixture("mu", "mu0", "d_mu", prior.mean_prior)
+        # the prior blocks of the mean update's precision; "+ 0.0" turns a
+        # -0.0 into +0.0, as adding the likelihood's diagonal matrix did
+        self._mu_prec_base = np.zeros((1, 2 * self.T, 2 * self.T))
+        self._mu_prec_base[0, : self.T, : self.T] = self.mu_mix.prec + 0.0
+        self._mu_prec_base[0, self.T :, self.T :] = self.mu_mix.prec + 0.0
         self.levels = (
             _Level(
                 mixture("leps", "tau_e", "d_e", prior.error_var_prior), "rho_e",
                 ("leps_1", "leps_2"), float(self.N),
-                lambda s: self.y - s["alpha"][:, self.labels],
+                lambda s: self.y - np.take(s["alpha"], self.labels, axis=1),
             ),
             _Level(
                 mixture("lalp", "tau_a", "d_a", prior.reffect_var_prior), "rho_a",
@@ -206,7 +216,7 @@ class MwgSampler:
         """Initial proposal scales, one per chain and block, and zero counts;
         each chain adapts its own scales during burn-in only."""
         self.steps = {k: np.full(chains, v) for k, v in _INITIAL_STEPS.items()}
-        self.accept_counts = {k: 0 for k in self.steps}  # pooled over chains
+        self.accept_counts = {k: np.zeros(chains, dtype=np.int64) for k in self.steps}
         self.proposal_counts = {k: 0 for k in self.steps}
 
     # ----- initialization -------------------------------------------------
@@ -323,12 +333,14 @@ class MwgSampler:
         pmu = self.mu_mix.prec
         pa11, pa12, pa22 = _precision(state, self.levels[1])
         abar = state["alpha"].mean(axis=1)  # (chains, 2, T)
-        P = np.zeros((len(rngs), 2 * T, 2 * T))
-        P[:, :T, :T] = pmu + _diag(A * pa11)
-        P[:, T:, T:] = pmu + _diag(A * pa22)
-        od = _diag(A * pa12)
-        P[:, :T, T:] = od
-        P[:, T:, :T] = od
+        P = _batch(self._mu_prec_base, len(rngs))
+        flat = P.reshape(len(rngs), -1)
+        n = 2 * T + 1  # flat stride along a diagonal
+        flat[:, : T * n : n] += A * pa11
+        flat[:, T * n :: n] += A * pa22
+        od = A * pa12
+        flat[:, T : T * n : n] = od  # the diagonals of the off-diagonal blocks
+        flat[:, 2 * T * T :: n] = od
         h = np.empty((len(rngs), 2 * T))
         prior2 = state["mu0"] - self.mu_mix.offsets[state["d_mu"]]
         h[:, :T] = _mv(pmu, state["mu0"]) + A * (pa11 * abar[:, 0] + pa12 * abar[:, 1])
@@ -338,8 +350,7 @@ class MwgSampler:
         # a non-finite chain passes through, to be reported by the
         # log-posterior check of the Metropolis updates
         draws = [
-            cho_solve((Lc, True), hc, check_finite=False)
-            + solve_triangular(Lc.T, zc, lower=False, check_finite=False)
+            _lapack(dpotrs, Lc, hc, lower=1) + _lapack(dtrtrs, Lc.T, zc, lower=0)
             for Lc, hc, zc in zip(L, h, z)
         ]
         state["mu"] = np.stack(draws).reshape(-1, 2, T)
@@ -362,7 +373,7 @@ class MwgSampler:
         burn-in, move each chain's scale toward the target rate (one scale per
         chain and block)."""
         self.proposal_counts[key] += proposed * accepted.size
-        self.accept_counts[key] += int(accepted.sum())
+        self.accept_counts[key] += accepted
         if adapting:
             gain = 2.0 / (10.0 + cycle) ** 0.6
             self.steps[key] = np.exp(
@@ -371,57 +382,70 @@ class MwgSampler:
 
     def _update_logvars(self, state, lv: _Level, sums, rngs, cycle, adapting):
         """Blocked random-walk Metropolis on each channel's log-variance curve,
-        ``_INNER_REPEATS`` times. The block log-likelihood sum and each
-        channel's prior term are cached and replaced only on acceptance."""
+        ``_INNER_REPEATS`` times. The block log-likelihood sum, each channel's
+        likelihood and prior terms and the terms of the fixed rho are cached;
+        accepted proposals are written in place."""
         m = lv.mix
         rho = state[lv.rho]
+        rterms = rho_terms(rho, rho * rho, sums[2])
         hyper = state[m.hyper]
         centers = (hyper, hyper - m.offsets[state[m.indicator]])  # channel prior means
 
-        def loglik(l):
-            return paired_block_loglik(l[:, 0], l[:, 1], rho, *sums, lv.count).sum(axis=-1)
+        def loglik(a, b, lsum):
+            return block_loglik(a, b, lsum, np.exp(-0.5 * lsum), rterms, lv.count).sum(axis=-1)
 
         l = state[m.curves]
-        ll = loglik(l)
+        terms = [channel_term(l[:, j], sums[j]) for j in (0, 1)]
+        ll = loglik(*terms, l[:, 0] + l[:, 1])
         prior = [_quad(m.prec, l[:, j] - centers[j]) for j in (0, 1)]
         for _ in range(_INNER_REPEATS):
             for j in (0, 1):
                 key = lv.steps[j]
                 cur = ll + prior[j]
-                lp = l.copy()
-                lp[:, j] = l[:, j] + self.steps[key][:, None] * _mv(
-                    m.lcorr, _normals(rngs, (self.T,))
-                )
-                ll_new = loglik(lp)
-                prior_new = _quad(m.prec, lp[:, j] - centers[j])
-                if not np.all(np.isfinite(cur)):
+                lj = l[:, j] + self.steps[key][:, None] * _mv(m.lcorr, _normals(rngs, (self.T,)))
+                tj = channel_term(lj, sums[j])
+                pair = (tj, terms[1], lj + l[:, 1]) if j == 0 else (terms[0], tj, l[:, 0] + lj)
+                ll_new = loglik(*pair)
+                prior_new = _quad(m.prec, lj - centers[j])
+                if not np.isfinite(cur).all():
                     raise SamplerDivergenceError("non-finite log-posterior", dict(state))
                 accepted = np.log(_uniforms(rngs)) < ll_new + prior_new - cur
-                state[m.curves] = l = np.where(accepted[:, None, None], lp, l)
-                ll = np.where(accepted, ll_new, ll)
-                prior[j] = np.where(accepted, prior_new, prior[j])
+                rows = accepted[:, None]
+                np.copyto(l[:, j], lj, where=rows)
+                np.copyto(terms[j], tj, where=rows)
+                np.copyto(ll, ll_new, where=accepted)
+                np.copyto(prior[j], prior_new, where=accepted)
                 self._adapt(key, accepted, 1, cycle, adapting)
 
     def _update_rho(self, state, lv: _Level, sums, rngs, cycle, adapting):
         """Per-point Fisher-z random-walk Metropolis on the cross-correlation,
-        ``_INNER_REPEATS`` times, with each point's log-posterior cached."""
+        ``_INNER_REPEATS`` times, with each point's log-posterior and the terms
+        of the fixed curves cached. A proposal that ``tanh`` rounds to +-1 has
+        log-posterior -inf and is rejected."""
         l = state[lv.mix.curves]
+        s11, s22, s12 = sums
+        lsum = l[:, 0] + l[:, 1]
+        fixed = (channel_term(l[:, 0], s11), channel_term(l[:, 1], s22), lsum, np.exp(-0.5 * lsum))
 
         def logpost(rho):  # the Fisher-z Jacobian of the flat prior included
-            loglik = paired_block_loglik(l[:, 0], l[:, 1], rho, *sums, lv.count)
-            return loglik + np.log1p(-rho * rho)
+            rr = rho * rho
+            rterms = rho_terms(rho, rr, s12)
+            out = block_loglik(*fixed, rterms, lv.count) + np.log1p(-rr)
+            np.copyto(out, -np.inf, where=rterms[0] == 0.0)
+            return out
 
         rho = state[lv.rho]
-        cur = logpost(rho)
-        for _ in range(_INNER_REPEATS):
-            zp = np.arctanh(rho) + self.steps[lv.rho][:, None] * _normals(rngs, (self.T,))
-            rp = np.tanh(zp)
-            new = logpost(rp)
-            acc = np.log(_uniforms(rngs, (self.T,))) < new - cur
-            state[lv.rho] = rho = np.where(acc, rp, rho)
-            cur = np.where(acc, new, cur)
-            # per-point proposals share one scale, adapted on the mean rate
-            self._adapt(lv.rho, acc.sum(axis=-1), self.T, cycle, adapting)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cur = logpost(rho)
+            for _ in range(_INNER_REPEATS):
+                zp = np.arctanh(rho) + self.steps[lv.rho][:, None] * _normals(rngs, (self.T,))
+                rp = np.tanh(zp)
+                new = logpost(rp)
+                acc = np.log(_uniforms(rngs, (self.T,))) < new - cur
+                np.copyto(rho, rp, where=acc)
+                np.copyto(cur, new, where=acc)
+                # per-point proposals share one scale, adapted on the mean rate
+                self._adapt(lv.rho, acc.sum(axis=-1), self.T, cycle, adapting)
 
     # ----- one sweep ------------------------------------------------------
 
@@ -515,7 +539,7 @@ def run_mwg(
     }
     warn = bool(max(v.max() for v in rhat.values()) > 1.1)
     acc = {
-        k: sampler.accept_counts[k] / max(sampler.proposal_counts[k], 1)
+        k: int(sampler.accept_counts[k].sum()) / max(sampler.proposal_counts[k], 1)
         for k in sampler.steps
     }
     chain_ids = np.repeat(np.arange(chains), per_chain)

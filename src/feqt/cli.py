@@ -160,6 +160,10 @@ def _mode_tost(args):
         raise CliError("design-mismatch", "grouped design requires a multi-group curve file")
     if design is Design.MATCHED_PAIRS and not isinstance(sample, PairedFunctionalSample):
         raise CliError("design-mismatch", "matched design requires a single-group paired file")
+    if design is Design.MATCHED_PAIRS and sample.n < 2:
+        raise CliError(
+            "design-mismatch", f"matched design needs at least 2 pairs; the file has {sample.n}"
+        )
     if design is Design.RANDOM_EFFECTS_MATCHED:
         for i, n in enumerate(sample.group_sizes, start=1):
             if n < 2:

@@ -133,6 +133,17 @@ class TestTostMode:
         assert "error [design-mismatch]" in err and "group 1 (in group id order) has 1" in err
         assert not out.exists()
 
+    def test_one_pair_file_is_matched_design_mismatch(self, tmp_path, capsys):
+        data = tmp_path / "one_pair.csv"
+        data.write_text("#feqt-curves v1; grid=0.25,0.75\n1,1,1,0.1,0.2\n1,2,1,0.3,0.4\n")
+        out = tmp_path / "out"
+        code = run_cli(["tost", "--input", str(data), "--design", "matched", "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error [design-mismatch]: matched design needs at least 2 pairs" in err
+        assert "the file has 1" in err
+        assert not out.exists()
+
     def test_bad_emit_flag_is_error(self, equivalent_file, capsys):
         code = run_cli([
             "tost", "--input", equivalent_file, "--emit", "csv,pdf",

@@ -65,6 +65,17 @@ class TestRectangleProb:
         c = mvn_rectangle_prob(*args, seed=6)
         assert c.estimate != a.estimate
 
+    def test_seed_reproduced_after_other_seed(self):
+        """Engines are built once per (seed, dimension) and reset per call:
+        a seed's result does not depend on the calls made before it."""
+        args = (np.zeros(4), np.eye(4) + 0.3, -np.ones(4), np.ones(4))
+        a = mvn_rectangle_prob(*args, seed=8)
+        mvn_rectangle_prob(*args, seed=9)
+        b = mvn_rectangle_prob(*args, seed=8)
+        mvnprob_mod._sobol_engines.cache_clear()
+        fresh = mvn_rectangle_prob(*args, seed=8)
+        assert (a.estimate, a.error) == (b.estimate, b.error) == (fresh.estimate, fresh.error)
+
     def test_invalid_rectangle(self):
         with pytest.raises(ValueError, match="strictly below"):
             mvn_rectangle_prob([0.0, 0.0], np.eye(2), [0.0, 0.0], [1.0, 0.0])

@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,21 @@ class TestRunMwg:
         np.testing.assert_array_equal(a.lam, b.lam)
         c = self._run(seed=4)
         assert not np.array_equal(a.theta, c.theta)
+
+    def test_draws_pinned(self):
+        """A sha256 over the draws, indicators and pooled acceptance rates of
+        ``_run(seed=3)``. It guards bit-identity under performance edits of
+        the sampler: a change that alters the draws by design re-records it.
+        The bits are those of numpy 2.4's float kernels on x86-64; another
+        numpy or CPU may round ``exp``/``log`` differently."""
+        d = self._run(seed=3)
+        h = hashlib.sha256()
+        for a in (d.theta, d.lam, d.psi, d.indicators.astype(np.int64)):
+            h.update(np.ascontiguousarray(a).tobytes())
+        h.update(np.array([d.acceptance[k] for k in sorted(d.acceptance)]).tobytes())
+        assert h.hexdigest() == (
+            "bf339ce24fc4b2bbda06f2ecb523c864d5a79ec23d851fbff05b3576f660f6b9"
+        )
 
     def test_chain_draws_independent_of_execution_order(self):
         """Chain c adapts its own proposal scales and draws from its own
@@ -146,3 +164,19 @@ class TestSamplerCore:
         dumped = info.value.state["leps"]
         assert np.isnan(dumped[1, 0, 2])
         assert np.all(np.isfinite(np.delete(dumped, 1, axis=0)))
+
+    def test_rho_proposal_rounding_to_one_is_rejected_quietly(self, rng):
+        """With a huge Fisher-z step, ``tanh`` rounds most proposals to +-1;
+        they are rejected without floating-point warnings."""
+        data = make_grouped(rng, n_groups=3, group_size=4, n_points=4)
+        sampler = MwgSampler(data, small_prior(data.grid))
+        rngs = [_chain_rng(5, c) for c in range(2)]
+        state = sampler.init_from_data(rngs, spread=0.5)
+        sampler.steps["rho_e"][:] = 1e3
+        sampler.steps["rho_a"][:] = 1e3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(5):
+                sampler.sweep(state, rngs)
+        for key in ("rho_e", "rho_a"):
+            assert np.all(np.abs(state[key]) < 1.0)
