@@ -37,16 +37,13 @@ class GPBandPrior:
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Hyperparameters of the three metric priors plus the decision threshold."""
+    """Hyperparameters of the three metric priors."""
 
     mean_prior: GPBandPrior  # additive bands
     error_var_prior: GPBandPrior  # multiplicative bands
     reffect_var_prior: GPBandPrior  # multiplicative bands
-    gamma: float = 0.95
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
         if self.mean_prior.bands.kind is not BandKind.ADDITIVE:
             raise ValueError("mean prior needs additive bands")
         for p in (self.error_var_prior, self.reffect_var_prior):

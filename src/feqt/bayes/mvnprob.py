@@ -226,9 +226,10 @@ def calibrate_prior_scale(
         )
         return np.log(p.estimate) - np.log(target)
 
-    lo, hi = _LOG_S2_BRACKET
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0.0:
-        raise ValueError("target probability not attainable on the bracket")
-    root = brentq(f, lo, hi, xtol=1e-4)
+    try:
+        root = brentq(f, *_LOG_S2_BRACKET, xtol=1e-4)
+    except ValueError as exc:  # brentq evaluates the bracket ends, once each
+        if "different signs" not in str(exc):
+            raise
+        raise ValueError("target probability not attainable on the bracket") from None
     return float(np.exp(root))

@@ -11,6 +11,9 @@ from .. import tost as _tost
 
 Metric = _tost.Metric
 
+#: Fewest draws the equivalence probabilities and simultaneous bands accept.
+MIN_POSTERIOR_DRAWS = 100
+
 
 @dataclass(frozen=True)
 class PosteriorDraws:
@@ -46,8 +49,8 @@ def posterior_equivalence_prob(draws: PosteriorDraws, bands: dict) -> dict:
     ratio additionally gets a one-sided (noninferiority) fraction under key
     ``"lambda_noninferior"``.
     """
-    if draws.n_draws < 100:
-        raise ValueError("need at least 100 posterior draws")
+    if draws.n_draws < MIN_POSTERIOR_DRAWS:
+        raise ValueError(f"need at least {MIN_POSTERIOR_DRAWS} posterior draws")
     out = {}
     for metric, band in bands.items():
         x = draws.metric(metric)
@@ -79,8 +82,8 @@ def simultaneous_bands(draws: np.ndarray, coverage: float) -> SimultaneousBand:
     """
     x = np.atleast_2d(np.asarray(draws, dtype=float))
     m, T = x.shape
-    if m < 100:
-        raise ValueError("need at least 100 draws")
+    if m < MIN_POSTERIOR_DRAWS:
+        raise ValueError(f"need at least {MIN_POSTERIOR_DRAWS} draws")
     if not 0.0 < coverage < 1.0:
         raise ValueError("coverage must lie in (0, 1)")
     center = np.median(x, axis=0)

@@ -307,9 +307,9 @@ class MwgSampler:
 
     # ----- conjugate updates ---------------------------------------------
 
-    def _update_alpha(self, state, rngs):
-        pe11, pe12, pe22 = (p[:, None] for p in _precision(state, self.levels[0]))
-        pa11, pa12, pa22 = (p[:, None] for p in _precision(state, self.levels[1]))
+    def _update_alpha(self, state, prec_e, prec_a, rngs):
+        pe11, pe12, pe22 = (p[:, None] for p in prec_e)
+        pa11, pa12, pa22 = (p[:, None] for p in prec_a)
         n = self.sizes[:, None].astype(float)  # (A, 1)
         q11 = n * pe11 + pa11  # (chains, A, T)
         q12 = n * pe12 + pa12
@@ -328,10 +328,10 @@ class MwgSampler:
         state["alpha"][..., 0, :] = m1 + l11 * z[..., 0, :]
         state["alpha"][..., 1, :] = m2 + l21 * z[..., 0, :] + l22 * z[..., 1, :]
 
-    def _update_mu(self, state, rngs):
+    def _update_mu(self, state, prec_a, rngs):
         T, A = self.T, self.A
         pmu = self.mu_mix.prec
-        pa11, pa12, pa22 = _precision(state, self.levels[1])
+        pa11, pa12, pa22 = prec_a
         abar = state["alpha"].mean(axis=1)  # (chains, 2, T)
         P = _batch(self._mu_prec_base, len(rngs))
         flat = P.reshape(len(rngs), -1)
@@ -452,8 +452,10 @@ class MwgSampler:
     def sweep(self, state, rngs, cycle=0, adapting=False):
         """Advance every chain by one Gibbs sweep; chain c draws only from
         ``rngs[c]``."""
-        self._update_alpha(state, rngs)
-        self._update_mu(state, rngs)
+        # neither update moves a variance level, so one precision serves both
+        prec_a = _precision(state, self.levels[1])
+        self._update_alpha(state, _precision(state, self.levels[0]), prec_a, rngs)
+        self._update_mu(state, prec_a, rngs)
         self._update_mixture(state, self.mu_mix, rngs)
         for lv in self.levels:
             # repeating the cheap Metropolis updates sharpens mixing of the
@@ -489,11 +491,10 @@ def _run_chains(sampler: MwgSampler, seed, chains, iters, burnin, thin):
     """
     rngs = [_chain_rng(seed, c) for c in chains]
     state = sampler.init_from_data(rngs, spread=[0.5 * c for c in chains])
-    kept = range(burnin, iters, thin)
-    theta = np.empty((len(rngs), len(kept), sampler.T))
+    theta = np.empty((len(rngs), kept_draws(iters, burnin, thin), sampler.T))
     llam = np.empty_like(theta)
     lpsi = np.empty_like(theta)
-    indicators = np.empty((len(rngs), len(kept), 3), dtype=int)
+    indicators = np.empty(theta.shape[:2] + (3,), dtype=int)
     keep = 0
     for it in range(iters):
         sampler.sweep(state, rngs, cycle=it, adapting=it < burnin)
@@ -504,6 +505,11 @@ def _run_chains(sampler: MwgSampler, seed, chains, iters, burnin, thin):
             indicators[:, keep] = np.stack([state["d_mu"], state["d_e"], state["d_a"]], axis=1)
             keep += 1
     return theta, llam, lpsi, indicators
+
+
+def kept_draws(iters: int, burnin: int, thin: int) -> int:
+    """Draws one chain keeps: every ``thin``-th sweep from ``burnin`` on."""
+    return len(range(burnin, iters, thin))
 
 
 def run_mwg(
@@ -527,7 +533,7 @@ def run_mwg(
         raise ValueError("iters must exceed burnin")
     sampler = MwgSampler(data, prior)
     T = sampler.T
-    per_chain = len(range(burnin, iters, thin))
+    per_chain = kept_draws(iters, burnin, thin)
     theta, llam, lpsi, indicators = _run_chains(
         sampler, seed, range(chains), iters, burnin, thin
     )

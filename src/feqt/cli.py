@@ -18,9 +18,9 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .fdata import BandKind, BandPair, Grid, make_cosine_bands
+from .fdata import (
+    BandKind, GroupedPairedSample, PairedFunctionalSample, equispaced_grid, make_cosine_bands,
+)
 from .tost import BootstrapConfig, Design, Metric, TostDecision, run_tost
 from . import curvefile, report as report_mod
 from .bayes import (
@@ -31,6 +31,8 @@ from .bayes import (
     run_mwg,
     simultaneous_bands,
 )
+from .bayes.posterior import MIN_POSTERIOR_DRAWS
+from .bayes.sampler import kept_draws
 from .simlab import (
     boundary_violation_scenarios,
     default_truth,
@@ -111,20 +113,22 @@ def _resolve_seed(args):
     return 0
 
 
-def _emit_flags(args):
-    flags = {f.strip() for f in args.emit.split(",") if f.strip()}
+def _emit_flags(emit):
+    flags = {f.strip() for f in emit.split(",") if f.strip()}
     bad = flags - {"csv", "json", "svg"}
     if bad:
         raise CliError("bad-emit", f"unknown emit flags: {sorted(bad)}")
     return flags
 
 
-def _write(outdir, name, text):
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / name
-    path.write_text(text, encoding="utf-8")
-    return path
+def _emit(args, outputs):
+    """Write, in table order, each output whose flag ``--emit`` names;
+    ``outputs`` maps a flag to (file name, render)."""
+    outdir = Path(args.out)
+    for flag, (name, render) in outputs.items():
+        if flag in args.emit:
+            outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / name).write_text(render(), encoding="utf-8")
 
 
 def _eq_bands(grid, include_psi=True):
@@ -154,8 +158,6 @@ def _mode_tost(args):
     sample = _load_sample(args)
     design = _DESIGNS[args.design]
     cfg = BootstrapConfig(args.replicates, args.alpha, seed, design)
-    from .fdata import GroupedPairedSample, PairedFunctionalSample
-
     if design is Design.RANDOM_EFFECTS_MATCHED and not isinstance(sample, GroupedPairedSample):
         raise CliError("design-mismatch", "grouped design requires a multi-group curve file")
     if design is Design.MATCHED_PAIRS and not isinstance(sample, PairedFunctionalSample):
@@ -175,13 +177,11 @@ def _mode_tost(args):
     include_psi = design is Design.RANDOM_EFFECTS_MATCHED
     bands = _eq_bands(sample.grid, include_psi=include_psi)
     rep = run_tost(sample, cfg, bands)
-    flags = _emit_flags(args)
-    if "json" in flags:
-        _write(args.out, "tost_report.json", report_mod.tost_report_json(rep))
-    if "csv" in flags:
-        _write(args.out, "tost_report.csv", report_mod.tost_report_csv(rep))
-    if "svg" in flags:
-        _write(args.out, "tost_report.svg", report_mod.tost_report_svg(rep))
+    _emit(args, {
+        "json": ("tost_report.json", lambda: report_mod.tost_report_json(rep)),
+        "csv": ("tost_report.csv", lambda: report_mod.tost_report_csv(rep)),
+        "svg": ("tost_report.svg", lambda: report_mod.tost_report_svg(rep)),
+    })
     print(f"decision: {rep.decision.value}")
     if rep.lambda_noninferiority is not None:
         print(f"lambda noninferiority: {rep.lambda_noninferiority.value}")
@@ -191,10 +191,17 @@ def _mode_tost(args):
 
 
 def _mode_bayes(args):
+    # refuse before any work a run the sampler or its summaries would refuse late
+    if not 0.0 < args.gamma < 1.0:
+        raise CliError("bad-argument", f"--gamma must lie in (0, 1), got {args.gamma}")
+    if args.thin < 1:
+        raise CliError("bad-argument", f"--thin must be at least 1, got {args.thin}")
+    draws = args.chains * kept_draws(args.iters, args.burnin, args.thin)
+    if draws < MIN_POSTERIOR_DRAWS:
+        raise CliError("bad-argument", f"the chains keep {draws} posterior draws; "
+                       f"need at least {MIN_POSTERIOR_DRAWS}")
     seed = _resolve_seed(args)
     sample = _load_sample(args)
-    from .fdata import GroupedPairedSample
-
     if not isinstance(sample, GroupedPairedSample):
         raise CliError("design-mismatch", "bayes mode requires a multi-group curve file")
     grid = sample.grid
@@ -208,21 +215,18 @@ def _mode_bayes(args):
         mean_prior=GPBandPrior(args.range_a, s2, add),
         error_var_prior=GPBandPrior(args.range_a, s2, mult),
         reffect_var_prior=GPBandPrior(args.range_a, s2, mult),
-        gamma=args.gamma,
     )
     draws = run_mwg(
         sample, prior, chains=args.chains, iters=args.iters,
         burnin=args.burnin, thin=args.thin, seed=seed,
     )
     probs = posterior_equivalence_prob(draws, eq)
-    flags = _emit_flags(args)
-    if "json" in flags:
-        _write(args.out, "posterior_summary.json",
-               report_mod.posterior_summary_json(draws, probs, args.gamma))
-    if "svg" in flags:
-        sim = {m: simultaneous_bands(draws.metric(m), args.gamma) for m in eq}
-        _write(args.out, "posterior_bands.svg",
-               report_mod.posterior_bands_svg(draws, sim, eq))
+    sim = lambda: {m: simultaneous_bands(draws.metric(m), args.gamma) for m in eq}
+    _emit(args, {
+        "json": ("posterior_summary.json",
+                 lambda: report_mod.posterior_summary_json(draws, probs, args.gamma)),
+        "svg": ("posterior_bands.svg", lambda: report_mod.posterior_bands_svg(draws, sim(), eq)),
+    })
     for key in sorted(probs):
         print(f"P[equivalence | data] {key}: {probs[key]:.4f}")
     if draws.rhat_warning:
@@ -244,19 +248,16 @@ _SCENARIO_KINDS = {
 def _mode_simulate(args):
     seed = _resolve_seed(args)
     builder, metric = _SCENARIO_KINDS[args.scenarios]
-    from .fdata import equispaced_grid
-
     grid = equispaced_grid(args.grid_size)
     truth = default_truth(grid, args.groups, args.group_size)
     bands = _eq_bands(grid)[metric]
     seq = builder(truth, bands, metric)
     cfg = BootstrapConfig(args.replicates_bootstrap, args.alpha, 0, Design.RANDOM_EFFECTS_MATCHED)
     result = run_study(seq, args.replicates, cfg, {metric: bands}, seed=seed)
-    flags = _emit_flags(args)
-    if "csv" in flags:
-        _write(args.out, "study_result.csv", result.to_csv_text())
-    if "json" in flags:
-        _write(args.out, "study_result.json", result.to_json_text())
+    _emit(args, {
+        "csv": ("study_result.csv", result.to_csv_text),
+        "json": ("study_result.json", result.to_json_text),
+    })
     for i in range(result.scenarios.size):
         print(
             f"scenario {result.scenarios[i]}: rate "
@@ -267,24 +268,11 @@ def _mode_simulate(args):
 
 
 def _mode_bands(args):
-    from .fdata import equispaced_grid
-
-    grid = equispaced_grid(args.grid_size)
-    bands = _eq_bands(grid)
-    flags = _emit_flags(args)
-    text = report_mod.bands_csv(bands)
-    if "csv" in flags:
-        _write(args.out, "bands.csv", text)
-    if "json" in flags:
-        payload = {
-            m.value: {
-                "lower": [float(x) for x in b.lower],
-                "upper": [float(x) for x in b.upper],
-            }
-            for m, b in bands.items()
-        }
-        payload["grid"] = [float(x) for x in grid.points]
-        _write(args.out, "bands.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    bands = _eq_bands(equispaced_grid(args.grid_size))
+    _emit(args, {
+        "csv": ("bands.csv", lambda: report_mod.bands_csv(bands)),
+        "json": ("bands.json", lambda: report_mod.bands_json(bands)),
+    })
     print(f"emitted bands for a {args.grid_size}-point grid")
     return EXIT_OK
 
@@ -296,62 +284,16 @@ def _mode_report(args):
         raise CliError("missing-input", f"input file not found: {args.input}") from None
     except json.JSONDecodeError as exc:
         raise CliError("report-parse", f"bad report JSON: {exc}") from exc
-    rep = _report_from_json(payload)
-    flags = _emit_flags(args)
-    if "svg" in flags:
-        _write(args.out, "tost_report.svg", report_mod.tost_report_svg(rep))
-    if "csv" in flags:
-        _write(args.out, "tost_report.csv", report_mod.tost_report_csv(rep))
+    try:
+        rep = report_mod.tost_report_from_json(payload)
+    except ValueError as exc:
+        raise CliError("report-schema", str(exc)) from exc
+    _emit(args, {
+        "svg": ("tost_report.svg", lambda: report_mod.tost_report_svg(rep)),
+        "csv": ("tost_report.csv", lambda: report_mod.tost_report_csv(rep)),
+    })
     print(f"re-rendered report ({rep.decision.value})")
     return EXIT_OK
-
-
-#: Per-metric report fields that hold one value per grid point.
-_CURVE_FIELDS = ("estimate", "overlap_lower", "overlap_upper", "band_lower", "band_upper")
-
-
-def _report_from_json(payload):
-    from .tost import MetricResult, OneSidedBands, TostReport
-
-    try:
-        grid = Grid(payload["grid"])
-        T = len(grid)
-        results = {}
-        for name, m in payload["metrics"].items():
-            metric = Metric(name)
-            for field in _CURVE_FIELDS:
-                if np.shape(m[field]) != (T,):
-                    raise ValueError(
-                        f"{name}.{field} needs one value per grid point ({T}), "
-                        f"got shape {np.shape(m[field])}"
-                    )
-            if not all(0 <= i < T for i in m["violations"]):
-                raise ValueError(f"{name}.violations must index the {T}-point grid")
-            kind = BandKind.ADDITIVE if metric is Metric.THETA else BandKind.MULTIPLICATIVE
-            results[metric] = MetricResult(
-                metric=metric,
-                estimate=np.asarray(m["estimate"], dtype=float),
-                bands=OneSidedBands(
-                    metric=metric,
-                    lower_of_upper_ci=np.asarray(m["overlap_upper"], dtype=float),
-                    upper_of_lower_ci=np.asarray(m["overlap_lower"], dtype=float),
-                ),
-                eq_band=BandPair(grid, m["band_lower"], m["band_upper"], kind),
-                violations=np.asarray(m["violations"], dtype=int),
-                reject=bool(m["reject"]),
-            )
-        noninf = payload.get("lambda_noninferiority")
-        return TostReport(
-            grid=grid,
-            results=results,
-            decision=TostDecision(payload["decision"]),
-            lambda_noninferiority=TostDecision(noninf) if noninf else None,
-            alpha=float(payload.get("alpha", 0.05)),
-            replicates=int(payload.get("bootstrap_replicates", 0)),
-        )
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        # a JSON array or a metrics list fails here with a type error
-        raise CliError("report-schema", f"report JSON missing or bad field: {exc}") from exc
 
 
 # ----- argument parsing ---------------------------------------------------
@@ -431,6 +373,7 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = _parse_args(parser, argv)
+        args.emit = _emit_flags(args.emit)
         return _MODES[args.mode](args)
     except CliError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

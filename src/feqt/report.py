@@ -10,8 +10,8 @@ import json
 
 import numpy as np
 
-from .fdata import BandKind
-from .tost import Metric, TostReport
+from .fdata import BandKind, BandPair, Grid
+from .tost import Metric, MetricResult, OneSidedBands, TostDecision, TostReport
 
 _METRIC_TITLES = {
     Metric.THETA: "mean difference",
@@ -24,6 +24,21 @@ def _floats(a) -> list:
     return [float(x) for x in np.asarray(a, dtype=float)]
 
 
+#: Per-metric curves of a TOST report, one value per grid point, in CSV
+#: column order: field name -> accessor on a ``MetricResult``.
+_CURVE_FIELDS = {
+    "estimate": lambda res: res.estimate,
+    "overlap_lower": lambda res: res.bands.upper_of_lower_ci,
+    "overlap_upper": lambda res: res.bands.lower_of_upper_ci,
+    "band_lower": lambda res: res.eq_band.lower,
+    "band_upper": lambda res: res.eq_band.upper,
+}
+
+
+def _by_metric(items):
+    return sorted(items, key=lambda kv: kv[0].value)
+
+
 def tost_report_json(report: TostReport) -> str:
     payload = {
         "alpha": report.alpha,
@@ -33,53 +48,87 @@ def tost_report_json(report: TostReport) -> str:
             report.lambda_noninferiority.value if report.lambda_noninferiority else None
         ),
         "grid": _floats(report.grid.points),
-        "metrics": {},
+        "metrics": {
+            metric.value: {
+                **{name: _floats(curve(res)) for name, curve in _CURVE_FIELDS.items()},
+                "violations": [int(i) for i in res.violations],
+                "reject": bool(res.reject),
+            }
+            for metric, res in _by_metric(report.results.items())
+        },
     }
-    for metric, res in sorted(report.results.items(), key=lambda kv: kv[0].value):
-        payload["metrics"][metric.value] = {
-            "estimate": _floats(res.estimate),
-            "overlap_lower": _floats(res.bands.upper_of_lower_ci),
-            "overlap_upper": _floats(res.bands.lower_of_upper_ci),
-            "band_lower": _floats(res.eq_band.lower),
-            "band_upper": _floats(res.eq_band.upper),
-            "violations": [int(i) for i in res.violations],
-            "reject": bool(res.reject),
-        }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def tost_report_csv(report: TostReport) -> str:
     """One row per (metric, grid point) with band and overlap endpoints."""
-    lines = ["metric,t,estimate,overlap_lower,overlap_upper,band_lower,band_upper,violation"]
-    for metric, res in sorted(report.results.items(), key=lambda kv: kv[0].value):
+    lines = [",".join(["metric", "t", *_CURVE_FIELDS, "violation"])]
+    for metric, res in _by_metric(report.results.items()):
         viol = set(int(i) for i in res.violations)
-        for i, t in enumerate(report.grid.points):
-            lines.append(
-                "%s,%s,%s,%s,%s,%s,%s,%d"
-                % (
-                    metric.value,
-                    repr(float(t)),
-                    repr(float(res.estimate[i])),
-                    repr(float(res.bands.upper_of_lower_ci[i])),
-                    repr(float(res.bands.lower_of_upper_ci[i])),
-                    repr(float(res.eq_band.lower[i])),
-                    repr(float(res.eq_band.upper[i])),
-                    int(i in viol),
-                )
-            )
+        curves = [curve(res) for curve in _CURVE_FIELDS.values()]
+        for i, row in enumerate(zip(report.grid.points, *curves)):
+            cells = [repr(float(x)) for x in row]
+            lines.append(",".join([metric.value, *cells, str(int(i in viol))]))
     return "\n".join(lines) + "\n"
+
+
+def tost_report_from_json(payload) -> TostReport:
+    """Rebuild a :class:`TostReport` from a parsed :func:`tost_report_json`
+    payload; raises ``ValueError`` naming the first missing or bad field."""
+    try:
+        grid = Grid(payload["grid"])
+        T = len(grid)
+        results = {}
+        for name, m in payload["metrics"].items():
+            metric = Metric(name)
+            for field in _CURVE_FIELDS:
+                if np.shape(m[field]) != (T,):
+                    raise ValueError(
+                        f"{name}.{field} needs one value per grid point ({T}), "
+                        f"got shape {np.shape(m[field])}"
+                    )
+            if not all(0 <= i < T for i in m["violations"]):
+                raise ValueError(f"{name}.violations must index the {T}-point grid")
+            c = {field: np.asarray(m[field], dtype=float) for field in _CURVE_FIELDS}
+            kind = BandKind.ADDITIVE if metric is Metric.THETA else BandKind.MULTIPLICATIVE
+            results[metric] = MetricResult(
+                metric=metric,
+                estimate=c["estimate"],
+                bands=OneSidedBands(metric, c["overlap_upper"], c["overlap_lower"]),
+                eq_band=BandPair(grid, c["band_lower"], c["band_upper"], kind),
+                violations=np.asarray(m["violations"], dtype=int),
+                reject=bool(m["reject"]),
+            )
+        noninf = payload.get("lambda_noninferiority")
+        return TostReport(
+            grid=grid,
+            results=results,
+            decision=TostDecision(payload["decision"]),
+            lambda_noninferiority=TostDecision(noninf) if noninf else None,
+            alpha=float(payload.get("alpha", 0.05)),
+            replicates=int(payload.get("bootstrap_replicates", 0)),
+        )
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        # a JSON array or a metrics list fails here with a type error
+        raise ValueError(f"report JSON missing or bad field: {exc}") from exc
 
 
 def bands_csv(bands: dict) -> str:
     """CSV of equivalence band curves; ``bands`` maps Metric to BandPair."""
     lines = ["metric,t,band_lower,band_upper"]
-    for metric, band in sorted(bands.items(), key=lambda kv: kv[0].value):
-        for i, t in enumerate(band.grid.points):
-            lines.append(
-                "%s,%s,%s,%s"
-                % (metric.value, repr(float(t)), repr(float(band.lower[i])), repr(float(band.upper[i])))
-            )
+    for metric, band in _by_metric(bands.items()):
+        for row in zip(band.grid.points, band.lower, band.upper):
+            lines.append(",".join([metric.value, *(repr(float(x)) for x in row)]))
     return "\n".join(lines) + "\n"
+
+
+def bands_json(bands: dict) -> str:
+    """JSON of equivalence band curves and their grid; ``bands`` maps Metric to BandPair."""
+    payload = {
+        m.value: {"lower": _floats(b.lower), "upper": _floats(b.upper)} for m, b in bands.items()
+    }
+    payload["grid"] = _floats(next(iter(bands.values())).grid.points)
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ----- SVG ---------------------------------------------------------------
@@ -87,6 +136,7 @@ def bands_csv(bands: dict) -> str:
 _PANEL_W = 360.0
 _PANEL_H = 240.0
 _MARGIN = 45.0
+_LINE_WIDTH = 1.5
 
 
 def _num(x) -> str:
@@ -96,8 +146,9 @@ def _num(x) -> str:
 class _Panel:
     """Linear data-to-pixel mapping for one plot panel."""
 
-    def __init__(self, x0, y0, tmin, tmax, vmin, vmax, log_scale=False):
-        self.x0, self.y0 = x0, y0
+    def __init__(self, x0, t, vmin, vmax, log_scale):
+        self.x0 = x0
+        self.tmin, self.tmax = t[0], t[-1]
         self.log = log_scale
         if log_scale:
             # ratio-scale panels are drawn on log axes; clip keeps a
@@ -106,7 +157,6 @@ class _Panel:
             vmax = np.log(max(vmax, 1e-12))
         pad = 0.08 * (vmax - vmin) if vmax > vmin else 1.0
         self.vmin, self.vmax = vmin - pad, vmax + pad
-        self.tmin, self.tmax = tmin, tmax
 
     def px(self, t):
         span = self.tmax - self.tmin or 1.0
@@ -116,23 +166,22 @@ class _Panel:
         if self.log:
             v = np.log(max(v, 1e-12))
         span = self.vmax - self.vmin
-        return self.y0 + _PANEL_H - _MARGIN - (v - self.vmin) / span * (_PANEL_H - 2 * _MARGIN)
+        return _PANEL_H - _MARGIN - (v - self.vmin) / span * (_PANEL_H - 2 * _MARGIN)
 
-    def polyline(self, t, v, stroke, dash=None, width=1.5):
-        pts = " ".join(f"{_num(self.px(a))},{_num(self.py(b))}" for a, b in zip(t, v))
+    def _points(self, t, v):
+        return [f"{_num(self.px(a))},{_num(self.py(b))}" for a, b in zip(t, v)]
+
+    def polyline(self, t, v, stroke, dash=None):
+        pts = " ".join(self._points(t, v))
         d = f' stroke-dasharray="{dash}"' if dash else ""
         return (
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{width}"{d}/>'
+            f'stroke-width="{_LINE_WIDTH}"{d}/>'
         )
 
     def polygon(self, t, v_low, v_high, fill):
-        fwd = [f"{_num(self.px(a))},{_num(self.py(b))}" for a, b in zip(t, v_low)]
-        rev = [
-            f"{_num(self.px(a))},{_num(self.py(b))}"
-            for a, b in zip(t[::-1], np.asarray(v_high)[::-1])
-        ]
-        return f'<polygon points="{" ".join(fwd + rev)}" fill="{fill}" stroke="none"/>'
+        pts = " ".join(self._points(t, v_low) + self._points(t[::-1], np.asarray(v_high)[::-1]))
+        return f'<polygon points="{pts}" fill="{fill}" stroke="none"/>'
 
     def marker(self, t, v, fill):
         return (
@@ -142,52 +191,54 @@ class _Panel:
 
     def frame(self, title):
         x = self.x0 + _MARGIN
-        y = self.y0 + _MARGIN
+        y = _MARGIN
         w = _PANEL_W - 2 * _MARGIN
         h = _PANEL_H - 2 * _MARGIN
         return (
             f'<rect x="{_num(x)}" y="{_num(y)}" width="{_num(w)}" height="{_num(h)}" '
             f'fill="none" stroke="black" stroke-width="1"/>'
-            f'<text x="{_num(self.x0 + _PANEL_W / 2)}" y="{_num(self.y0 + _MARGIN - 10)}" '
+            f'<text x="{_num(self.x0 + _PANEL_W / 2)}" y="{_num(_MARGIN - 10)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="13">{title}</text>'
         )
 
 
-def _svg_document(width, height, body) -> str:
+def _band_panels_svg(t, panels, shade, line) -> str:
+    """Side-by-side panels on grid points ``t``. Each panel is a tuple
+    (title, equivalence BandPair, shaded lower, shaded upper, center curve,
+    marker grid indices): the dashed band, the region filled with ``shade``,
+    the center curve stroked with ``line`` and a marker on it at each index."""
+    body = []
+    for k, (title, eq, lower, upper, center, markers) in enumerate(panels):
+        stack = [eq.lower, eq.upper, center, lower, upper]
+        vmin = min(float(np.min(a)) for a in stack)
+        vmax = max(float(np.max(a)) for a in stack)
+        p = _Panel(k * _PANEL_W, t, vmin, vmax, eq.kind is BandKind.MULTIPLICATIVE)
+        body.append(p.frame(title))
+        body.append(p.polygon(t, lower, upper, shade))
+        body.append(p.polyline(t, eq.lower, "black", dash="6,4"))
+        body.append(p.polyline(t, eq.upper, "black", dash="6,4"))
+        body.append(p.polyline(t, center, line))
+        body.extend(p.marker(t[int(i)], center[int(i)], "#cc2222") for i in markers)
+    w, h = int(_PANEL_W * len(panels)), int(_PANEL_H)
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(width)}" '
-        f'height="{int(height)}" viewBox="0 0 {int(width)} {int(height)}">\n'
-        + "\n".join(body)
-        + "\n</svg>\n"
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'
+        + "\n".join(body) + "\n</svg>\n"
     )
 
 
 def tost_report_svg(report: TostReport) -> str:
     """Panels per metric: equivalence bands (dashed), shaded overlap of the two
     one-sided confidence regions, estimate curve, and violation markers."""
-    t = report.grid.points
-    metrics = sorted(report.results.keys(), key=lambda m: m.value)
-    body = []
-    for k, metric in enumerate(metrics):
-        res = report.results[metric]
-        log_scale = res.eq_band.kind is BandKind.MULTIPLICATIVE
-        lo = res.bands.upper_of_lower_ci
-        hi = res.bands.lower_of_upper_ci
-        stack = [res.eq_band.lower, res.eq_band.upper, res.estimate, lo, hi]
-        vmin = min(float(np.min(a)) for a in stack)
-        vmax = max(float(np.max(a)) for a in stack)
-        p = _Panel(k * _PANEL_W, 0.0, t[0], t[-1], vmin, vmax, log_scale)
-        verdict = "reject" if res.reject else "fail to reject"
-        body.append(p.frame(f"{_METRIC_TITLES[metric]} ({verdict})"))
-        body.append(p.polygon(t, lo, hi, "#b9c8e8"))
-        body.append(p.polyline(t, res.eq_band.lower, "black", dash="6,4"))
-        body.append(p.polyline(t, res.eq_band.upper, "black", dash="6,4"))
-        body.append(p.polyline(t, res.estimate, "#1f3d99"))
-        for i in res.violations:
-            i = int(i)
-            body.append(p.marker(t[i], res.estimate[i], "#cc2222"))
-    return _svg_document(_PANEL_W * len(metrics), _PANEL_H, body)
+    panels = [
+        (
+            f"{_METRIC_TITLES[metric]} ({'reject' if res.reject else 'fail to reject'})",
+            res.eq_band, res.bands.upper_of_lower_ci, res.bands.lower_of_upper_ci,
+            res.estimate, res.violations,
+        )
+        for metric, res in _by_metric(report.results.items())
+    ]
+    return _band_panels_svg(report.grid.points, panels, "#b9c8e8", "#1f3d99")
 
 
 def posterior_summary_json(draws, probs: dict, gamma: float) -> str:
@@ -200,11 +251,7 @@ def posterior_summary_json(draws, probs: dict, gamma: float) -> str:
         "rhat_warning": bool(draws.rhat_warning),
         "acceptance": {k: float(v) for k, v in sorted(draws.acceptance.items())},
         "grid": _floats(draws.grid_points),
-        "posterior_median": {
-            "theta": _floats(np.median(draws.theta, axis=0)),
-            "lambda": _floats(np.median(draws.lam, axis=0)),
-            "psi": _floats(np.median(draws.psi, axis=0)),
-        },
+        "posterior_median": {m.value: _floats(np.median(draws.metric(m), axis=0)) for m in Metric},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -216,20 +263,12 @@ def posterior_bands_svg(draws, sim_bands: dict, eq_bands: dict) -> str:
     ``sim_bands`` maps Metric to SimultaneousBand (ratio metrics on the ratio
     scale); ``eq_bands`` maps Metric to BandPair.
     """
-    t = np.asarray(draws.grid_points, dtype=float)
-    metrics = sorted(sim_bands.keys(), key=lambda m: m.value)
-    body = []
-    for k, metric in enumerate(metrics):
-        sb = sim_bands[metric]
-        eq = eq_bands[metric]
-        log_scale = eq.kind is BandKind.MULTIPLICATIVE
-        stack = [eq.lower, eq.upper, sb.lower, sb.upper]
-        vmin = min(float(np.min(a)) for a in stack)
-        vmax = max(float(np.max(a)) for a in stack)
-        p = _Panel(k * _PANEL_W, 0.0, t[0], t[-1], vmin, vmax, log_scale)
-        body.append(p.frame(f"{_METRIC_TITLES[metric]} ({int(round(sb.coverage * 100))}% band)"))
-        body.append(p.polygon(t, sb.lower, sb.upper, "#c5e0c5"))
-        body.append(p.polyline(t, eq.lower, "black", dash="6,4"))
-        body.append(p.polyline(t, eq.upper, "black", dash="6,4"))
-        body.append(p.polyline(t, sb.center, "#1f7a33"))
-    return _svg_document(_PANEL_W * len(metrics), _PANEL_H, body)
+    panels = [
+        (
+            f"{_METRIC_TITLES[metric]} ({int(round(sb.coverage * 100))}% band)",
+            eq_bands[metric], sb.lower, sb.upper, sb.center, (),
+        )
+        for metric, sb in _by_metric(sim_bands.items())
+    ]
+    return _band_panels_svg(np.asarray(draws.grid_points, dtype=float), panels,
+                            "#c5e0c5", "#1f7a33")

@@ -152,6 +152,52 @@ class TestTostMode:
         assert "bad-emit" in capsys.readouterr().err
 
 
+def refuse_engines(monkeypatch):
+    """Make every engine entry point of the CLI fail the test if it runs."""
+    import feqt.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("engine ran before the arguments were checked")
+
+    for name in ("run_tost", "calibrate_prior_scale", "run_mwg", "run_study"):
+        monkeypatch.setattr(cli, name, never)
+
+
+class TestArgumentsCheckedFirst:
+    @pytest.mark.parametrize("argv", [
+        ["tost", "--replicates", "200"],
+        ["bayes", "--chains", "2", "--iters", "1200"],
+        ["simulate", "--scenarios", "size-theta", "--replicates", "50"],
+    ])
+    def test_bad_emit_before_the_engine(self, equivalent_file, tmp_path, capsys, monkeypatch, argv):
+        refuse_engines(monkeypatch)
+        if argv[0] != "simulate":
+            argv = argv + ["--input", equivalent_file]
+        out = tmp_path / "out"
+        code = run_cli(argv + ["--emit", "csv,pdf", "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert "error [bad-emit]: unknown emit flags: ['pdf']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--gamma", "1.5"], "--gamma must lie in (0, 1), got 1.5"),
+        (["--chains", "1", "--iters", "700", "--burnin", "500", "--thin", "10"],
+         "keep 20 posterior draws; need at least 100"),
+        (["--iters", "500", "--burnin", "500"], "keep 0 posterior draws"),
+        (["--thin", "0"], "--thin must be at least 1, got 0"),
+    ])
+    def test_bad_bayes_argument_before_calibration(
+        self, equivalent_file, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        refuse_engines(monkeypatch)
+        out = tmp_path / "out"
+        code = run_cli(["bayes", "--input", equivalent_file, "--out", str(out), *flags])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error [bad-argument]: ") and message in err
+        assert not out.exists()
+
+
 class TestUsageErrors:
     """argparse usage errors exit 1, never the fail-to-reject code 2."""
 

@@ -114,21 +114,15 @@ class TestPriorSpec:
     def test_band_kind_enforcement(self, grid8):
         add = make_cosine_bands(grid8, BandKind.ADDITIVE)
         mult = make_cosine_bands(grid8, BandKind.MULTIPLICATIVE)
-        good = PriorSpec(
+        PriorSpec(
             mean_prior=GPBandPrior(0.3, 0.1, add),
             error_var_prior=GPBandPrior(0.3, 0.1, mult),
             reffect_var_prior=GPBandPrior(0.3, 0.1, mult),
         )
-        assert good.gamma == 0.95
         with pytest.raises(ValueError, match="additive"):
             PriorSpec(GPBandPrior(0.3, 0.1, mult), GPBandPrior(0.3, 0.1, mult), GPBandPrior(0.3, 0.1, mult))
         with pytest.raises(ValueError, match="multiplicative"):
             PriorSpec(GPBandPrior(0.3, 0.1, add), GPBandPrior(0.3, 0.1, add), GPBandPrior(0.3, 0.1, mult))
-        with pytest.raises(ValueError, match="gamma"):
-            PriorSpec(
-                GPBandPrior(0.3, 0.1, add), GPBandPrior(0.3, 0.1, mult),
-                GPBandPrior(0.3, 0.1, mult), gamma=1.5,
-            )
 
     def test_offsets_log_for_multiplicative(self, grid8):
         mult = make_cosine_bands(grid8, BandKind.MULTIPLICATIVE)

@@ -119,6 +119,28 @@ class TestPriorEquivalence:
         assert probs[0] > probs[1] > probs[2]
 
 
+class TestCalibrationSearch:
+    def test_no_point_evaluated_twice(self, grid25, monkeypatch):
+        real = mvnprob_mod.prior_equivalence_prob
+        scales = []
+
+        def counting(range_a, s2, *args, **kwargs):
+            scales.append(s2)
+            return real(range_a, s2, *args, **kwargs)
+
+        monkeypatch.setattr(mvnprob_mod, "prior_equivalence_prob", counting)
+        kb = make_cosine_bands(grid25, BandKind.ADDITIVE)
+        s2 = calibrate_prior_scale(0.3, kb, grid25, 0.01, seed=5)
+        assert repr(s2) == "0.09549981016408426"
+        assert scales[:2] == [np.exp(-12.0), np.exp(8.0)]
+        assert len(scales) == len(set(scales)) == 10
+
+    def test_unattainable_target_names_the_bracket(self, grid25):
+        kb = make_cosine_bands(grid25, BandKind.ADDITIVE)
+        with pytest.raises(ValueError, match="not attainable on the bracket"):
+            calibrate_prior_scale(0.3, kb, grid25, 0.9, seed=1)
+
+
 class TestCalibrationPinned:
     def test_criterion_3_scale_unchanged(self, grid25):
         """The QMC path at the criterion 3 arguments reproduces the scale it
