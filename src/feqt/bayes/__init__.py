@@ -2,17 +2,15 @@
 correlation, Log-GP variance priors, mixture GP mean priors, prior calibration,
 Metropolis-within-Gibbs sampling, and posterior equivalence summaries."""
 
-from .kernels import MaternKernel, matern_corr
-from .model import PriorSpec, GPBandPrior, paired_block_loglik
+from .kernels import matern_corr
+from .model import PriorSpec, paired_block_loglik
 from .mvnprob import RectangleProb, mvn_rectangle_prob, calibrate_prior_scale, prior_equivalence_prob
 from .posterior import PosteriorDraws, posterior_equivalence_prob, simultaneous_bands, SimultaneousBand
 from .sampler import run_mwg
 
 __all__ = [
-    "MaternKernel",
     "matern_corr",
     "PriorSpec",
-    "GPBandPrior",
     "paired_block_loglik",
     "RectangleProb",
     "mvn_rectangle_prob",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import kv
 
@@ -13,35 +11,20 @@ from ..fdata import Grid
 JITTER = 1e-10
 
 
-@dataclass(frozen=True)
-class MaternKernel:
-    """Matern correlation with range ``range_a``.
+def matern_corr(range_a: float, grid: Grid) -> np.ndarray:
+    """T-by-T Matern correlation matrix with range ``range_a`` on the grid.
 
     Smoothness is fixed at nu = 2: corr(d) = (1/2) (d/a)^2 K_2(d/a), with the
-    analytic limit 1 at d = 0.
+    analytic limit 1 at d = 0, so the diagonal is exactly 1.
     """
-
-    range_a: float
-
-    def __post_init__(self):
-        if self.range_a <= 0.0:
-            raise ValueError("kernel range must be positive")
-
-    def correlation(self, d) -> np.ndarray:
-        """Correlation at distances ``d`` (elementwise)."""
-        x = np.asarray(d, dtype=float) / self.range_a
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.ones_like(x)
-        pos = x > 0.0
-        out[pos] = 0.5 * x[pos] ** 2 * kv(2, x[pos])
-        return out[0] if scalar else out
-
-
-def matern_corr(kernel: MaternKernel, grid: Grid) -> np.ndarray:
-    """T-by-T correlation matrix of the kernel on the grid (unit diagonal)."""
+    if range_a <= 0.0:
+        raise ValueError("kernel range must be positive")
     t = grid.points
-    return kernel.correlation(np.abs(t[:, None] - t[None, :]))
+    x = np.abs(t[:, None] - t[None, :]) / range_a
+    out = np.ones_like(x)
+    pos = x > 0.0
+    out[pos] = 0.5 * x[pos] ** 2 * kv(2, x[pos])
+    return out
 
 
 def corr_cholesky(corr: np.ndarray) -> np.ndarray:

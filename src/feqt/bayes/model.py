@@ -12,43 +12,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fdata import BandKind, BandPair
+from ..tost import Metric
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
-class GPBandPrior:
-    """A band-centred GP prior family: Matern range, scale, and the band pair
-    whose curves act as the two 50/50 mixture centers."""
+class PriorSpec:
+    """The band-centred GP priors of the three metrics: one Matern range and
+    scale, and each metric's equivalence bands, whose two curves act as the
+    50/50 mixture centers of its prior."""
 
     range_a: float
     scale_s2: float
-    bands: BandPair
+    bands: dict  # Metric -> BandPair
 
     def __post_init__(self):
         if self.range_a <= 0.0 or self.scale_s2 <= 0.0:
             raise ValueError("prior range and scale must be positive")
+        for m in Metric:
+            if m not in self.bands or self.bands[m].kind is not m.band_kind:
+                raise ValueError(f"{m.value} prior needs {m.band_kind.value} bands")
 
-    def offsets(self) -> tuple:
-        """The two mixture offsets on the band's working scale."""
-        return self.bands.to_working(self.bands.lower), self.bands.to_working(self.bands.upper)
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    """Hyperparameters of the three metric priors."""
-
-    mean_prior: GPBandPrior  # additive bands
-    error_var_prior: GPBandPrior  # multiplicative bands
-    reffect_var_prior: GPBandPrior  # multiplicative bands
-
-    def __post_init__(self):
-        if self.mean_prior.bands.kind is not BandKind.ADDITIVE:
-            raise ValueError("mean prior needs additive bands")
-        for p in (self.error_var_prior, self.reffect_var_prior):
-            if p.bands.kind is not BandKind.MULTIPLICATIVE:
-                raise ValueError("variance priors need multiplicative bands")
+    def offsets(self, metric: Metric) -> np.ndarray:
+        """The (2, T) mixture offsets of ``metric`` on its band's working scale."""
+        b = self.bands[metric]
+        return np.stack([b.to_working(b.lower), b.to_working(b.upper)])
 
 
 def channel_term(l, s):

@@ -21,8 +21,8 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
-from ..fdata import BandPair, Grid
-from .kernels import MaternKernel, matern_corr, JITTER
+from ..fdata import BandPair
+from .kernels import matern_corr, JITTER
 
 _PHI_EPS = 1e-15
 #: Independently scrambled Sobol streams per rectangle probability.
@@ -179,7 +179,6 @@ def prior_equivalence_prob(
     range_a: float,
     s2: float,
     bands: BandPair,
-    grid: Grid,
     accuracy: float = 1e-3,
     *,
     rel_accuracy: float = None,
@@ -189,11 +188,11 @@ def prior_equivalence_prob(
 
     The difference-of-curves prior implied by the band-centred construction is
     a 50/50 mixture of GPs with means at the lower and upper band and
-    covariance ``2 * s2 * Matern(range_a)``; multiplicative metrics are
-    handled on the log scale.
+    covariance ``2 * s2 * Matern(range_a)`` on the bands' grid; multiplicative
+    metrics are handled on the log scale.
     """
     lo, hi = bands.to_working(bands.lower), bands.to_working(bands.upper)
-    cov = 2.0 * s2 * matern_corr(MaternKernel(range_a), grid)
+    cov = 2.0 * s2 * matern_corr(range_a, bands.grid)
     parts = [
         mvn_rectangle_prob(m, cov, lo, hi, accuracy, rel_accuracy=rel_accuracy, seed=seed + i)
         for i, m in enumerate((lo, hi))
@@ -206,7 +205,6 @@ def prior_equivalence_prob(
 def calibrate_prior_scale(
     range_a: float,
     bands: BandPair,
-    grid: Grid,
     target: float,
     *,
     seed: int = 0,
@@ -221,7 +219,7 @@ def calibrate_prior_scale(
 
     def f(log_s2):
         p = prior_equivalence_prob(
-            range_a, float(np.exp(log_s2)), bands, grid, _CALIBRATION_REL_TOL * target,
+            range_a, float(np.exp(log_s2)), bands, _CALIBRATION_REL_TOL * target,
             rel_accuracy=_CALIBRATION_REL_TOL, seed=seed,
         )
         return np.log(p.estimate) - np.log(target)

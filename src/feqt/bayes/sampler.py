@@ -33,8 +33,9 @@ from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from ..fdata import GroupedPairedSample
-from .kernels import MaternKernel, matern_corr, corr_cholesky
-from .model import GPBandPrior, PriorSpec, block_loglik, channel_term, rho_terms
+from ..tost import Metric
+from .kernels import matern_corr, corr_cholesky
+from .model import PriorSpec, block_loglik, channel_term, rho_terms
 from .posterior import PosteriorDraws
 
 _TARGET_ACCEPT = 0.3
@@ -54,14 +55,11 @@ class SamplerDivergenceError(RuntimeError):
 
 
 class _Mixture(NamedTuple):
-    """A pair of channel curves under a band-centred mixture GP prior."""
+    """A pair of channel curves under a band-centred mixture of the prior GP."""
 
     curves: str  # state key of the (chains, 2, T) curves
     hyper: str  # state key of the flat-prior hyper-mean
     indicator: str  # state key of the mixture indicator
-    lcorr: np.ndarray  # Cholesky factor of the prior correlation
-    lcov: np.ndarray  # Cholesky factor of the prior covariance
-    prec: np.ndarray  # prior precision
     offsets: np.ndarray  # (2, T) mixture offsets on the working scale
 
 
@@ -163,7 +161,8 @@ class MwgSampler:
     Every state array has a leading chain axis, and the update methods take
     one generator per chain. The class also exposes prior simulation and data
     regeneration so the Geweke-style successive-conditional check can reuse
-    the exact conditional updates it validates.
+    the exact conditional updates it validates. The three metric priors share
+    one GP, factorized once: ``lcorr``, ``lcov`` and ``prec``.
     """
 
     def __init__(self, data: GroupedPairedSample, prior: PriorSpec):
@@ -174,32 +173,26 @@ class MwgSampler:
         self.N = data.n_total
         self.labels = data.group_labels()
         self._set_data(data.stacked()[None])
-        self.prior = prior
 
-        eye = np.eye(self.T)
+        corr = matern_corr(prior.range_a, self.grid)
+        self.lcorr = corr_cholesky(corr)
+        self.lcov = np.sqrt(prior.scale_s2) * self.lcorr
+        self.prec = cho_solve((corr_cholesky(prior.scale_s2 * corr), True), np.eye(self.T))
 
-        def mixture(curves, hyper, indicator, p: GPBandPrior):
-            corr = matern_corr(MaternKernel(p.range_a), self.grid)
-            lcorr = corr_cholesky(corr)
-            cov = p.scale_s2 * corr
-            lcov = np.sqrt(p.scale_s2) * lcorr
-            prec = cho_solve((np.linalg.cholesky(cov + 1e-10 * eye), True), eye)
-            return _Mixture(curves, hyper, indicator, lcorr, lcov, prec, np.stack(p.offsets()))
-
-        self.mu_mix = mixture("mu", "mu0", "d_mu", prior.mean_prior)
+        self.mu_mix = _Mixture("mu", "mu0", "d_mu", prior.offsets(Metric.THETA))
         # the prior blocks of the mean update's precision; "+ 0.0" turns a
         # -0.0 into +0.0, as adding the likelihood's diagonal matrix did
         self._mu_prec_base = np.zeros((1, 2 * self.T, 2 * self.T))
-        self._mu_prec_base[0, : self.T, : self.T] = self.mu_mix.prec + 0.0
-        self._mu_prec_base[0, self.T :, self.T :] = self.mu_mix.prec + 0.0
+        self._mu_prec_base[0, : self.T, : self.T] = self.prec + 0.0
+        self._mu_prec_base[0, self.T :, self.T :] = self.prec + 0.0
         self.levels = (
             _Level(
-                mixture("leps", "tau_e", "d_e", prior.error_var_prior), "rho_e",
+                _Mixture("leps", "tau_e", "d_e", prior.offsets(Metric.LAMBDA)), "rho_e",
                 ("leps_1", "leps_2"), float(self.N),
                 lambda s: self.y - np.take(s["alpha"], self.labels, axis=1),
             ),
             _Level(
-                mixture("lalp", "tau_a", "d_a", prior.reffect_var_prior), "rho_a",
+                _Mixture("lalp", "tau_a", "d_a", prior.offsets(Metric.PSI)), "rho_a",
                 ("lalp_1", "lalp_2"), float(self.A),
                 lambda s: s["alpha"] - s["mu"][:, None],
             ),
@@ -275,8 +268,8 @@ class MwgSampler:
         state.update({m.indicator: _coin_flips(rngs) for m in mixes})
         for m in mixes:
             hyper = state[m.hyper]
-            c1 = hyper + _mv(m.lcov, _normals(rngs, (self.T,)))
-            c2 = hyper - m.offsets[state[m.indicator]] + _mv(m.lcov, _normals(rngs, (self.T,)))
+            c1 = hyper + _mv(self.lcov, _normals(rngs, (self.T,)))
+            c2 = hyper - m.offsets[state[m.indicator]] + _mv(self.lcov, _normals(rngs, (self.T,)))
             state[m.curves] = np.stack([c1, c2], axis=1)
         for lv in self.levels:
             state[lv.rho] = np.stack([r.uniform(-1.0, 1.0, self.T) for r in rngs])
@@ -330,7 +323,6 @@ class MwgSampler:
 
     def _update_mu(self, state, prec_a, rngs):
         T, A = self.T, self.A
-        pmu = self.mu_mix.prec
         pa11, pa12, pa22 = prec_a
         abar = state["alpha"].mean(axis=1)  # (chains, 2, T)
         P = _batch(self._mu_prec_base, len(rngs))
@@ -343,8 +335,8 @@ class MwgSampler:
         flat[:, 2 * T * T :: n] = od
         h = np.empty((len(rngs), 2 * T))
         prior2 = state["mu0"] - self.mu_mix.offsets[state["d_mu"]]
-        h[:, :T] = _mv(pmu, state["mu0"]) + A * (pa11 * abar[:, 0] + pa12 * abar[:, 1])
-        h[:, T:] = _mv(pmu, prior2) + A * (pa12 * abar[:, 0] + pa22 * abar[:, 1])
+        h[:, :T] = _mv(self.prec, state["mu0"]) + A * (pa11 * abar[:, 0] + pa12 * abar[:, 1])
+        h[:, T:] = _mv(self.prec, prior2) + A * (pa12 * abar[:, 0] + pa22 * abar[:, 1])
         L = np.linalg.cholesky(P)
         z = _normals(rngs, (2 * T,))
         # a non-finite chain passes through, to be reported by the
@@ -361,8 +353,8 @@ class MwgSampler:
         x = state[m.curves]
         if not self.fixed_hypers:
             mean = 0.5 * (x[:, 0] + x[:, 1] + m.offsets[state[m.indicator]])
-            state[m.hyper] = mean + _mv(m.lcov / np.sqrt(2.0), _normals(rngs, (self.T,)))
-        logw = [_quad(m.prec, x[:, 1] - (state[m.hyper] - o)) for o in m.offsets]
+            state[m.hyper] = mean + _mv(self.lcov / np.sqrt(2.0), _normals(rngs, (self.T,)))
+        logw = [_quad(self.prec, x[:, 1] - (state[m.hyper] - o)) for o in m.offsets]
         p1 = 1.0 / (1.0 + np.exp(logw[0] - logw[1]))
         state[m.indicator] = (_uniforms(rngs) < p1).astype(int)
 
@@ -397,16 +389,16 @@ class MwgSampler:
         l = state[m.curves]
         terms = [channel_term(l[:, j], sums[j]) for j in (0, 1)]
         ll = loglik(*terms, l[:, 0] + l[:, 1])
-        prior = [_quad(m.prec, l[:, j] - centers[j]) for j in (0, 1)]
+        prior = [_quad(self.prec, l[:, j] - centers[j]) for j in (0, 1)]
         for _ in range(_INNER_REPEATS):
             for j in (0, 1):
                 key = lv.steps[j]
                 cur = ll + prior[j]
-                lj = l[:, j] + self.steps[key][:, None] * _mv(m.lcorr, _normals(rngs, (self.T,)))
+                lj = l[:, j] + self.steps[key][:, None] * _mv(self.lcorr, _normals(rngs, (self.T,)))
                 tj = channel_term(lj, sums[j])
                 pair = (tj, terms[1], lj + l[:, 1]) if j == 0 else (terms[0], tj, l[:, 0] + lj)
                 ll_new = loglik(*pair)
-                prior_new = _quad(m.prec, lj - centers[j])
+                prior_new = _quad(self.prec, lj - centers[j])
                 if not np.isfinite(cur).all():
                     raise SamplerDivergenceError("non-finite log-posterior", dict(state))
                 accepted = np.log(_uniforms(rngs)) < ll_new + prior_new - cur

@@ -13,18 +13,16 @@ given. A ``--config`` file supplies defaults; flags given explicitly win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from pathlib import Path
 
-from .fdata import (
-    BandKind, GroupedPairedSample, PairedFunctionalSample, equispaced_grid, make_cosine_bands,
-)
+from .fdata import GroupedPairedSample, PairedFunctionalSample, equispaced_grid, make_cosine_bands
 from .tost import BootstrapConfig, Design, Metric, TostDecision, run_tost
 from . import curvefile, report as report_mod
 from .bayes import (
-    GPBandPrior,
     PriorSpec,
     calibrate_prior_scale,
     posterior_equivalence_prob,
@@ -34,6 +32,7 @@ from .bayes import (
 from .bayes.posterior import MIN_POSTERIOR_DRAWS
 from .bayes.sampler import kept_draws
 from .simlab import (
+    MIN_STUDY_REPLICATES,
     boundary_violation_scenarios,
     default_truth,
     interior_scenarios,
@@ -47,6 +46,15 @@ EXIT_FAIL_TO_REJECT = 2
 _DESIGNS = {
     "matched": Design.MATCHED_PAIRS,
     "grouped": Design.RANDOM_EFFECTS_MATCHED,
+}
+
+#: Each mode's outputs: ``--emit`` flag -> file name, in write order.
+_OUTPUTS = {
+    "tost": {"json": "tost_report.json", "csv": "tost_report.csv", "svg": "tost_report.svg"},
+    "bayes": {"json": "posterior_summary.json", "svg": "posterior_bands.svg"},
+    "simulate": {"csv": "study_result.csv", "json": "study_result.json"},
+    "bands": {"csv": "bands.csv", "json": "bands.json"},
+    "report": {"svg": "tost_report.svg", "csv": "tost_report.csv"},
 }
 
 
@@ -113,31 +121,41 @@ def _resolve_seed(args):
     return 0
 
 
-def _emit_flags(emit):
+def _emit_flags(mode, emit):
     flags = {f.strip() for f in emit.split(",") if f.strip()}
-    bad = flags - {"csv", "json", "svg"}
+    bad = flags - {f for outputs in _OUTPUTS.values() for f in outputs}
     if bad:
         raise CliError("bad-emit", f"unknown emit flags: {sorted(bad)}")
+    outputs = _OUTPUTS[mode]
+    bad = flags - set(outputs)
+    if bad:
+        raise CliError("bad-emit", f"{mode} has no {','.join(sorted(bad))} output; "
+                       f"it emits {','.join(outputs)}")
     return flags
 
 
-def _emit(args, outputs):
-    """Write, in table order, each output whose flag ``--emit`` names;
-    ``outputs`` maps a flag to (file name, render)."""
+def _emit(args, renders):
+    """Write, in table order, each of the mode's outputs that ``--emit``
+    names; ``renders`` maps each flag of the mode to its render."""
     outdir = Path(args.out)
-    for flag, (name, render) in outputs.items():
+    for flag, name in _OUTPUTS[args.mode].items():
         if flag in args.emit:
             outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / name).write_text(render(), encoding="utf-8")
+            (outdir / name).write_text(renders[flag](), encoding="utf-8")
 
 
-def _eq_bands(grid, include_psi=True):
-    add = make_cosine_bands(grid, BandKind.ADDITIVE)
-    mult = make_cosine_bands(grid, BandKind.MULTIPLICATIVE)
-    bands = {Metric.THETA: add, Metric.LAMBDA: mult}
-    if include_psi:
-        bands[Metric.PSI] = mult
-    return bands
+@contextlib.contextmanager
+def _argument_errors():
+    """Report the ``ValueError`` of an object refusing its arguments as
+    ``bad-argument``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError("bad-argument", str(exc)) from None
+
+
+def _eq_bands(grid, metrics=Metric):
+    return {m: make_cosine_bands(grid, m.band_kind) for m in metrics}
 
 
 def _load_sample(args):
@@ -155,9 +173,10 @@ def _load_sample(args):
 
 def _mode_tost(args):
     seed = _resolve_seed(args)
-    sample = _load_sample(args)
     design = _DESIGNS[args.design]
-    cfg = BootstrapConfig(args.replicates, args.alpha, seed, design)
+    with _argument_errors():
+        cfg = BootstrapConfig(args.replicates, args.alpha, seed, design)
+    sample = _load_sample(args)
     if design is Design.RANDOM_EFFECTS_MATCHED and not isinstance(sample, GroupedPairedSample):
         raise CliError("design-mismatch", "grouped design requires a multi-group curve file")
     if design is Design.MATCHED_PAIRS and not isinstance(sample, PairedFunctionalSample):
@@ -174,13 +193,13 @@ def _mode_tost(args):
                     f"grouped design needs at least 2 pairs per group; group {i} "
                     f"(in group id order) has {n}",
                 )
-    include_psi = design is Design.RANDOM_EFFECTS_MATCHED
-    bands = _eq_bands(sample.grid, include_psi=include_psi)
+    grouped = design is Design.RANDOM_EFFECTS_MATCHED
+    bands = _eq_bands(sample.grid, Metric if grouped else (Metric.THETA, Metric.LAMBDA))
     rep = run_tost(sample, cfg, bands)
     _emit(args, {
-        "json": ("tost_report.json", lambda: report_mod.tost_report_json(rep)),
-        "csv": ("tost_report.csv", lambda: report_mod.tost_report_csv(rep)),
-        "svg": ("tost_report.svg", lambda: report_mod.tost_report_svg(rep)),
+        "json": lambda: report_mod.tost_report_json(rep),
+        "csv": lambda: report_mod.tost_report_csv(rep),
+        "svg": lambda: report_mod.tost_report_svg(rep),
     })
     print(f"decision: {rep.decision.value}")
     if rep.lambda_noninferiority is not None:
@@ -204,18 +223,15 @@ def _mode_bayes(args):
     sample = _load_sample(args)
     if not isinstance(sample, GroupedPairedSample):
         raise CliError("design-mismatch", "bayes mode requires a multi-group curve file")
-    grid = sample.grid
-    eq = _eq_bands(grid)
-    add, mult = eq[Metric.THETA], eq[Metric.LAMBDA]
-    if args.scale is not None:
-        s2 = args.scale
-    else:
-        s2 = calibrate_prior_scale(args.range_a, add, grid, args.calibrate_target, seed=seed)
-    prior = PriorSpec(
-        mean_prior=GPBandPrior(args.range_a, s2, add),
-        error_var_prior=GPBandPrior(args.range_a, s2, mult),
-        reffect_var_prior=GPBandPrior(args.range_a, s2, mult),
-    )
+    eq = _eq_bands(sample.grid)
+    with _argument_errors():
+        if args.scale is not None:
+            s2 = args.scale
+        else:
+            s2 = calibrate_prior_scale(
+                args.range_a, eq[Metric.THETA], args.calibrate_target, seed=seed
+            )
+        prior = PriorSpec(args.range_a, s2, eq)
     draws = run_mwg(
         sample, prior, chains=args.chains, iters=args.iters,
         burnin=args.burnin, thin=args.thin, seed=seed,
@@ -223,9 +239,8 @@ def _mode_bayes(args):
     probs = posterior_equivalence_prob(draws, eq)
     sim = lambda: {m: simultaneous_bands(draws.metric(m), args.gamma) for m in eq}
     _emit(args, {
-        "json": ("posterior_summary.json",
-                 lambda: report_mod.posterior_summary_json(draws, probs, args.gamma)),
-        "svg": ("posterior_bands.svg", lambda: report_mod.posterior_bands_svg(draws, sim(), eq)),
+        "json": lambda: report_mod.posterior_summary_json(draws, probs, args.gamma),
+        "svg": lambda: report_mod.posterior_bands_svg(draws, sim(), eq),
     })
     for key in sorted(probs):
         print(f"P[equivalence | data] {key}: {probs[key]:.4f}")
@@ -248,16 +263,19 @@ _SCENARIO_KINDS = {
 def _mode_simulate(args):
     seed = _resolve_seed(args)
     builder, metric = _SCENARIO_KINDS[args.scenarios]
-    grid = equispaced_grid(args.grid_size)
-    truth = default_truth(grid, args.groups, args.group_size)
-    bands = _eq_bands(grid)[metric]
+    if args.replicates < MIN_STUDY_REPLICATES:
+        raise CliError("bad-argument", f"--replicates must be at least {MIN_STUDY_REPLICATES}, "
+                       f"got {args.replicates}")
+    with _argument_errors():
+        cfg = BootstrapConfig(
+            args.replicates_bootstrap, args.alpha, 0, Design.RANDOM_EFFECTS_MATCHED
+        )
+        grid = equispaced_grid(args.grid_size)
+        truth = default_truth(grid, args.groups, args.group_size)
+    bands = make_cosine_bands(grid, metric.band_kind)
     seq = builder(truth, bands, metric)
-    cfg = BootstrapConfig(args.replicates_bootstrap, args.alpha, 0, Design.RANDOM_EFFECTS_MATCHED)
     result = run_study(seq, args.replicates, cfg, {metric: bands}, seed=seed)
-    _emit(args, {
-        "csv": ("study_result.csv", result.to_csv_text),
-        "json": ("study_result.json", result.to_json_text),
-    })
+    _emit(args, {"csv": result.to_csv_text, "json": result.to_json_text})
     for i in range(result.scenarios.size):
         print(
             f"scenario {result.scenarios[i]}: rate "
@@ -268,10 +286,11 @@ def _mode_simulate(args):
 
 
 def _mode_bands(args):
-    bands = _eq_bands(equispaced_grid(args.grid_size))
+    with _argument_errors():
+        bands = _eq_bands(equispaced_grid(args.grid_size))
     _emit(args, {
-        "csv": ("bands.csv", lambda: report_mod.bands_csv(bands)),
-        "json": ("bands.json", lambda: report_mod.bands_json(bands)),
+        "csv": lambda: report_mod.bands_csv(bands),
+        "json": lambda: report_mod.bands_json(bands),
     })
     print(f"emitted bands for a {args.grid_size}-point grid")
     return EXIT_OK
@@ -289,8 +308,8 @@ def _mode_report(args):
     except ValueError as exc:
         raise CliError("report-schema", str(exc)) from exc
     _emit(args, {
-        "svg": ("tost_report.svg", lambda: report_mod.tost_report_svg(rep)),
-        "csv": ("tost_report.csv", lambda: report_mod.tost_report_csv(rep)),
+        "svg": lambda: report_mod.tost_report_svg(rep),
+        "csv": lambda: report_mod.tost_report_csv(rep),
     })
     print(f"re-rendered report ({rep.decision.value})")
     return EXIT_OK
@@ -299,11 +318,12 @@ def _mode_report(args):
 # ----- argument parsing ---------------------------------------------------
 
 
-def _add_common(p):
+def _add_common(p, mode):
+    outputs = ",".join(_OUTPUTS[mode])
     p.add_argument("--config", help="key = value config file of defaults; flags override it")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: FEQT_SEED or 0)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--emit", default="csv,json,svg", help="comma list of csv,json,svg")
+    p.add_argument("--emit", default=outputs, help=f"comma list of {outputs} (default: all)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -325,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", choices=sorted(_DESIGNS), default="grouped")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--replicates", "-B", type=int, default=10000)
-    _add_common(p)
 
     p = sub.add_parser("bayes", help="Bayesian posterior equivalence analysis")
     p.add_argument("--input", required=True, help="curve file (grouped)")
@@ -338,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=None,
                    help="prior scale s2 (default: calibrate)")
     p.add_argument("--calibrate-target", type=float, default=0.01, dest="calibrate_target")
-    _add_common(p)
 
     p = sub.add_parser("simulate", help="size/power simulation study")
     p.add_argument("--scenarios", choices=sorted(_SCENARIO_KINDS), required=True)
@@ -348,15 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", type=int, default=20)
     p.add_argument("--group-size", type=int, default=20, dest="group_size")
     p.add_argument("--grid-size", type=int, default=25, dest="grid_size")
-    _add_common(p)
 
     p = sub.add_parser("bands", help="emit the cosine equivalence band curves")
     p.add_argument("--grid-size", type=int, default=25, dest="grid_size")
-    _add_common(p)
 
     p = sub.add_parser("report", help="re-render a saved TOST JSON report")
     p.add_argument("--input", required=True, help="tost_report.json")
-    _add_common(p)
+    for mode, p in sub.choices.items():
+        _add_common(p, mode)
     return parser
 
 
@@ -373,7 +390,7 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = _parse_args(parser, argv)
-        args.emit = _emit_flags(args.emit)
+        args.emit = _emit_flags(args.mode, args.emit)
         return _MODES[args.mode](args)
     except CliError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

@@ -90,12 +90,11 @@ def tost_report_from_json(payload) -> TostReport:
             if not all(0 <= i < T for i in m["violations"]):
                 raise ValueError(f"{name}.violations must index the {T}-point grid")
             c = {field: np.asarray(m[field], dtype=float) for field in _CURVE_FIELDS}
-            kind = BandKind.ADDITIVE if metric is Metric.THETA else BandKind.MULTIPLICATIVE
             results[metric] = MetricResult(
                 metric=metric,
                 estimate=c["estimate"],
                 bands=OneSidedBands(metric, c["overlap_upper"], c["overlap_lower"]),
-                eq_band=BandPair(grid, c["band_lower"], c["band_upper"], kind),
+                eq_band=BandPair(grid, c["band_lower"], c["band_upper"], metric.band_kind),
                 violations=np.asarray(m["violations"], dtype=int),
                 reject=bool(m["reject"]),
             )

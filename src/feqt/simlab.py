@@ -10,6 +10,7 @@ to that simplification.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from .fdata import (
 )
 from .estimators import DegenerateSpreadError, DegenerateVarianceError
 from .tost import BootstrapConfig, DegenerateReplicateError, Metric, run_tost
-from .bayes.kernels import MaternKernel, matern_corr, corr_cholesky
+from .bayes.kernels import matern_corr, corr_cholesky
 
 #: Failures on data too degenerate for the engine. A study records these per
 #: replicate; any other exception is a bug and propagates.
@@ -31,6 +32,9 @@ _REPLICATE_ERRORS = (DegenerateVarianceError, DegenerateSpreadError, DegenerateR
 
 #: Scenarios per sequence.
 _SCENARIOS = 9
+
+#: Fewest replicates per scenario a study accepts.
+MIN_STUDY_REPLICATES = 50
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class TruthSpec:
         if corr.shape != (T, T):
             raise ValueError(f"within_corr must be {T} x {T}")
         try:
-            np.linalg.cholesky(corr + 1e-10 * np.eye(T))
+            corr_cholesky(corr)
         except np.linalg.LinAlgError:
             raise ValueError("within_corr is not positive semidefinite") from None
         object.__setattr__(self, "within_corr", corr)
@@ -181,7 +185,7 @@ def default_truth(grid: Grid, n_groups: int = 20, group_size: int = 20) -> Truth
         s2_alpha=np.full((2, T), 0.004),
         rho_eps=np.full(T, 0.3),
         rho_alpha=np.full(T, 0.5),
-        within_corr=matern_corr(MaternKernel(0.1), grid),
+        within_corr=matern_corr(0.1, grid),
         group_sizes=np.full(n_groups, group_size, dtype=int),
     )
 
@@ -310,8 +314,8 @@ def run_study(
     cap) are recorded and excluded from the denominator rather than aborting
     the study; any other exception is a bug and propagates.
     """
-    if replicates < 50:
-        raise ValueError("need at least 50 replicates")
+    if replicates < MIN_STUDY_REPLICATES:
+        raise ValueError(f"need at least {MIN_STUDY_REPLICATES} replicates")
     metric = seq.metric
     counts = np.zeros(seq.count, dtype=int)
     done = np.zeros(seq.count, dtype=int)
@@ -321,7 +325,9 @@ def run_study(
             ss = np.random.SeedSequence(entropy=seed, spawn_key=(s, r))
             data = generate_dataset(truth, ss)
             rep_seed = int(ss.generate_state(1)[0] >> 1)
-            rep_cfg = BootstrapConfig(cfg.replicates, cfg.alpha, rep_seed, cfg.design)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # cfg warned of a low B when it was built
+                rep_cfg = BootstrapConfig(cfg.replicates, cfg.alpha, rep_seed, cfg.design)
             try:
                 reject = _frequentist_reject(data, rep_cfg, eq_bands, metric)
             except _REPLICATE_ERRORS as exc:

@@ -59,6 +59,12 @@ class Metric(enum.Enum):
     LAMBDA = "lambda"
     PSI = "psi"
 
+    @property
+    def band_kind(self) -> BandKind:
+        """The kind of the metric's equivalence bands: additive for the mean
+        difference, multiplicative for the variance ratios."""
+        return BandKind.ADDITIVE if self is Metric.THETA else BandKind.MULTIPLICATIVE
+
 
 class DegenerateReplicateError(RuntimeError):
     """A replicate stayed degenerate after the redraw cap was exhausted."""
@@ -78,7 +84,7 @@ class BootstrapConfig:
             warnings.warn(
                 f"B={self.replicates} bootstrap replicates is low; "
                 "1000 or more is recommended",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, at its caller
             )
         if not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 0.5)")
@@ -429,24 +435,19 @@ def ratio_bands(
     )
 
 
-_RATIO_METRICS = (Metric.LAMBDA, Metric.PSI)
-
-
 def _decide_metric(
     bands: OneSidedBands, eq_band: BandPair, estimate: np.ndarray
 ) -> MetricResult:
-    if bands.metric in _RATIO_METRICS:
-        if eq_band.kind is not BandKind.MULTIPLICATIVE:
-            raise ValueError(f"{bands.metric.value} requires multiplicative bands")
-    elif eq_band.kind is not BandKind.ADDITIVE:
-        raise ValueError("theta requires additive bands")
+    metric = bands.metric
+    if eq_band.kind is not metric.band_kind:
+        raise ValueError(f"{metric.value} requires {metric.band_kind.value} bands")
     # The shaded region [upper_of_lower_ci, lower_of_upper_ci] must lie
     # strictly inside the open band interval at every grid point.
     reject_lower = eq_band.lower < bands.upper_of_lower_ci
     reject_upper = eq_band.upper > bands.lower_of_upper_ci
     violations = np.flatnonzero(~(reject_lower & reject_upper))
     return MetricResult(
-        metric=bands.metric,
+        metric=metric,
         estimate=estimate,
         bands=bands,
         eq_band=eq_band,
@@ -517,19 +518,20 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
 
     bands = {}
     estimates = {}
-    if Metric.THETA in eq_bands:
-        bands[Metric.THETA] = theta_bands(draws.theta, est.theta_hat, cfg.alpha)
-        estimates[Metric.THETA] = est.theta_hat
-    if Metric.LAMBDA in eq_bands:
-        bands[Metric.LAMBDA] = ratio_bands(
-            draws.lam, est.lambda_hat, cfg.alpha, Metric.LAMBDA
-        )
-        estimates[Metric.LAMBDA] = est.lambda_hat
-    if Metric.PSI in eq_bands:
-        if draws.psi is None:
+    for metric in Metric:
+        if metric not in eq_bands:
+            continue
+        d, estimates[metric] = {
+            Metric.THETA: (draws.theta, est.theta_hat),
+            Metric.LAMBDA: (draws.lam, est.lambda_hat),
+            Metric.PSI: (draws.psi, est.psi_hat),
+        }[metric]
+        if d is None:
             raise ValueError("psi requires the random-effects design")
-        bands[Metric.PSI] = ratio_bands(draws.psi, est.psi_hat, cfg.alpha, Metric.PSI)
-        estimates[Metric.PSI] = est.psi_hat
+        if metric.band_kind is BandKind.ADDITIVE:
+            bands[metric] = theta_bands(d, estimates[metric], cfg.alpha)
+        else:
+            bands[metric] = ratio_bands(d, estimates[metric], cfg.alpha, metric)
     return tost_decide(
         bands, eq_bands, estimates, alpha=cfg.alpha, replicates=cfg.replicates
     )

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from feqt.bayes import (
-    GPBandPrior,
     PriorSpec,
     calibrate_prior_scale,
     posterior_equivalence_prob,
@@ -103,8 +102,8 @@ def test_criterion_3_prior_scale_calibration():
     band-containment probability."""
     grid = equispaced_grid(25)
     kb = make_cosine_bands(grid, BandKind.ADDITIVE)
-    s2 = calibrate_prior_scale(0.3, kb, grid, 0.01, seed=2)
-    prob = prior_equivalence_prob(0.3, 0.1, kb, grid, accuracy=5e-4, seed=3).estimate
+    s2 = calibrate_prior_scale(0.3, kb, 0.01, seed=2)
+    prob = prior_equivalence_prob(0.3, 0.1, kb, accuracy=5e-4, seed=3).estimate
     ok = 0.08 <= s2 <= 0.12 and abs(prob - 0.01) <= 0.003
     record_criterion(3, ok, f"calibrated s2 {s2:.4f} in [0.08, 0.12]; prob at 0.1 = {prob:.5f}")
     assert ok
@@ -114,7 +113,7 @@ def test_criterion_4_extreme_tail_prior_probability():
     """Diffuse log-scale prior has vanishing band-containment mass."""
     grid = equispaced_grid(25)
     zb = make_cosine_bands(grid, BandKind.MULTIPLICATIVE)
-    r = prior_equivalence_prob(0.1, 5.0, zb, grid, accuracy=1.0, rel_accuracy=0.1, seed=4)
+    r = prior_equivalence_prob(0.1, 5.0, zb, accuracy=1.0, rel_accuracy=0.1, seed=4)
     p = r.estimate
     ok = 1e-8 <= p <= 2.5e-7 and p < 1e-6
     record_criterion(4, ok, f"tail probability {p:.3e} within factor 5 of 5e-8")
@@ -210,11 +209,7 @@ def test_criterion_7_mcmc_recovers_unit_ratios():
     data = GroupedPairedSample(grid, tuple(groups))
     kb = make_cosine_bands(grid, BandKind.ADDITIVE)
     zb = make_cosine_bands(grid, BandKind.MULTIPLICATIVE)
-    prior = PriorSpec(
-        GPBandPrior(0.3, 0.0955, kb),
-        GPBandPrior(0.3, 0.0955, zb),
-        GPBandPrior(0.3, 0.0955, zb),
-    )
+    prior = PriorSpec(0.3, 0.0955, {Metric.THETA: kb, Metric.LAMBDA: zb, Metric.PSI: zb})
     d = run_mwg(data, prior, chains=3, iters=3000, burnin=500, thin=5, seed=11)
     rhat_max = max(float(v.max()) for v in d.rhat.values())
     lam_med = np.median(d.lam, axis=0)
@@ -250,9 +245,7 @@ def test_criterion_8_prior_recovery_cycling():
     data = GroupedPairedSample(grid, tuple(groups))
     kb = make_cosine_bands(grid, BandKind.ADDITIVE)
     zb = make_cosine_bands(grid, BandKind.MULTIPLICATIVE)
-    prior = PriorSpec(
-        GPBandPrior(0.3, 0.1, kb), GPBandPrior(0.3, 0.1, zb), GPBandPrior(0.3, 0.1, zb)
-    )
+    prior = PriorSpec(0.3, 0.1, {Metric.THETA: kb, Metric.LAMBDA: zb, Metric.PSI: zb})
     mu0 = np.zeros(T)
     tau_e = np.full(T, -1.0)
     tau_a = np.full(T, -1.5)

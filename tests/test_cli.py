@@ -152,14 +152,17 @@ class TestTostMode:
         assert "bad-emit" in capsys.readouterr().err
 
 
-def refuse_engines(monkeypatch):
-    """Make every engine entry point of the CLI fail the test if it runs."""
+ENGINES = ("run_tost", "calibrate_prior_scale", "run_mwg", "run_study")
+
+
+def refuse_engines(monkeypatch, names=ENGINES):
+    """Make the named engine entry points of the CLI fail the test if they run."""
     import feqt.cli as cli
 
     def never(*args, **kwargs):
         raise AssertionError("engine ran before the arguments were checked")
 
-    for name in ("run_tost", "calibrate_prior_scale", "run_mwg", "run_study"):
+    for name in names:
         monkeypatch.setattr(cli, name, never)
 
 
@@ -177,6 +180,57 @@ class TestArgumentsCheckedFirst:
         code = run_cli(argv + ["--emit", "csv,pdf", "--out", str(out)])
         assert code == EXIT_ERROR
         assert "error [bad-emit]: unknown emit flags: ['pdf']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["report", "--input", "tost_report.json"], "json"),
+        (["bayes", "--chains", "2", "--iters", "1200"], "csv"),
+        (["bands"], "svg"),
+        (["simulate", "--scenarios", "size-theta", "--replicates", "50"], "svg"),
+    ])
+    def test_emit_flag_without_output_in_the_mode(
+        self, equivalent_file, tmp_path, capsys, monkeypatch, argv, flag
+    ):
+        refuse_engines(monkeypatch)
+        if argv[0] == "bayes":
+            argv = argv + ["--input", equivalent_file]
+        out = tmp_path / "out"
+        code = run_cli(argv + ["--emit", flag, "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert f"error [bad-emit]: {argv[0]} has no {flag} output; it emits" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["tost", "-B", "50"], "at least 100 bootstrap replicates are required"),
+        (["tost", "--alpha", "0.7"], "alpha must lie in (0, 0.5)"),
+        (["simulate", "--replicates", "10"], "--replicates must be at least 50, got 10"),
+        (["simulate", "--replicates-bootstrap", "50"], "at least 100 bootstrap replicates"),
+        (["simulate", "--alpha", "0.6"], "alpha must lie in (0, 0.5)"),
+        (["simulate", "--groups", "1"], "need at least 2 groups"),
+        (["simulate", "--grid-size", "0"], "grid must be nonempty"),
+        (["bands", "--grid-size", "0"], "grid must be nonempty"),
+        (["bayes", "--range-a", "0"], "kernel range must be positive"),
+        (["bayes", "--scale", "-1"], "prior range and scale must be positive"),
+        (["bayes", "--calibrate-target", "2"], "target probability must lie in (0, 1)"),
+    ])
+    def test_bad_argument_before_the_work(
+        self, equivalent_file, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        # bayes needs the input's grid for its prior; tost must refuse before
+        # it reads a file that does not exist
+        refuse_engines(monkeypatch, ("run_tost", "run_mwg", "run_study"))
+        extra = {
+            "tost": ["--input", str(tmp_path / "missing.csv")],
+            "simulate": ["--scenarios", "size-theta"],
+            "bayes": ["--input", equivalent_file, "--chains", "2", "--iters", "1200"],
+        }.get(argv[0], [])
+        out = tmp_path / "out"
+        code = run_cli(argv + extra + ["--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error [bad-argument]: ") and message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [

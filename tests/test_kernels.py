@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import k0, k1
 
-from feqt.bayes.kernels import JITTER, MaternKernel, corr_cholesky, matern_corr
-from feqt.fdata import equispaced_grid
+from feqt.bayes.kernels import JITTER, corr_cholesky, matern_corr
+from feqt.fdata import Grid, equispaced_grid
 
 
 def k2_recurrence(x):
@@ -18,36 +18,37 @@ def k2_quadrature(x):
     return val
 
 
+def corr_at(range_a, d):
+    """The kernel's correlation at distance ``d``, from a two-point grid."""
+    return matern_corr(range_a, Grid([0.0, d]))[0, 1]
+
+
 class TestMaternKernel:
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
-            MaternKernel(-1.0)
+            matern_corr(-1.0, equispaced_grid(3))
 
     def test_unit_at_zero(self):
-        assert MaternKernel(0.3).correlation(0.0) == 1.0
+        assert np.all(np.diag(matern_corr(0.3, equispaced_grid(5))) == 1.0)
 
     def test_against_recurrence_oracle(self):
-        k = MaternKernel(0.3)
         for d in (0.01, 0.05, 0.2, 0.5, 1.0):
             x = d / 0.3
             expected = 0.5 * x**2 * k2_recurrence(x)
-            assert k.correlation(d) == pytest.approx(expected, rel=1e-12)
+            assert corr_at(0.3, d) == pytest.approx(expected, rel=1e-12)
 
     def test_against_quadrature_oracle(self):
-        k = MaternKernel(0.5)
         for d in (0.1, 0.4, 0.9):
             x = d / 0.5
             expected = 0.5 * x**2 * k2_quadrature(x)
-            assert k.correlation(d) == pytest.approx(expected, rel=1e-9)
+            assert corr_at(0.5, d) == pytest.approx(expected, rel=1e-9)
 
     def test_depends_only_on_scaled_distance(self):
-        assert MaternKernel(0.2).correlation(0.1) == pytest.approx(
-            MaternKernel(0.4).correlation(0.2), rel=1e-14
-        )
+        assert corr_at(0.2, 0.1) == pytest.approx(corr_at(0.4, 0.2), rel=1e-14)
 
     def test_monotone_decreasing(self):
         d = np.linspace(0.0, 1.0, 50)
-        c = MaternKernel(0.3).correlation(d)
+        c = matern_corr(0.3, Grid(d))[0]  # correlations at distances d
         assert np.all(np.diff(c) < 0.0)
         assert np.all(c > 0.0) and np.all(c <= 1.0)
 
@@ -55,13 +56,13 @@ class TestMaternKernel:
 class TestCorrelationMatrix:
     def test_structure(self):
         grid = equispaced_grid(25)
-        c = matern_corr(MaternKernel(0.3), grid)
+        c = matern_corr(0.3, grid)
         np.testing.assert_allclose(np.diag(c), 1.0)
         np.testing.assert_allclose(c, c.T)
         assert np.all(np.linalg.eigvalsh(c + JITTER * np.eye(25)) > 0.0)
 
     def test_cholesky_reconstructs(self):
         grid = equispaced_grid(10)
-        c = matern_corr(MaternKernel(0.2), grid)
+        c = matern_corr(0.2, grid)
         L = corr_cholesky(c)
         np.testing.assert_allclose(L @ L.T, c + JITTER * np.eye(10), atol=1e-12)

@@ -3,7 +3,6 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from feqt.bayes.model import (
-    GPBandPrior,
     PriorSpec,
     block_loglik,
     channel_term,
@@ -11,6 +10,7 @@ from feqt.bayes.model import (
     rho_terms,
 )
 from feqt.fdata import BandKind, equispaced_grid, make_cosine_bands
+from feqt.tost import Metric
 
 
 @pytest.fixture
@@ -114,21 +114,20 @@ class TestPriorSpec:
     def test_band_kind_enforcement(self, grid8):
         add = make_cosine_bands(grid8, BandKind.ADDITIVE)
         mult = make_cosine_bands(grid8, BandKind.MULTIPLICATIVE)
-        PriorSpec(
-            mean_prior=GPBandPrior(0.3, 0.1, add),
-            error_var_prior=GPBandPrior(0.3, 0.1, mult),
-            reffect_var_prior=GPBandPrior(0.3, 0.1, mult),
-        )
-        with pytest.raises(ValueError, match="additive"):
-            PriorSpec(GPBandPrior(0.3, 0.1, mult), GPBandPrior(0.3, 0.1, mult), GPBandPrior(0.3, 0.1, mult))
-        with pytest.raises(ValueError, match="multiplicative"):
-            PriorSpec(GPBandPrior(0.3, 0.1, add), GPBandPrior(0.3, 0.1, add), GPBandPrior(0.3, 0.1, mult))
+        PriorSpec(0.3, 0.1, {Metric.THETA: add, Metric.LAMBDA: mult, Metric.PSI: mult})
+        with pytest.raises(ValueError, match="theta prior needs additive"):
+            PriorSpec(0.3, 0.1, {Metric.THETA: mult, Metric.LAMBDA: mult, Metric.PSI: mult})
+        with pytest.raises(ValueError, match="lambda prior needs multiplicative"):
+            PriorSpec(0.3, 0.1, {Metric.THETA: add, Metric.LAMBDA: add, Metric.PSI: mult})
+        with pytest.raises(ValueError, match="psi prior needs multiplicative"):
+            PriorSpec(0.3, 0.1, {Metric.THETA: add, Metric.LAMBDA: mult})
 
     def test_offsets_log_for_multiplicative(self, grid8):
         mult = make_cosine_bands(grid8, BandKind.MULTIPLICATIVE)
-        lo, hi = GPBandPrior(0.3, 0.1, mult).offsets()
+        add = make_cosine_bands(grid8, BandKind.ADDITIVE)
+        prior = PriorSpec(0.3, 0.1, {Metric.THETA: add, Metric.LAMBDA: mult, Metric.PSI: mult})
+        lo, hi = prior.offsets(Metric.LAMBDA)
         np.testing.assert_allclose(lo, np.log(mult.lower))
         np.testing.assert_allclose(hi, np.log(mult.upper))
-        add = make_cosine_bands(grid8, BandKind.ADDITIVE)
-        lo, hi = GPBandPrior(0.3, 0.1, add).offsets()
+        lo, hi = prior.offsets(Metric.THETA)
         np.testing.assert_allclose(hi, add.upper)

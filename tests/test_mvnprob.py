@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import multivariate_normal, norm
 
 import feqt.bayes.mvnprob as mvnprob_mod
-from feqt.bayes.kernels import MaternKernel, matern_corr
+from feqt.bayes.kernels import matern_corr
 from feqt.bayes.mvnprob import (
     AccuracyError,
     calibrate_prior_scale,
@@ -50,7 +50,7 @@ class TestRectangleProb:
 
     def test_correlated_3d_matern_vs_scipy(self):
         grid = equispaced_grid(3)
-        cov = 0.5 * matern_corr(MaternKernel(0.4), grid)
+        cov = 0.5 * matern_corr(0.4, grid)
         lower = np.array([-0.5, -0.6, -0.4])
         upper = np.array([0.7, 0.5, 0.9])
         r = mvn_rectangle_prob(np.zeros(3), cov, lower, upper, accuracy=2e-4)
@@ -104,16 +104,16 @@ class TestPriorEquivalence:
         # additive cosine bands are symmetric about zero, so the two mixture
         # centers give equal mass and the mixture equals either component
         bands = make_cosine_bands(grid25, BandKind.ADDITIVE)
-        p = prior_equivalence_prob(0.3, 0.1, bands, grid25, accuracy=5e-4, seed=1)
+        p = prior_equivalence_prob(0.3, 0.1, bands, accuracy=5e-4, seed=1)
         lo, hi = bands.lower, bands.upper
-        cov = 2.0 * 0.1 * matern_corr(MaternKernel(0.3), grid25)
+        cov = 2.0 * 0.1 * matern_corr(0.3, grid25)
         single = mvn_rectangle_prob(hi, cov, lo, hi, accuracy=5e-4, seed=11)
         assert p.estimate == pytest.approx(single.estimate, abs=6e-3)
 
     def test_monotone_in_scale(self, grid25):
         bands = make_cosine_bands(grid25, BandKind.ADDITIVE)
         probs = [
-            prior_equivalence_prob(0.3, s2, bands, grid25, accuracy=5e-4, seed=2).estimate
+            prior_equivalence_prob(0.3, s2, bands, accuracy=5e-4, seed=2).estimate
             for s2 in (0.05, 0.1, 0.4)
         ]
         assert probs[0] > probs[1] > probs[2]
@@ -130,7 +130,7 @@ class TestCalibrationSearch:
 
         monkeypatch.setattr(mvnprob_mod, "prior_equivalence_prob", counting)
         kb = make_cosine_bands(grid25, BandKind.ADDITIVE)
-        s2 = calibrate_prior_scale(0.3, kb, grid25, 0.01, seed=5)
+        s2 = calibrate_prior_scale(0.3, kb, 0.01, seed=5)
         assert repr(s2) == "0.09549981016408426"
         assert scales[:2] == [np.exp(-12.0), np.exp(8.0)]
         assert len(scales) == len(set(scales)) == 10
@@ -138,7 +138,7 @@ class TestCalibrationSearch:
     def test_unattainable_target_names_the_bracket(self, grid25):
         kb = make_cosine_bands(grid25, BandKind.ADDITIVE)
         with pytest.raises(ValueError, match="not attainable on the bracket"):
-            calibrate_prior_scale(0.3, kb, grid25, 0.9, seed=1)
+            calibrate_prior_scale(0.3, kb, 0.9, seed=1)
 
 
 class TestCalibrationPinned:
@@ -147,5 +147,5 @@ class TestCalibrationPinned:
         returned with ``scipy.stats.norm`` in the integrand (the direct
         ``ndtr``/``ndtri`` calls are the same kernels)."""
         kb = make_cosine_bands(grid25, BandKind.ADDITIVE)
-        s2 = calibrate_prior_scale(0.3, kb, grid25, 0.01, seed=2)
+        s2 = calibrate_prior_scale(0.3, kb, 0.01, seed=2)
         assert s2 == pytest.approx(0.0955874086715996, rel=1e-12)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from feqt.bayes import GPBandPrior, PriorSpec, run_mwg
+from feqt.bayes import PriorSpec, run_mwg
 from feqt.bayes.sampler import (
     MwgSampler,
     SamplerDivergenceError,
@@ -13,6 +13,7 @@ from feqt.bayes.sampler import (
     split_rhat,
 )
 from feqt.fdata import BandKind, equispaced_grid, make_cosine_bands
+from feqt.tost import Metric
 
 from conftest import make_grouped
 
@@ -20,11 +21,7 @@ from conftest import make_grouped
 def small_prior(grid):
     add = make_cosine_bands(grid, BandKind.ADDITIVE)
     mult = make_cosine_bands(grid, BandKind.MULTIPLICATIVE)
-    return PriorSpec(
-        mean_prior=GPBandPrior(0.3, 0.1, add),
-        error_var_prior=GPBandPrior(0.3, 0.1, mult),
-        reffect_var_prior=GPBandPrior(0.3, 0.1, mult),
-    )
+    return PriorSpec(0.3, 0.1, {Metric.THETA: add, Metric.LAMBDA: mult, Metric.PSI: mult})
 
 
 class TestSplitRhat:

@@ -184,8 +184,9 @@ class TestBootstrapConfig:
             BootstrapConfig(1000, alpha=0.6)
 
     def test_low_b_warns(self):
-        with pytest.warns(UserWarning, match="low"):
+        with pytest.warns(UserWarning, match="low") as record:
             BootstrapConfig(200)
+        assert record[0].filename == __file__  # the caller, not the generated __init__
 
 
 def enumeration_endpoints(x1, x2, alpha, B=100_000, seed=0):
