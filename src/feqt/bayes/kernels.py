@@ -15,15 +15,20 @@ def matern_corr(range_a: float, grid: Grid) -> np.ndarray:
     """T-by-T Matern correlation matrix with range ``range_a`` on the grid.
 
     Smoothness is fixed at nu = 2: corr(d) = (1/2) (d/a)^2 K_2(d/a), with the
-    analytic limit 1 at d = 0, so the diagonal is exactly 1.
+    analytic limit 1 at d = 0, so the diagonal is exactly 1. The formula is
+    evaluated only where K_2 is finite and positive: where it overflows
+    (d/a below about 1e-152, or 0) the entry is the limit 1, and where it
+    underflows (d/a above about 743) the entry is 0.
     """
     if range_a <= 0.0:
         raise ValueError("kernel range must be positive")
     t = grid.points
-    x = np.abs(t[:, None] - t[None, :]) / range_a
-    out = np.ones_like(x)
-    pos = x > 0.0
-    out[pos] = 0.5 * x[pos] ** 2 * kv(2, x[pos])
+    with np.errstate(over="ignore"):  # d/a past the float range is inf, K_2 0
+        x = np.abs(t[:, None] - t[None, :]) / range_a
+    k = kv(2, x)
+    out = np.where(np.isinf(k), 1.0, 0.0)
+    fin = np.isfinite(k) & (k > 0.0)
+    out[fin] = 0.5 * x[fin] ** 2 * k[fin]
     return out
 
 

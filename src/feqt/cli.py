@@ -266,6 +266,8 @@ def _mode_simulate(args):
     if args.replicates < MIN_STUDY_REPLICATES:
         raise CliError("bad-argument", f"--replicates must be at least {MIN_STUDY_REPLICATES}, "
                        f"got {args.replicates}")
+    if args.group_size < 2:  # the grouped bootstrap needs 2 pairs per group
+        raise CliError("bad-argument", f"--group-size must be at least 2, got {args.group_size}")
     with _argument_errors():
         cfg = BootstrapConfig(
             args.replicates_bootstrap, args.alpha, 0, Design.RANDOM_EFFECTS_MATCHED

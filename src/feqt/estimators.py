@@ -108,13 +108,17 @@ def anova_decompose(g: GroupedPairedSample) -> AnovaDecomposition:
     )
 
 
-def estimate_metrics_grouped(g: GroupedPairedSample) -> MetricEstimates:
+def estimate_metrics_grouped(
+    g: GroupedPairedSample, d: Optional[AnovaDecomposition] = None
+) -> MetricEstimates:
     """Metric estimates for the hierarchical design.
 
     theta_hat is the unweighted mean of group-mean differences, lambda_hat the
-    SSE ratio, psi_hat the (floored) random-effect variance ratio.
+    SSE ratio, psi_hat the (floored) random-effect variance ratio. ``d`` is
+    ``anova_decompose(g)``, computed here if not given.
     """
-    d = anova_decompose(g)
+    if d is None:
+        d = anova_decompose(g)
     theta = (d.mean_by_group[:, 0, :] - d.mean_by_group[:, 1, :]).mean(axis=0)
     if np.any(d.sse[1] <= 0.0):
         t = int(np.argmax(d.sse[1] <= 0.0))

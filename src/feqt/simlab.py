@@ -190,19 +190,19 @@ def default_truth(grid: Grid, n_groups: int = 20, group_size: int = 20) -> Truth
     )
 
 
-def _correlated_pair(rng, rho, chol, shape):
-    """Draw ``shape + (2, T)`` zero-mean unit-variance curve pairs.
+def _correlated_pair(z, rho, chol):
+    """Zero-mean unit-variance curve pairs, ``shape + (2, T)``, from ``z``,
+    three blocks of ``shape + (T,)`` standard normals.
 
     Each pair shares a common along-domain process weighted by sqrt(|rho(t)|),
     so the pointwise cross-channel correlation is exactly rho(t) and the
     construction stays positive semidefinite for any rho curve.
     """
-    T = chol.shape[0]
-    w, u1, u2 = (rng.standard_normal(shape + (T,)) @ chol.T for _ in range(3))
+    w, u1, u2 = (block @ chol.T for block in z)
     sr = np.sqrt(np.abs(rho))
     si = np.sqrt(1.0 - np.abs(rho))
     sign = np.where(rho >= 0.0, 1.0, -1.0)
-    out = np.empty(shape + (2, T))
+    out = np.empty(w.shape[:-1] + (2, w.shape[-1]))
     out[..., 0, :] = sr * w + si * u1
     out[..., 1, :] = sign * sr * w + si * u2
     return out
@@ -212,17 +212,26 @@ def generate_dataset(truth: TruthSpec, seed) -> GroupedPairedSample:
     """Simulate a grouped matched-pair dataset from ``truth``.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; the draw is
-    deterministic in it.
+    deterministic in it. One ``standard_normal`` call draws every value;
+    group by group it holds the effect's three (T,) blocks, then the
+    residuals' three (n, T) blocks.
     """
     rng = np.random.default_rng(seed)
     chol = corr_cholesky(truth.within_corr)
     sd_alpha = np.sqrt(truth.s2_alpha)
     sd_eps = np.sqrt(truth.s2_eps)
+    T = len(truth.grid)
+    sizes = truth.group_sizes
+    z = rng.standard_normal(3 * T * (sizes.size + int(sizes.sum())))
     groups = []
-    for n in truth.group_sizes:
-        z = _correlated_pair(rng, truth.rho_alpha, chol, ())
-        alpha = truth.mu + sd_alpha * z
-        e = _correlated_pair(rng, truth.rho_eps, chol, (int(n),))
+    a = 0
+    for n in sizes.tolist():
+        block = z[a : a + 3 * T * (n + 1)]
+        a += block.size
+        effect = block[: 3 * T].reshape(3, T)
+        resid = block[3 * T :].reshape(3, n, T)
+        alpha = truth.mu + sd_alpha * _correlated_pair(effect, truth.rho_alpha, chol)
+        e = _correlated_pair(resid, truth.rho_eps, chol)
         y = alpha[None] + sd_eps[None] * e
         groups.append(PairedFunctionalSample(truth.grid, y[:, 0], y[:, 1]))
     return GroupedPairedSample(truth.grid, tuple(groups))

@@ -25,6 +25,7 @@ from scipy import sparse
 
 from .estimators import (
     VARIANCE_FLOOR,
+    AnovaDecomposition,
     adjusted_random_effects,
     anova_decompose,
     estimate_metrics_grouped,
@@ -95,8 +96,8 @@ class ReplicateDraws:
     """Bootstrap draws of the metric estimates, one row per replicate."""
 
     theta: np.ndarray  # (B, T)
-    lam: np.ndarray  # (B, T), strictly positive
-    psi: Optional[np.ndarray] = None  # (B, T), hierarchical design only
+    lam: Optional[np.ndarray] = None  # (B, T), strictly positive; None if theta only
+    psi: Optional[np.ndarray] = None  # (B, T), hierarchical design; None if theta only
     redraws: Optional[np.ndarray] = None  # (B,), degenerate draws replaced
 
 
@@ -358,7 +359,11 @@ def bootstrap_matched(s: PairedFunctionalSample, cfg: BootstrapConfig) -> Replic
 
 
 def bootstrap_random_effects(
-    g: GroupedPairedSample, cfg: BootstrapConfig
+    g: GroupedPairedSample,
+    cfg: BootstrapConfig,
+    decomp: Optional[AnovaDecomposition] = None,
+    *,
+    theta_only: bool = False,
 ) -> ReplicateDraws:
     """Hierarchical bootstrap for paired random effects.
 
@@ -367,42 +372,54 @@ def bootstrap_random_effects(
     pooled N-pair reservoir, reconstruct curves, and recompute the three
     metric estimates from the ANOVA quantities. Pooling the reservoir ignores
     the within-group residual covariance, as in the source procedure.
+    ``decomp`` is ``anova_decompose(g)``, computed here if not given.
 
     The curves are never built: a group's mean is its drawn effect plus the
     mean of its drawn residuals, and with the residuals' per-group sums S and
     sums of squares Q, SSE is the within-group part sum(Q - S^2/n_i) plus SSA.
+    A replicate whose SSE is not positive at some grid point has no variance
+    ratio and is redrawn.
+
+    With ``theta_only`` a replicate computes the group means and theta
+    alone, from S without Q, and returns ``lam`` and ``psi`` as None. Theta
+    is defined for every draw, so no replicate is redrawn; wherever the full
+    bootstrap redraws nothing, the theta draws are the same bits.
     """
     if np.any(g.group_sizes < 2):
         raise ValueError("every group needs at least 2 pairs")
     A, N, T = g.n_groups, g.n_total, len(g.grid)
     sizes = g.group_sizes
-    decomp = anova_decompose(g)
+    if decomp is None:
+        decomp = anova_decompose(g)
     a_hat = adjusted_random_effects(decomp).reshape(A, 2 * T)
     resid = (g.stacked() - decomp.mean_by_group[g.group_labels()]).reshape(N, 2 * T)
-    columns = np.concatenate([resid, resid**2], axis=1)
+    columns = resid if theta_only else np.concatenate([resid, resid**2], axis=1)
     n_i = sizes.astype(float)
     n_star = decomp.n_star
 
     def stats_of(idx):
-        sq = _count_sums(idx[:, A:], sizes, columns)  # (m, A, 4T)
-        s, q = sq[..., : 2 * T], sq[..., 2 * T :]
+        sq = _count_sums(idx[:, A:], sizes, columns)  # (m, A, 2T), or 4T with Q
+        s = sq[..., : 2 * T]
         means = a_hat[idx[:, :A]] + s / n_i[:, None]  # (m, A, 2T)
+        theta = (means[..., :T] - means[..., T:]).mean(axis=1)
+        if theta_only:
+            return theta, np.ones(idx.shape[0], dtype=bool)
+        q = sq[..., 2 * T :]
         dev = means - (n_i @ means)[:, None] / N
         ssa = n_i @ (dev * dev)  # (m, 2T)
         sse = q.sum(axis=1) - (1.0 / n_i) @ (s * s) + ssa
         s2a = np.maximum((ssa / (A - 1) - sse / (N - 1)) / n_star, VARIANCE_FLOOR)
-        theta = (means[..., :T] - means[..., T:]).mean(axis=1)
         ok = np.all(sse > 0.0, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = sse[:, :T] / sse[:, T:]
         return theta, lam, s2a[:, :T] / s2a[:, T:], ok
 
-    # the drawn indices and count-matrix entries, then the (A, 4T) sums and
-    # the (A, 2T) group means and temporaries
+    # the drawn indices and count-matrix entries, then at most the (A, 4T)
+    # sums and the (A, 2T) group means and temporaries
     per_rep = 3 * N + A + 12 * A * T
     segments = ((A, A, 0), (N, N, 0))
-    (theta, lam, psi), redraws = _resolve_replicates(cfg, segments, stats_of, per_rep)
-    return ReplicateDraws(theta=theta, lam=lam, psi=psi, redraws=redraws)
+    stats, redraws = _resolve_replicates(cfg, segments, stats_of, per_rep)
+    return ReplicateDraws(*stats, redraws=redraws)
 
 
 def theta_bands(draws: np.ndarray, theta_hat: np.ndarray, alpha: float) -> OneSidedBands:
@@ -502,7 +519,10 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
 
     ``data`` is a ``(FunctionalSample, FunctionalSample)`` tuple for the
     independent design, a :class:`PairedFunctionalSample` for matched pairs,
-    or a :class:`GroupedPairedSample` for the hierarchical design.
+    or a :class:`GroupedPairedSample` for the hierarchical design. The
+    hierarchical design decomposes the data once, for the estimates and the
+    bootstrap, and bootstraps theta alone when it is the only metric in
+    ``eq_bands``.
     """
     if cfg.design is Design.INDEPENDENT_IID:
         est = estimate_metrics_paired(data)
@@ -511,8 +531,10 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
         est = estimate_metrics_paired(data)
         draws = bootstrap_matched(data, cfg)
     elif cfg.design is Design.RANDOM_EFFECTS_MATCHED:
-        est = estimate_metrics_grouped(data)
-        draws = bootstrap_random_effects(data, cfg)
+        decomp = anova_decompose(data)
+        est = estimate_metrics_grouped(data, decomp)
+        theta_only = eq_bands.keys() == {Metric.THETA}
+        draws = bootstrap_random_effects(data, cfg, decomp, theta_only=theta_only)
     else:
         raise ValueError(f"unknown design {cfg.design}")
 

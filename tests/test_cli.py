@@ -214,6 +214,7 @@ class TestArgumentsCheckedFirst:
         (["bayes", "--range-a", "0"], "kernel range must be positive"),
         (["bayes", "--scale", "-1"], "prior range and scale must be positive"),
         (["bayes", "--calibrate-target", "2"], "target probability must lie in (0, 1)"),
+        (["simulate", "--group-size", "1"], "--group-size must be at least 2, got 1"),
     ])
     def test_bad_argument_before_the_work(
         self, equivalent_file, tmp_path, capsys, monkeypatch, argv, message

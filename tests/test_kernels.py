@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -51,6 +54,31 @@ class TestMaternKernel:
         c = matern_corr(0.3, Grid(d))[0]  # correlations at distances d
         assert np.all(np.diff(c) < 0.0)
         assert np.all(c > 0.0) and np.all(c <= 1.0)
+
+
+    @pytest.mark.parametrize("range_a", [1e-300, 1e-310])
+    def test_range_below_every_distance_is_the_identity(self, range_a):
+        # d/a overflows x**2 (and, below about 1e-308, the float range);
+        # K_2 underflows to 0 there, so every off-diagonal entry is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            c = matern_corr(range_a, equispaced_grid(6))
+        np.testing.assert_array_equal(c, np.eye(6))
+
+    def test_range_above_every_distance_is_finite(self):
+        # K_2 overflows at d/a below about 1e-152; the entry is the limit 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            c = matern_corr(1e300, equispaced_grid(6))
+        assert np.all(np.isfinite(c)) and np.all(np.diag(c) == 1.0)
+
+    @pytest.mark.parametrize("range_a, digest", [
+        (0.1, "1437b94d2be7523c6a4b34b1b253247f411536ad1df67952d9e5aba6121575e3"),
+        (0.3, "60b7f636c0f235db7fd8b89c85fd2a71a41269b582da5d29a2dc2611f2cc2b70"),
+    ])
+    def test_bits_pinned(self, range_a, digest):
+        c = matern_corr(range_a, equispaced_grid(25))
+        assert hashlib.sha256(c.tobytes()).hexdigest() == digest
 
 
 class TestCorrelationMatrix:

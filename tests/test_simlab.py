@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,19 @@ class TestGenerateDataset:
         b = generate_dataset(t, 7).stacked()
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, generate_dataset(t, 8).stacked())
+
+    @pytest.mark.parametrize("T, sizes, seed, digest", [
+        (25, [10] * 10, (3, 1, 0), "658e7dee4a830df02ed154ea6bd8e84d9971e41b4913694b302236e37bf9dedd"),
+        (8, [3] * 4, (3, 1, 0), "7d0390b8b4f39a4c9afb61a86045099bc6a73c3b60250b6780ce795c7d991b2c"),
+        (25, [50, 1], 5, "3d2c09d019d4d8cc134513149697723f75b75d0b693ca93f293ddfe3004fe1df"),
+    ])
+    def test_bits_pinned(self, T, sizes, seed, digest):
+        # a study's data must not move by one bit: its tallies are pinned
+        if isinstance(seed, tuple):
+            seed = np.random.SeedSequence(entropy=seed[0], spawn_key=seed[1:])
+        t = replace(default_truth(equispaced_grid(T), 2, 1), group_sizes=np.array(sizes))
+        y = generate_dataset(t, seed).stacked()
+        assert hashlib.sha256(y.tobytes()).hexdigest() == digest
 
     def test_large_sample_moments(self, grid10):
         t = default_truth(grid10, 200, 200)

@@ -34,6 +34,7 @@ from feqt.tost import (
     tost_decide,
 )
 
+from feqt.simlab import default_truth, generate_dataset
 from conftest import make_grouped
 import reference_bootstrap
 
@@ -334,6 +335,56 @@ class TestBootstrapMechanics:
         assert d.lam.shape == (150, 4)
         assert d.psi.shape == (150, 4)
         assert np.all(d.lam > 0.0) and np.all(d.psi > 0.0)
+
+
+class TestThetaOnly:
+    """The theta-only kernel: the full kernel's theta bits, no redraws."""
+
+    def test_theta_bits_equal_the_full_kernel(self, rng):
+        g = make_grouped(rng, group_sizes=[3, 4, 5, 2, 6], n_points=7)
+        cfg = BootstrapConfig(1000, seed=10)
+        full = bootstrap_random_effects(g, cfg)
+        assert not full.redraws.any()
+        draws = bootstrap_random_effects(g, cfg, theta_only=True)
+        np.testing.assert_array_equal(draws.theta, full.theta)
+        assert draws.lam is None and draws.psi is None
+
+    def test_theta_only_never_redraws(self):
+        # on 3 groups of 2 pairs, one replicate of seed 6 draws an SSE of 0,
+        # whatever the data; theta is defined there and is kept
+        g = generate_dataset(default_truth(equispaced_grid(8), 3, 2), 0)
+        cfg = BootstrapConfig(1000, seed=6)
+        full = bootstrap_random_effects(g, cfg)
+        assert full.redraws.sum() > 0
+        draws = bootstrap_random_effects(g, cfg, theta_only=True)
+        assert draws.redraws.sum() == 0
+        kept = full.redraws == 0
+        np.testing.assert_array_equal(draws.theta[kept], full.theta[kept])
+
+    @pytest.mark.parametrize("metrics", [[Metric.THETA], list(Metric)])
+    def test_run_tost_decomposes_once(self, rng, monkeypatch, metrics):
+        import feqt.estimators as est_mod
+
+        calls = []
+        decompose = est_mod.anova_decompose
+
+        def counted(g):
+            calls.append(g)
+            return decompose(g)
+
+        monkeypatch.setattr(tost_mod, "anova_decompose", counted)
+        monkeypatch.setattr(est_mod, "anova_decompose", counted)
+        g = make_grouped(rng, n_groups=5, group_size=4, n_points=6)
+        bands = {m: make_cosine_bands(g.grid, m.band_kind) for m in metrics}
+        cfg = BootstrapConfig(200, seed=3, design=Design.RANDOM_EFFECTS_MATCHED)
+        rep = run_tost(g, cfg, bands)
+        assert len(calls) == 1
+        full = bootstrap_random_effects(g, cfg)
+        assert not full.redraws.any()
+        expected = theta_bands(full.theta, rep.results[Metric.THETA].estimate, cfg.alpha)
+        got = rep.results[Metric.THETA].bands
+        np.testing.assert_array_equal(got.lower_of_upper_ci, expected.lower_of_upper_ci)
+        np.testing.assert_array_equal(got.upper_of_lower_ci, expected.upper_of_lower_ci)
 
 
 class TestAgainstGatherReference:
