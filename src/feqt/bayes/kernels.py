@@ -32,6 +32,15 @@ def matern_corr(range_a: float, grid: Grid) -> np.ndarray:
     return out
 
 
+def prior_corr(range_a: float, grid: Grid) -> np.ndarray:
+    """``matern_corr`` for a GP prior: refused unless the jitter moves none of its
+    eigenvalues by more than a tenth, past which the sampler's curves can overflow."""
+    corr = matern_corr(range_a, grid)
+    if np.linalg.eigvalsh(corr)[0] < 10.0 * JITTER:
+        raise ValueError(f"prior range {range_a:g} makes the correlation numerically singular")
+    return corr
+
+
 def corr_cholesky(corr: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of ``corr`` after adding the standard jitter."""
     return np.linalg.cholesky(corr + JITTER * np.eye(corr.shape[0]))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tost import Metric
+from .kernels import prior_corr
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -33,6 +34,7 @@ class PriorSpec:
         for m in Metric:
             if m not in self.bands or self.bands[m].kind is not m.band_kind:
                 raise ValueError(f"{m.value} prior needs {m.band_kind.value} bands")
+        prior_corr(self.range_a, self.bands[Metric.THETA].grid)
 
     def offsets(self, metric: Metric) -> np.ndarray:
         """The (2, T) mixture offsets of ``metric`` on its band's working scale."""

@@ -22,7 +22,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
 from ..fdata import BandPair
-from .kernels import matern_corr, JITTER
+from .kernels import matern_corr, prior_corr, JITTER
 
 _PHI_EPS = 1e-15
 #: Independently scrambled Sobol streams per rectangle probability.
@@ -216,6 +216,7 @@ def calibrate_prior_scale(
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target probability must lie in (0, 1)")
+    prior_corr(range_a, bands.grid)  # refuse a singular prior before any work
 
     def f(log_s2):
         p = prior_equivalence_prob(

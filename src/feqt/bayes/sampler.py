@@ -355,7 +355,8 @@ class MwgSampler:
             mean = 0.5 * (x[:, 0] + x[:, 1] + m.offsets[state[m.indicator]])
             state[m.hyper] = mean + _mv(self.lcov / np.sqrt(2.0), _normals(rngs, (self.T,)))
         logw = [_quad(self.prec, x[:, 1] - (state[m.hyper] - o)) for o in m.offsets]
-        p1 = 1.0 / (1.0 + np.exp(logw[0] - logw[1]))
+        with np.errstate(over="ignore"):  # exp overflows where p1 rounds to 0
+            p1 = 1.0 / (1.0 + np.exp(logw[0] - logw[1]))
         state[m.indicator] = (_uniforms(rngs) < p1).astype(int)
 
     # ----- Metropolis updates --------------------------------------------

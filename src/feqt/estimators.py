@@ -52,7 +52,6 @@ class AnovaDecomposition:
     ssa: np.ndarray  # (2, T)
     n_star: float
     s2_alpha: np.ndarray  # (2, T)
-    group_sizes: np.ndarray  # (A,)
 
 
 def estimate_metrics_paired(s) -> MetricEstimates:
@@ -104,7 +103,6 @@ def anova_decompose(g: GroupedPairedSample) -> AnovaDecomposition:
         ssa=ssa,
         n_star=float(n_star),
         s2_alpha=s2_alpha,
-        group_sizes=sizes,
     )
 
 

@@ -48,6 +48,9 @@ REDRAW_CAP = 100
 #: Elements per computation chunk when vectorizing over replicates.
 _CHUNK_ELEMS = 2_000_000
 
+#: Machine epsilon, twice the unit roundoff u of the rounding bounds below.
+_EPS = np.finfo(float).eps
+
 
 class Design(enum.Enum):
     INDEPENDENT_IID = "independent_iid"
@@ -82,11 +85,8 @@ class BootstrapConfig:
         if self.replicates < 100:
             raise ValueError("at least 100 bootstrap replicates are required")
         if self.replicates < 1000:
-            warnings.warn(
-                f"B={self.replicates} bootstrap replicates is low; "
-                "1000 or more is recommended",
-                stacklevel=3,  # past the generated __init__, at its caller
-            )
+            msg = f"B={self.replicates} bootstrap replicates is low; 1000 or more is recommended"
+            warnings.warn(msg, stacklevel=3)  # past the generated __init__, at its caller
         if not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 0.5)")
 
@@ -278,14 +278,27 @@ def _count_sums(idx: np.ndarray, sizes: np.ndarray, columns: np.ndarray) -> np.n
     return (counts @ columns).reshape(m, G, columns.shape[1])
 
 
-def _tied_labels(rows: np.ndarray):
-    """Tie classes of the columns of ``rows`` that repeat a value: (R, k)
-    labels, equal values sharing one; None if every column is tie-free."""
-    s = np.sort(rows, axis=0)
-    tied = np.flatnonzero(np.any(s[1:] == s[:-1], axis=0))
-    if not tied.size:
-        return None
-    return np.stack([np.unique(rows[:, k], return_inverse=True)[1] for k in tied], axis=1)
+def _settle(ss: np.ndarray, tol: np.ndarray, idx: np.ndarray, values_of) -> np.ndarray:
+    """The degeneracy rule of every design: a replicate is degenerate iff, in
+    some denominator channel, all its drawn values are equal at some grid
+    point, that is iff its sum of squared deviations there is exactly 0.
+
+    ``ss`` (m, ...) holds count-form sums of the replicates drawn as the rows
+    of ``idx``, and ``tol`` bounds their rounding error where the exact sum is
+    0. A replicate with an entry at or below its bound has every entry
+    recomputed in place from its drawn values: the (k, n, C) arrays that
+    ``values_of(idx[rows])`` lists, their columns side by side those of
+    ``ss``. The rest keep their bits. Returns ok, every entry positive."""
+    axes = tuple(range(1, ss.ndim))
+    redo = np.flatnonzero(np.any(ss <= tol, axis=axes))
+    for lo, hi in _chunks(redo.size, idx[0].size * ss[0].size):
+        exact = []
+        for v in values_of(idx[redo[lo:hi]]):
+            d = v - v[:, :1]  # exact zeros iff the values are equal
+            d -= d.mean(axis=1, keepdims=True)
+            exact.append((d * d).sum(axis=1))
+        ss[redo[lo:hi]] = np.concatenate(exact, axis=1).reshape(-1, *ss.shape[1:])
+    return np.all(ss > 0.0, axis=axes)
 
 
 def _bootstrap_two_channel(rows, sizes, cfg) -> ReplicateDraws:
@@ -294,44 +307,38 @@ def _bootstrap_two_channel(rows, sizes, cfg) -> ReplicateDraws:
     ``rows`` (R, K) is the reservoir, group g holding the next ``sizes[g]``
     rows, and a replicate draws ``sizes[g]`` rows within each group. The
     groups' column sums hold the two channels: one group of pairs (K = 2T)
-    or two groups of curves (K = T). A channel is degenerate at a grid point
-    iff all its drawn rows share one value there, which on a tie-free column
-    means one distinct row drawn; such replicates are redrawn.
+    or two groups of curves (K = T). A replicate is redrawn iff a channel's
+    drawn values are all equal at some grid point (:func:`_settle`).
     """
     G, K = sizes.size, rows.shape[1]
     T = G * K // 2
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-    mean = np.stack([rows[a:b].mean(axis=0) for a, b in zip(bounds[:-1], bounds[1:])])
+    groups = list(zip(bounds[:-1], bounds[1:]))
+    mean = np.stack([rows[a:b].mean(axis=0) for a, b in groups])
     centered = rows - np.repeat(mean, sizes, axis=0)
     columns = np.concatenate([centered, centered**2], axis=1)
     mean = mean.reshape(2, T)
     n = np.repeat(sizes, 2 // G).astype(float)[:, None]  # rows per channel, (2, 1)
-    labels = _tied_labels(rows)
-    n_tied = 0 if labels is None else labels.shape[1]
 
     def stats_of(idx):
         m = idx.shape[0]
         sq = _count_sums(idx, sizes, columns)
         s = sq[..., :K].reshape(m, 2, T)
         q = sq[..., K:].reshape(m, 2, T)
-        var = (q - s * s / n) / (n - 1.0)
-        one_value = np.zeros(m, dtype=bool)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            drawn = idx[:, a:b]
-            one_value |= drawn.min(axis=1) == drawn.max(axis=1)
-            if labels is not None:
-                lab = labels[drawn]  # (m, n_g, k)
-                one_value |= np.any(lab.min(axis=1) == lab.max(axis=1), axis=1)
-        # a variance that rounds to <= 0 cannot enter a ratio either
-        ok = ~one_value & np.all(var > 0.0, axis=(1, 2))
+        ss = q - s * s / n
+        # from n-term sums of the centered values and their squares, the
+        # count form Q - S^2/n errs below (3n + 4) u Q
+        tol = 2.0 * (n + 4.0) * _EPS * q
+        ok = _settle(ss, tol, idx, lambda d: [rows[d[:, a:b]] for a, b in groups])
+        var = ss / (n - 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = var[:, 0] / var[:, 1]
         means = mean + s / n
         return means[:, 0] - means[:, 1], lam, ok
 
-    # per drawn slot: its index, its count-matrix entry and its tie labels;
-    # per replicate: the sums and their temporaries, a few (2, T) arrays
-    per_rep = int(sizes.sum()) * (3 + n_tied) + 8 * T
+    # per drawn slot: its index and its count-matrix entry; per replicate:
+    # the sums and their temporaries, a few (2, T) arrays
+    per_rep = int(sizes.sum()) * 3 + 8 * T
     segments = tuple((n, n, a) for n, a in zip(sizes, bounds[:-1]))
     (theta, lam), redraws = _resolve_replicates(cfg, segments, stats_of, per_rep)
     return ReplicateDraws(theta=theta, lam=lam, redraws=redraws)
@@ -377,8 +384,8 @@ def bootstrap_random_effects(
     The curves are never built: a group's mean is its drawn effect plus the
     mean of its drawn residuals, and with the residuals' per-group sums S and
     sums of squares Q, SSE is the within-group part sum(Q - S^2/n_i) plus SSA.
-    A replicate whose SSE is not positive at some grid point has no variance
-    ratio and is redrawn.
+    A replicate is redrawn iff a channel's reconstructed values are all equal
+    at some grid point, where its SSE is 0 (:func:`_settle`).
 
     With ``theta_only`` a replicate computes the group means and theta
     alone, from S without Q, and returns ``lam`` and ``psi`` as None. Theta
@@ -392,10 +399,10 @@ def bootstrap_random_effects(
     if decomp is None:
         decomp = anova_decompose(g)
     a_hat = adjusted_random_effects(decomp).reshape(A, 2 * T)
-    resid = (g.stacked() - decomp.mean_by_group[g.group_labels()]).reshape(N, 2 * T)
+    slot_group = g.group_labels()
+    resid = (g.stacked() - decomp.mean_by_group[slot_group]).reshape(N, 2 * T)
     columns = resid if theta_only else np.concatenate([resid, resid**2], axis=1)
-    n_i = sizes.astype(float)
-    n_star = decomp.n_star
+    n_i, n_max, n_star = sizes.astype(float), sizes.max(), decomp.n_star
 
     def stats_of(idx):
         sq = _count_sums(idx[:, A:], sizes, columns)  # (m, A, 2T), or 4T with Q
@@ -404,12 +411,18 @@ def bootstrap_random_effects(
         theta = (means[..., :T] - means[..., T:]).mean(axis=1)
         if theta_only:
             return theta, np.ones(idx.shape[0], dtype=bool)
-        q = sq[..., 2 * T :]
-        dev = means - (n_i @ means)[:, None] / N
+        q = sq[..., 2 * T :].sum(axis=1)
+        grand = (n_i @ means) / N
+        dev = means - grand[:, None]
         ssa = n_i @ (dev * dev)  # (m, 2T)
-        sse = q.sum(axis=1) - (1.0 / n_i) @ (s * s) + ssa
+        sse = q - (1.0 / n_i) @ (s * s) + ssa
+        # where the exact SSE is 0, every group mean is the grand mean g and
+        # |S_i|^2 <= n_i Q_i: the within-group part errs below (3n + 2A + 4) u Q
+        # and SSA, rounding alone, below N ((A + 3) u g)^2 + O(u^2 n N Q), a
+        # last term inside the slack of the first bound
+        tol = 2.0 * (n_max + A + 4) * _EPS * q + N * ((A + 3) * _EPS * grand) ** 2
+        ok = _settle(sse, tol, idx, lambda d: [a_hat[d[:, :A]][:, slot_group] + resid[d[:, A:]]])
         s2a = np.maximum((ssa / (A - 1) - sse / (N - 1)) / n_star, VARIANCE_FLOOR)
-        ok = np.all(sse > 0.0, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = sse[:, :T] / sse[:, T:]
         return theta, lam, s2a[:, :T] / s2a[:, T:], ok
@@ -452,9 +465,7 @@ def ratio_bands(
     )
 
 
-def _decide_metric(
-    bands: OneSidedBands, eq_band: BandPair, estimate: np.ndarray
-) -> MetricResult:
+def _decide_metric(bands: OneSidedBands, eq_band: BandPair, estimate: np.ndarray) -> MetricResult:
     metric = bands.metric
     if eq_band.kind is not metric.band_kind:
         raise ValueError(f"{metric.value} requires {metric.band_kind.value} bands")
@@ -463,23 +474,11 @@ def _decide_metric(
     reject_lower = eq_band.lower < bands.upper_of_lower_ci
     reject_upper = eq_band.upper > bands.lower_of_upper_ci
     violations = np.flatnonzero(~(reject_lower & reject_upper))
-    return MetricResult(
-        metric=metric,
-        estimate=estimate,
-        bands=bands,
-        eq_band=eq_band,
-        violations=violations,
-        reject=violations.size == 0,
-    )
+    return MetricResult(metric, estimate, bands, eq_band, violations, violations.size == 0)
 
 
 def tost_decide(
-    bands: dict,
-    eq_bands: dict,
-    estimates: dict,
-    *,
-    alpha: float = 0.05,
-    replicates: int = 0,
+    bands: dict, eq_bands: dict, estimates: dict, *, alpha: float = 0.05, replicates: int = 0
 ) -> TostReport:
     """Combine per-metric one-sided bands into the IUT decision.
 
@@ -497,21 +496,13 @@ def tost_decide(
             raise ValueError("equivalence bands must share one grid")
         results[metric] = _decide_metric(osb, eq, estimates[metric])
     overall = all(r.reject for r in results.values())
+    decision = TostDecision.REJECT_NONEQUIVALENCE if overall else TostDecision.FAIL_TO_REJECT
     noninf = None
     if Metric.LAMBDA in results:
         r = results[Metric.LAMBDA]
         ok = np.all(r.eq_band.upper > r.bands.lower_of_upper_ci)
         noninf = TostDecision.REJECT_NONEQUIVALENCE if ok else TostDecision.FAIL_TO_REJECT
-    return TostReport(
-        grid=grid,
-        results=results,
-        decision=(
-            TostDecision.REJECT_NONEQUIVALENCE if overall else TostDecision.FAIL_TO_REJECT
-        ),
-        lambda_noninferiority=noninf,
-        alpha=alpha,
-        replicates=replicates,
-    )
+    return TostReport(grid, results, decision, noninf, alpha, replicates)
 
 
 def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
@@ -525,11 +516,9 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
     ``eq_bands``.
     """
     if cfg.design is Design.INDEPENDENT_IID:
-        est = estimate_metrics_paired(data)
-        draws = bootstrap_independent(*data, cfg)
+        est, draws = estimate_metrics_paired(data), bootstrap_independent(*data, cfg)
     elif cfg.design is Design.MATCHED_PAIRS:
-        est = estimate_metrics_paired(data)
-        draws = bootstrap_matched(data, cfg)
+        est, draws = estimate_metrics_paired(data), bootstrap_matched(data, cfg)
     elif cfg.design is Design.RANDOM_EFFECTS_MATCHED:
         decomp = anova_decompose(data)
         est = estimate_metrics_grouped(data, decomp)
@@ -538,8 +527,7 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
     else:
         raise ValueError(f"unknown design {cfg.design}")
 
-    bands = {}
-    estimates = {}
+    bands, estimates = {}, {}
     for metric in Metric:
         if metric not in eq_bands:
             continue
@@ -554,7 +542,5 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
             bands[metric] = theta_bands(d, estimates[metric], cfg.alpha)
         else:
             bands[metric] = ratio_bands(d, estimates[metric], cfg.alpha, metric)
-    return tost_decide(
-        bands, eq_bands, estimates, alpha=cfg.alpha, replicates=cfg.replicates
-    )
+    return tost_decide(bands, eq_bands, estimates, alpha=cfg.alpha, replicates=cfg.replicates)
 

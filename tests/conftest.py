@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from feqt.fdata import (
     Grid,
@@ -7,6 +8,11 @@ from feqt.fdata import (
     PairedFunctionalSample,
     equispaced_grid,
 )
+
+# the same examples on every run, with no example database and no timing
+# deadline, so a Tier-1 run is deterministic
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 #: (criterion number, passed, detail) records printed after the run so the
 #: acceptance outcomes stay visible even with captured stdout.

@@ -4,9 +4,14 @@
 Each replicate's rows are gathered into a (replicates, rows, ...) array and
 the statistics are recomputed from it directly. The draws come from the same
 per-replicate generators in the same order, and a replicate is redrawn when
-a floating-point variance (or SSE) is not strictly positive. On data whose
-sums are exact (few-bit dyadic values) that rule is exact too, so there the
-two kernels must redraw the same replicates.
+a floating-point variance (or SSE) is not strictly positive. The count
+kernel's rule is that a replicate is degenerate iff, in some denominator
+channel, all its drawn values are equal at some grid point. This reference
+applies the same rule exactly where its variances are exact: on few-bit
+dyadic values, whose sums round not at all, a variance is 0 iff the values
+are equal. There the two kernels must redraw the same replicates; elsewhere
+equal values can leave a variance a few ulps above 0, and this reference
+then keeps a replicate the count kernel redraws.
 """
 
 import numpy as np

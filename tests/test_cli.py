@@ -155,15 +155,16 @@ class TestTostMode:
 ENGINES = ("run_tost", "calibrate_prior_scale", "run_mwg", "run_study")
 
 
+def cli_never(*args, **kwargs):
+    raise AssertionError("engine ran before the arguments were checked")
+
+
 def refuse_engines(monkeypatch, names=ENGINES):
     """Make the named engine entry points of the CLI fail the test if they run."""
     import feqt.cli as cli
 
-    def never(*args, **kwargs):
-        raise AssertionError("engine ran before the arguments were checked")
-
     for name in names:
-        monkeypatch.setattr(cli, name, never)
+        monkeypatch.setattr(cli, name, cli_never)
 
 
 class TestArgumentsCheckedFirst:
@@ -251,6 +252,40 @@ class TestArgumentsCheckedFirst:
         err = capsys.readouterr().err
         assert err.startswith("error [bad-argument]: ") and message in err
         assert not out.exists()
+
+
+class TestPriorRange:
+    """A range whose correlation matrix has its smallest eigenvalue below
+    10 * JITTER is refused; on the 8-point grid the bound falls between the
+    ranges 11 (1.2e-9) and 12 (8.5e-10)."""
+
+    @pytest.mark.parametrize("range_a, flags", [
+        ("12", []), ("1e8", []), ("1e300", []), ("12", ["--scale", "0.1"]),
+    ])
+    def test_singular_range_refused_before_calibration(
+        self, equivalent_file, tmp_path, capsys, monkeypatch, range_a, flags
+    ):
+        import feqt.bayes.mvnprob as mvnprob
+
+        refuse_engines(monkeypatch, ("run_mwg",))
+        monkeypatch.setattr(mvnprob, "prior_equivalence_prob", cli_never)
+        out = tmp_path / "out"
+        code = run_cli(["bayes", "--input", equivalent_file, "--range-a", range_a,
+                        *flags, "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error [bad-argument]: prior range ")
+        assert "numerically singular" in err
+        assert not out.exists()
+
+    def test_range_inside_the_bound_runs(self, equivalent_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["bayes", "--input", equivalent_file, "--range-a", "11",
+                        "--scale", "0.1", "--chains", "1", "--iters", "1100",
+                        "--burnin", "100", "--thin", "1", "--emit", "json",
+                        "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_FAIL_TO_REJECT), capsys.readouterr().err
+        assert (out / "posterior_summary.json").exists()
 
 
 class TestUsageErrors:

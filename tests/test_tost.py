@@ -2,16 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import feqt.tost as tost_mod
-from feqt.estimators import DegenerateVarianceError
+from feqt.estimators import (
+    DegenerateSpreadError,
+    DegenerateVarianceError,
+    adjusted_random_effects,
+    anova_decompose,
+)
 from feqt.fdata import (
     BandKind,
     BandPair,
     FunctionalSample,
     Grid,
+    GroupedPairedSample,
     PairedFunctionalSample,
     equispaced_grid,
     make_cosine_bands,
@@ -65,6 +71,26 @@ def _grouped_run(rng):
 
 
 _DESIGNS = {"matched": _matched_run, "independent": _independent_run, "grouped": _grouped_run}
+
+
+def replayed_redraws(cfg, segments, channels_of):
+    """Each replicate's redraw count under the degeneracy rule, replayed from
+    ``replicate_rng``: a draw (one ``integers`` call per segment) is redrawn
+    iff one of the channels ``channels_of(idx)`` gives, each (n, T), holds
+    equal values down some column. None if a replicate exceeds the cap."""
+    out = np.zeros(cfg.replicates, dtype=int)
+    for r in range(cfg.replicates):
+        rng = replicate_rng(cfg.seed, r)
+        while any(
+            np.any(np.all(c == c[:1], axis=0))
+            for c in channels_of(
+                np.concatenate([off + rng.integers(0, n, size) for size, n, off in segments])
+            )
+        ):
+            out[r] += 1
+            if out[r] > tost_mod.REDRAW_CAP:
+                return None
+    return out
 
 
 class TestEmpiricalQuantile:
@@ -308,25 +334,23 @@ class TestBootstrapMechanics:
         x2 = np.array([-1.3, -0.6, 0.0])
         s = PairedFunctionalSample(Grid([0.5]), x1[:, None], x2[:, None])
         cfg = BootstrapConfig(2000, seed=5)
-        expected = np.zeros(cfg.replicates, dtype=int)
-        for r in range(cfg.replicates):
-            rng = replicate_rng(cfg.seed, r)
-            while True:
-                idx = rng.integers(0, 3, 3)
-                if len(set(x1[idx])) > 1 and len(set(x2[idx])) > 1:
-                    break
-                expected[r] += 1
+        expected = replayed_redraws(cfg, ((3, 3, 0),), lambda i: (x1[i][:, None], x2[i][:, None]))
         np.testing.assert_array_equal(bootstrap_matched(s, cfg).redraws, expected)
 
-    def test_variance_lost_to_rounding_is_redrawn(self):
+    def test_spread_below_rounding_is_kept(self):
         # drawing only the first two rows, channel 1's variance (~1e-19) is
-        # far below the rounding of sums over the 1e9 row, so it may come
-        # out <= 0; such replicates are redrawn, never turned into a ratio
+        # far below the rounding of sums over the 1e9 row, so the count form
+        # may put it at or below 0; the draw holds two values, so the
+        # replicate is kept with its exact variance, never redrawn
         x1 = np.array([0.0, 1e-9, 1e9])
         x2 = np.array([1.0, 2.0, 4.0])
         s = PairedFunctionalSample(Grid([0.5]), x1[:, None], x2[:, None])
-        draws = bootstrap_matched(s, BootstrapConfig(1000, seed=1))
+        cfg = BootstrapConfig(1000, seed=1)
+        draws = bootstrap_matched(s, cfg)
         assert np.all(np.isfinite(draws.lam)) and np.all(draws.lam > 0.0)
+        expected = replayed_redraws(cfg, ((3, 3, 0),), lambda i: (x1[i][:, None], x2[i][:, None]))
+        np.testing.assert_array_equal(draws.redraws, expected)
+        assert draws.redraws.sum() == 112
 
     def test_random_effects_draw_shapes(self, rng):
         s = make_grouped(rng, group_sizes=[3, 4, 5], n_points=4)
@@ -335,6 +359,83 @@ class TestBootstrapMechanics:
         assert d.lam.shape == (150, 4)
         assert d.psi.shape == (150, 4)
         assert np.all(d.lam > 0.0) and np.all(d.psi > 0.0)
+
+
+#: tied values of mixed magnitude: the count form's rounding at 1e9 hides a
+#: spread at 1e-9, and equal values must still be told apart from near ones
+_MIXED = (0.0, 1e-9, 3e-9, -1e-3, 1.0, 1.0 + 2**-40, -7.0, 1e3, 1e9, -1e9, 3e9)
+
+
+@st.composite
+def tied_columns(draw, n, T):
+    """(n, T) values from a palette of 2 or 3 mixed-magnitude values, every
+    column holding at least two of them."""
+    palette = draw(st.lists(st.sampled_from(_MIXED), min_size=2, max_size=3, unique=True))
+    x = np.array(draw(st.lists(st.sampled_from(palette), min_size=n * T, max_size=n * T)))
+    x = x.reshape(n, T)
+    assume(np.all(np.any(x != x[:1], axis=0)))
+    return x
+
+
+class TestDegeneracyRule:
+    """Every design redraws a replicate iff a denominator channel's drawn (or
+    reconstructed) values are all equal at a grid point, as a replay of
+    ``replicate_rng`` decides it, and keeps every other ratio finite and
+    positive, however the count form rounds."""
+
+    CFG = BootstrapConfig(200, seed=2)
+
+    @staticmethod
+    def check(run, expected):
+        if expected is None:
+            with pytest.raises(DegenerateReplicateError):
+                run()
+            return
+        draws = run()
+        np.testing.assert_array_equal(draws.redraws, expected)
+        assert np.all(np.isfinite(draws.lam)) and np.all(draws.lam > 0.0)
+
+    @given(st.data(), st.integers(2, 4), st.integers(1, 2))
+    @settings(max_examples=40)
+    def test_matched(self, data, n, T):
+        c1, c2 = data.draw(tied_columns(n, T)), data.draw(tied_columns(n, T))
+        s = PairedFunctionalSample(equispaced_grid(T), c1, c2)
+        expected = replayed_redraws(self.CFG, ((n, n, 0),), lambda i: (c1[i], c2[i]))
+        self.check(lambda: bootstrap_matched(s, self.CFG), expected)
+
+    @given(st.data(), st.integers(2, 4), st.integers(2, 4), st.integers(1, 2))
+    @settings(max_examples=40)
+    def test_independent(self, data, n1, n2, T):
+        c1, c2 = data.draw(tied_columns(n1, T)), data.draw(tied_columns(n2, T))
+        s1, s2 = FunctionalSample(equispaced_grid(T), c1), FunctionalSample(equispaced_grid(T), c2)
+        segments = ((n1, n1, 0), (n2, n2, n1))
+        expected = replayed_redraws(self.CFG, segments, lambda i: (c1[i[:n1]], c2[i[n1:] - n1]))
+        self.check(lambda: bootstrap_independent(s1, s2, self.CFG), expected)
+
+    @given(st.data(), st.lists(st.integers(2, 3), min_size=2, max_size=3), st.integers(1, 2))
+    @settings(max_examples=40)
+    def test_grouped(self, data, sizes, T):
+        N, A = sum(sizes), len(sizes)
+        y1, y2 = data.draw(tied_columns(N, T)), data.draw(tied_columns(N, T))
+        bounds = np.cumsum([0] + sizes)
+        grid = equispaced_grid(T)
+        g = GroupedPairedSample(grid, tuple(
+            PairedFunctionalSample(grid, y1[a:b], y2[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+        ))
+        d = anova_decompose(g)
+        try:
+            a_hat = adjusted_random_effects(d)
+        except DegenerateSpreadError:
+            assume(False)
+        labels = g.group_labels()
+        resid = g.stacked() - d.mean_by_group[labels]
+
+        def channels(i):  # the reconstructed curves, as the kernel makes them
+            y = a_hat[i[:A]][labels] + resid[i[A:]]
+            return y[:, 0], y[:, 1]
+
+        expected = replayed_redraws(self.CFG, ((A, A, 0), (N, N, 0)), channels)
+        self.check(lambda: bootstrap_random_effects(g, self.CFG, d), expected)
 
 
 class TestThetaOnly:
