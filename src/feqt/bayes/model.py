@@ -29,8 +29,8 @@ class PriorSpec:
     bands: dict  # Metric -> BandPair
 
     def __post_init__(self):
-        if self.range_a <= 0.0 or self.scale_s2 <= 0.0:
-            raise ValueError("prior range and scale must be positive")
+        if not (0.0 < self.range_a < np.inf and 0.0 < self.scale_s2 < np.inf):
+            raise ValueError("prior range and scale must be positive and finite")
         for m in Metric:
             if m not in self.bands or self.bands[m].kind is not m.band_kind:
                 raise ValueError(f"{m.value} prior needs {m.band_kind.value} bands")

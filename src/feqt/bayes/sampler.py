@@ -4,29 +4,40 @@ The pointwise-factorized correlation makes the mean curves, random effects,
 hyper-means, and mixture indicators conjugate; only the log-variance curves
 (blocked random-walk Metropolis with prior-correlation-shaped proposals) and
 the cross-correlations (per-point Metropolis on the Fisher-z scale) need
-Metropolis steps. The two variance levels, error and random effect, share one
-update: each is a pair of log-variance curves under a band-centred mixture
-GP prior plus a pointwise cross-correlation. Within a level's Metropolis
-loops the current log-posterior terms are cached and overwritten in place only
-where a proposal is accepted. The block log-likelihood comes from cached
-invariant terms through :func:`~feqt.bayes.model.block_loglik`: a
-log-variance proposal recomputes only its own channel's term, a
-cross-correlation proposal only the terms of rho. Each term is computed as
-:func:`~feqt.bayes.model.paired_block_loglik` computes it, so the draws are
-the same bits.
+Metropolis steps. The two variance levels, error (log lambda, read from
+y - alpha) and random effect (log psi, read from alpha - mu), are each a pair
+of log-variance curves under a band-centred mixture GP prior plus a pointwise
+cross-correlation. Given alpha and mu they are conditionally independent and
+share one GP, so they are held stacked, as one (chains, level, channel, T)
+array of curves and one (chains, level, T) array of correlations, and every
+Metropolis step moves both levels at once.
+
+One sweep updates, in this order: the random effects alpha, the mean curves
+mu, the log-variance curves of both levels (``_INNER_REPEATS`` passes over
+channel 1 then channel 2), the hyper-means and indicators of all three
+mixtures (mu, log lambda, log psi), and the cross-correlations of both levels
+(``_INNER_REPEATS`` passes). Within the Metropolis loops the current
+log-posterior terms are cached and overwritten in place only where a proposal
+is accepted. The block log-likelihood comes from cached invariant terms
+through :func:`~feqt.bayes.model.block_loglik`: a log-variance proposal
+recomputes only its own channel's term, a cross-correlation proposal only the
+terms of rho. Each term is computed as
+:func:`~feqt.bayes.model.paired_block_loglik` computes it.
 
 Chains run side by side: every state array has a leading chain axis, and one
 :meth:`MwgSampler.sweep` advances all of them. Each chain keeps its own
 random stream, keyed by (seed, c), and its own proposal scales: all start
 from the same initial values, move toward 30% acceptance during burn-in and
 freeze afterwards, preserving detailed balance for every retained draw.
-Chain c's draws are therefore independent of how many chains run and in
-which order.
+A sweep first draws each chain's random tape from that chain's stream, in a
+fixed order (see :meth:`MwgSampler._tape`); the updates then read the tape by
+position, not in the order they run. Chain c's draws are therefore
+independent of how many chains run and in which order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -44,6 +55,16 @@ _INNER_REPEATS = 5
 _INITIAL_STEPS = {
     "leps_1": 0.1, "leps_2": 0.1, "lalp_1": 0.3, "lalp_2": 0.3, "rho_e": 0.5, "rho_a": 0.8,
 }
+#: The proposal-scale keys of the three Metropolis blocks (channel 1's and
+#: channel 2's log-variance curves, the cross-correlation), by variance level.
+_BLOCKS = (("leps_1", "lalp_1"), ("leps_2", "lalp_2"), ("rho_e", "rho_a"))
+#: State keys held as one array stacked along axis 1, and the keys of its views.
+_STACKED = {
+    "logvars": ("leps", "lalp"),
+    "rho": ("rho_e", "rho_a"),
+    "hypers": ("mu0", "tau_e", "tau_a"),
+    "indicators": ("d_mu", "d_e", "d_a"),
+}
 
 
 class SamplerDivergenceError(RuntimeError):
@@ -54,23 +75,17 @@ class SamplerDivergenceError(RuntimeError):
         self.state = state
 
 
-class _Mixture(NamedTuple):
-    """A pair of channel curves under a band-centred mixture of the prior GP."""
+class _Tape(NamedTuple):
+    """One sweep's random numbers, each with a leading chain axis."""
 
-    curves: str  # state key of the (chains, 2, T) curves
-    hyper: str  # state key of the flat-prior hyper-mean
-    indicator: str  # state key of the mixture indicator
-    offsets: np.ndarray  # (2, T) mixture offsets on the working scale
-
-
-class _Level(NamedTuple):
-    """One variance level: its log-variance mixture plus the cross-correlation."""
-
-    mix: _Mixture
-    rho: str  # state key of the cross-correlation
-    steps: tuple  # proposal-scale keys of channel 1 and channel 2
-    count: float  # observations per grid point
-    residuals: Callable  # state -> (chains, count, 2, T) residuals
+    alpha: np.ndarray  # (chains, A, 2, T) normals of the random effects
+    mu: np.ndarray  # (chains, 2T) normals of the mean curves
+    hyper: np.ndarray  # (chains, 3, T) normals of the mixture hyper-means
+    mix: np.ndarray  # (chains, 3) uniforms of the mixture indicators
+    logvars: np.ndarray  # (chains, level, repeat, channel, T) proposal normals
+    u_logvars: np.ndarray  # (chains, level, repeat, channel) acceptance uniforms
+    rho: np.ndarray  # (chains, level, repeat, T) Fisher-z proposal normals
+    u_rho: np.ndarray  # (chains, level, repeat, T) acceptance uniforms
 
 
 def _chain_rng(seed: int, chain: int) -> np.random.Generator:
@@ -86,30 +101,20 @@ def _normals(rngs, shape):
     return z
 
 
-def _uniforms(rngs, shape=()):
-    """Uniforms on [0, 1) of ``shape`` for each chain, from that chain's stream."""
-    if not shape:
-        return np.array([rng.random() for rng in rngs])
-    u = np.empty((len(rngs),) + shape)
-    for rng, out in zip(rngs, u):
-        rng.random(out=out)
-    return u
-
-
 def _coin_flips(rngs):
     """One fair 0/1 draw for each chain, from that chain's stream."""
     return np.array([int(rng.integers(2)) for rng in rngs])
 
 
 def _mv(m, x):
-    """``m @ x`` for each chain's vector in x (chains, T): one gemv per chain,
-    which rounds as the one-chain product does (one GEMM over all chains may
+    """``m @ x`` for each vector in x (..., T): one gemv per vector, which
+    rounds as the one-vector product does (one GEMM over all of them may
     not), so a chain's draws do not depend on the batch it runs in."""
     return np.matmul(m, x[..., None])[..., 0]
 
 
 def _quad(prec, dev):
-    """Per-chain prior log-density term ``-0.5 dev' prec dev`` of (chains, T) ``dev``."""
+    """Prior log-density term ``-0.5 dev' prec dev`` of each vector in (..., T) ``dev``."""
     return np.matmul(np.matmul(-0.5 * dev[..., None, :], prec), dev[..., :, None])[..., 0, 0]
 
 
@@ -135,11 +140,11 @@ def _cross_sums(dev):
     return sq[..., 0, :], sq[..., 1, :], s12
 
 
-def _precision(state, level):
-    """Per-gridpoint 2x2 precision entries of one variance level, (chains, T) each."""
-    v = np.exp(state[level.mix.curves])
-    v1, v2 = v[:, 0], v[:, 1]
-    return _inv2x2(v1, state[level.rho] * np.sqrt(v1 * v2), v2)
+def _precision(state):
+    """Per-gridpoint 2x2 precision entries of both variance levels, (chains, level, T) each."""
+    v = np.exp(state["logvars"])
+    v1, v2 = v[:, :, 0], v[:, :, 1]
+    return _inv2x2(v1, state["rho"] * np.sqrt(v1 * v2), v2)
 
 
 def _lapack(routine, *args, **kwargs):
@@ -153,6 +158,17 @@ def _lapack(routine, *args, **kwargs):
 def _batch(x, chains):
     """A writable copy of ``x`` with its leading axis broadcast to ``chains``."""
     return np.broadcast_to(x, (chains,) + x.shape[1:]).copy()
+
+
+def _stacked(state):
+    """``state`` with each group of ``_STACKED`` keys stacked into one array,
+    the keys re-pointed to views of it, so an in-place write through either
+    reaches both."""
+    for key, parts in _STACKED.items():
+        whole = np.stack([state[p] for p in parts], axis=1)
+        state[key] = whole
+        state.update({p: whole[:, i] for i, p in enumerate(parts)})
+    return state
 
 
 class MwgSampler:
@@ -177,26 +193,19 @@ class MwgSampler:
         corr = matern_corr(prior.range_a, self.grid)
         self.lcorr = corr_cholesky(corr)
         self.lcov = np.sqrt(prior.scale_s2) * self.lcorr
+        self._lcov_hyper = self.lcov / np.sqrt(2.0)  # of a hyper-mean given both curves
         self.prec = cho_solve((corr_cholesky(prior.scale_s2 * corr), True), np.eye(self.T))
 
-        self.mu_mix = _Mixture("mu", "mu0", "d_mu", prior.offsets(Metric.THETA))
+        # (3, 2, T) mixture offsets of mu, log lambda and log psi, on their working scales
+        self.offsets = np.stack(
+            [prior.offsets(m) for m in (Metric.THETA, Metric.LAMBDA, Metric.PSI)]
+        )
         # the prior blocks of the mean update's precision; "+ 0.0" turns a
         # -0.0 into +0.0, as adding the likelihood's diagonal matrix did
         self._mu_prec_base = np.zeros((1, 2 * self.T, 2 * self.T))
         self._mu_prec_base[0, : self.T, : self.T] = self.prec + 0.0
         self._mu_prec_base[0, self.T :, self.T :] = self.prec + 0.0
-        self.levels = (
-            _Level(
-                _Mixture("leps", "tau_e", "d_e", prior.offsets(Metric.LAMBDA)), "rho_e",
-                ("leps_1", "leps_2"), float(self.N),
-                lambda s: self.y - np.take(s["alpha"], self.labels, axis=1),
-            ),
-            _Level(
-                _Mixture("lalp", "tau_a", "d_a", prior.offsets(Metric.PSI)), "rho_a",
-                ("lalp_1", "lalp_2"), float(self.A),
-                lambda s: s["alpha"] - s["mu"][:, None],
-            ),
-        )
+        self._counts = np.array([[self.N], [self.A]], dtype=float)  # per level, (level, 1)
         self.fixed_hypers = False  # Geweke mode: skip improper-prior updates
 
     def _set_data(self, y):
@@ -207,10 +216,19 @@ class MwgSampler:
 
     def _start(self, chains: int):
         """Initial proposal scales, one per chain and block, and zero counts;
-        each chain adapts its own scales during burn-in only."""
-        self.steps = {k: np.full(chains, v) for k, v in _INITIAL_STEPS.items()}
-        self.accept_counts = {k: np.zeros(chains, dtype=np.int64) for k in self.steps}
-        self.proposal_counts = {k: 0 for k in self.steps}
+        each chain adapts its own scales during burn-in only. ``steps`` and
+        ``accept_counts`` are views of (chains, block, level) arrays."""
+        self._scales = np.tile([[_INITIAL_STEPS[k] for k in keys] for keys in _BLOCKS],
+                               (chains, 1, 1))
+        self._accepted = np.zeros(self._scales.shape, dtype=np.int64)
+        at = {k: (j, i) for j, keys in enumerate(_BLOCKS) for i, k in enumerate(keys)}
+        self.steps = {k: self._scales[:, j, i] for k, (j, i) in at.items()}
+        self.accept_counts = {k: self._accepted[:, j, i] for k, (j, i) in at.items()}
+        self.proposal_counts = {k: 0 for k in _INITIAL_STEPS}
+
+    def _mixture_offsets(self, indicators):
+        """The (chains, 3, T) offsets the (chains, 3) ``indicators`` select."""
+        return self.offsets[np.arange(3), indicators]
 
     # ----- initialization -------------------------------------------------
 
@@ -248,7 +266,7 @@ class MwgSampler:
             "d_e": _coin_flips(rngs),
             "d_a": _coin_flips(rngs),
         }
-        return state
+        return _stacked(state)
 
     def init_from_prior(self, rngs, mu0, tau_e, tau_a) -> dict:
         """Draw every parameter of one chain per generator in ``rngs`` from its
@@ -260,23 +278,21 @@ class MwgSampler:
         """
         chains = len(rngs)
         self._start(chains)
-        mixes = (self.mu_mix,) + tuple(lv.mix for lv in self.levels)
-        state = {
-            m.hyper: _batch(np.asarray(h, float)[None], chains)
-            for m, h in zip(mixes, (mu0, tau_e, tau_a))
-        }
-        state.update({m.indicator: _coin_flips(rngs) for m in mixes})
-        for m in mixes:
-            hyper = state[m.hyper]
+        hypers, indicators = _STACKED["hypers"], _STACKED["indicators"]
+        state = {h: _batch(np.asarray(v, float)[None], chains)
+                 for h, v in zip(hypers, (mu0, tau_e, tau_a))}
+        state.update({d: _coin_flips(rngs) for d in indicators})
+        for curves, h, d, offsets in zip(("mu", "leps", "lalp"), hypers, indicators, self.offsets):
+            hyper = state[h]
             c1 = hyper + _mv(self.lcov, _normals(rngs, (self.T,)))
-            c2 = hyper - m.offsets[state[m.indicator]] + _mv(self.lcov, _normals(rngs, (self.T,)))
-            state[m.curves] = np.stack([c1, c2], axis=1)
-        for lv in self.levels:
-            state[lv.rho] = np.stack([r.uniform(-1.0, 1.0, self.T) for r in rngs])
+            c2 = hyper - offsets[state[d]] + _mv(self.lcov, _normals(rngs, (self.T,)))
+            state[curves] = np.stack([c1, c2], axis=1)
+        for key in _STACKED["rho"]:
+            state[key] = np.stack([r.uniform(-1.0, 1.0, self.T) for r in rngs])
         state["alpha"] = self._draw_pairs(
             state["mu"][:, None], state["lalp"], state["rho_a"], self.A, rngs
         )
-        return state
+        return _stacked(state)
 
     def _draw_pairs(self, mean, logvar, rho, n, rngs):
         """``n`` bivariate-normal curve pairs per chain around ``mean``
@@ -298,9 +314,47 @@ class MwgSampler:
         mean = state["alpha"][:, self.labels]
         self._set_data(self._draw_pairs(mean, state["leps"], state["rho_e"], self.N, rngs))
 
+    # ----- the random tape ------------------------------------------------
+
+    def _tape(self, rngs) -> _Tape:
+        """Draw one sweep's random numbers, chain c's from ``rngs[c]`` in this
+        order: the normals of alpha, of mu and (unless ``fixed_hypers``) of
+        mu's hyper-mean; the mu indicator's uniform; then for each variance
+        level, error first: ``_INNER_REPEATS`` x [T normals, 1 uniform] for
+        channel 1 then channel 2, the hyper-mean's T normals (unless
+        ``fixed_hypers``) and the indicator's uniform, then
+        ``_INNER_REPEATS`` x [T normals, T uniforms] of the cross-correlation."""
+        c, T, R = len(rngs), self.T, _INNER_REPEATS
+        alpha, mu, hyper = np.empty((c, self.A, 2, T)), np.empty((c, 2 * T)), np.empty((c, 3, T))
+        steps = np.empty((c, 2, 2 * R, T))  # (level, repeat x channel) rows in draw order
+        rho, u_rho = np.empty((c, 2, R, T)), np.empty((c, 2, R, T))
+        mix, u_steps = [], []  # single uniforms, drawn as Python floats
+        hypers = not self.fixed_hypers
+        for i, rng in enumerate(rngs):
+            normal, uniform = rng.standard_normal, rng.random
+            normal(out=alpha[i])
+            normal(out=mu[i])
+            if hypers:
+                normal(out=hyper[i, 0])
+            mix.append(uniform())
+            for lev in (0, 1):
+                for z in steps[i, lev]:
+                    normal(out=z)
+                    u_steps.append(uniform())
+                if hypers:
+                    normal(out=hyper[i, lev + 1])
+                mix.append(uniform())
+                for z, u in zip(rho[i, lev], u_rho[i, lev]):
+                    normal(out=z)
+                    uniform(out=u)
+        return _Tape(
+            alpha, mu, hyper, np.reshape(mix, (c, 3)), steps.reshape(c, 2, R, 2, T),
+            np.reshape(u_steps, (c, 2, R, 2)), rho, u_rho,
+        )
+
     # ----- conjugate updates ---------------------------------------------
 
-    def _update_alpha(self, state, prec_e, prec_a, rngs):
+    def _update_alpha(self, state, prec_e, prec_a, z):
         pe11, pe12, pe22 = (p[:, None] for p in prec_e)
         pa11, pa12, pa22 = (p[:, None] for p in prec_a)
         n = self.sizes[:, None].astype(float)  # (A, 1)
@@ -317,28 +371,26 @@ class MwgSampler:
         m1 = c11 * h1 + c12 * h2
         m2 = c12 * h1 + c22 * h2
         l11, l21, l22 = _chol2x2(c11, c12, c22)
-        z = _normals(rngs, (self.A, 2, self.T))
         state["alpha"][..., 0, :] = m1 + l11 * z[..., 0, :]
         state["alpha"][..., 1, :] = m2 + l21 * z[..., 0, :] + l22 * z[..., 1, :]
 
-    def _update_mu(self, state, prec_a, rngs):
-        T, A = self.T, self.A
+    def _update_mu(self, state, prec_a, z):
+        T, A, chains = self.T, self.A, len(z)
         pa11, pa12, pa22 = prec_a
         abar = state["alpha"].mean(axis=1)  # (chains, 2, T)
-        P = _batch(self._mu_prec_base, len(rngs))
-        flat = P.reshape(len(rngs), -1)
+        P = _batch(self._mu_prec_base, chains)
+        flat = P.reshape(chains, -1)
         n = 2 * T + 1  # flat stride along a diagonal
         flat[:, : T * n : n] += A * pa11
         flat[:, T * n :: n] += A * pa22
         od = A * pa12
         flat[:, T : T * n : n] = od  # the diagonals of the off-diagonal blocks
         flat[:, 2 * T * T :: n] = od
-        h = np.empty((len(rngs), 2 * T))
-        prior2 = state["mu0"] - self.mu_mix.offsets[state["d_mu"]]
+        h = np.empty((chains, 2 * T))
+        prior2 = state["mu0"] - self.offsets[0][state["d_mu"]]
         h[:, :T] = _mv(self.prec, state["mu0"]) + A * (pa11 * abar[:, 0] + pa12 * abar[:, 1])
         h[:, T:] = _mv(self.prec, prior2) + A * (pa12 * abar[:, 0] + pa22 * abar[:, 1])
         L = np.linalg.cholesky(P)
-        z = _normals(rngs, (2 * T,))
         # a non-finite chain passes through, to be reported by the
         # log-posterior check of the Metropolis updates
         draws = [
@@ -347,116 +399,137 @@ class MwgSampler:
         ]
         state["mu"] = np.stack(draws).reshape(-1, 2, T)
 
-    def _update_mixture(self, state, m: _Mixture, rngs):
-        """Flat-prior hyper-mean draw (skipped in Geweke mode), then the
-        mixture indicator, given the two channel curves."""
-        x = state[m.curves]
+    def _update_mixtures(self, state, tape):
+        """Flat-prior hyper-mean draws (skipped in Geweke mode), then the
+        indicators of the three mixtures, each given its two channel curves."""
+        x = np.concatenate([state["mu"][:, None], state["logvars"]], axis=1)  # (chains, 3, 2, T)
+        hyper, indicators = state["hypers"], state["indicators"]
         if not self.fixed_hypers:
-            mean = 0.5 * (x[:, 0] + x[:, 1] + m.offsets[state[m.indicator]])
-            state[m.hyper] = mean + _mv(self.lcov / np.sqrt(2.0), _normals(rngs, (self.T,)))
-        logw = [_quad(self.prec, x[:, 1] - (state[m.hyper] - o)) for o in m.offsets]
+            mean = 0.5 * (x[:, :, 0] + x[:, :, 1] + self._mixture_offsets(indicators))
+            hyper[...] = mean + _mv(self._lcov_hyper, tape.hyper)
+        logw = [_quad(self.prec, x[:, :, 1] - (hyper - o)) for o in self.offsets.swapaxes(0, 1)]
         with np.errstate(over="ignore"):  # exp overflows where p1 rounds to 0
             p1 = 1.0 / (1.0 + np.exp(logw[0] - logw[1]))
-        state[m.indicator] = (_uniforms(rngs) < p1).astype(int)
+        indicators[...] = tape.mix < p1
 
     # ----- Metropolis updates --------------------------------------------
 
-    def _adapt(self, key, accepted, proposed, cycle, adapting):
-        """Count each chain's ``accepted`` of ``proposed`` proposals; during
-        burn-in, move each chain's scale toward the target rate (one scale per
-        chain and block)."""
-        self.proposal_counts[key] += proposed * accepted.size
-        self.accept_counts[key] += accepted
-        if adapting:
-            gain = 2.0 / (10.0 + cycle) ** 0.6
-            self.steps[key] = np.exp(
-                np.log(self.steps[key]) + gain * (accepted / proposed - _TARGET_ACCEPT)
-            )
+    def _adapt(self, block, accepted, proposed, cycle):
+        """Move each chain's scale of ``block`` toward the target rate, given
+        its ``accepted`` (chains, level) of ``proposed`` proposals; burn-in
+        only (one scale per chain, block and level)."""
+        gain = 2.0 / (10.0 + cycle) ** 0.6
+        scales = self._scales[:, block]
+        scales[...] = np.exp(np.log(scales) + gain * (accepted / proposed - _TARGET_ACCEPT))
 
-    def _update_logvars(self, state, lv: _Level, sums, rngs, cycle, adapting):
-        """Blocked random-walk Metropolis on each channel's log-variance curve,
-        ``_INNER_REPEATS`` times. The block log-likelihood sum, each channel's
-        likelihood and prior terms and the terms of the fixed rho are cached;
-        accepted proposals are written in place."""
-        m = lv.mix
-        rho = state[lv.rho]
+    def _count(self, block, accepted, proposed):
+        """Add each chain's ``accepted`` (chains, level) of ``proposed``
+        proposals to the counts of ``block``."""
+        self._accepted[:, block] += accepted
+        for key in _BLOCKS[block]:
+            self.proposal_counts[key] += proposed * len(accepted)
+
+    def _update_logvars(self, state, sums, tape, cycle, adapting):
+        """Blocked random-walk Metropolis on each channel's log-variance
+        curves of both levels, ``_INNER_REPEATS`` times. The block
+        log-likelihood sum, each channel's likelihood and prior terms and the
+        terms of the fixed rho are cached; accepted proposals are written in
+        place."""
+        rho = state["rho"]
         rterms = rho_terms(rho, rho * rho, sums[2])
-        hyper = state[m.hyper]
-        centers = (hyper, hyper - m.offsets[state[m.indicator]])  # channel prior means
+        hyper = state["hypers"][:, 1:]
+        centers = (hyper, hyper - self._mixture_offsets(state["indicators"])[:, 1:])
 
         def loglik(a, b, lsum):
-            return block_loglik(a, b, lsum, np.exp(-0.5 * lsum), rterms, lv.count).sum(axis=-1)
+            return block_loglik(a, b, lsum, np.exp(-0.5 * lsum), rterms, self._counts).sum(axis=-1)
 
-        l = state[m.curves]
-        terms = [channel_term(l[:, j], sums[j]) for j in (0, 1)]
-        ll = loglik(*terms, l[:, 0] + l[:, 1])
-        prior = [_quad(self.prec, l[:, j] - centers[j]) for j in (0, 1)]
-        for _ in range(_INNER_REPEATS):
+        l = state["logvars"]
+        channels = (l[:, :, 0], l[:, :, 1])  # views, written in place
+        terms = [channel_term(lc, sc) for lc, sc in zip(channels, sums)]
+        ll = loglik(*terms, channels[0] + channels[1])
+        prior = [_quad(self.prec, lc - center) for lc, center in zip(channels, centers)]
+        moves = _mv(self.lcorr, tape.logvars)
+        logu = np.log(tape.u_logvars)
+        accepted = np.empty(logu.shape, dtype=bool)  # (chains, level, repeat, channel)
+        for r in range(_INNER_REPEATS):
             for j in (0, 1):
-                key = lv.steps[j]
                 cur = ll + prior[j]
-                lj = l[:, j] + self.steps[key][:, None] * _mv(self.lcorr, _normals(rngs, (self.T,)))
+                lj = channels[j] + self._scales[:, j, :, None] * moves[:, :, r, j]
                 tj = channel_term(lj, sums[j])
-                pair = (tj, terms[1], lj + l[:, 1]) if j == 0 else (terms[0], tj, l[:, 0] + lj)
-                ll_new = loglik(*pair)
+                if j == 0:
+                    ll_new = loglik(tj, terms[1], lj + channels[1])
+                else:
+                    ll_new = loglik(terms[0], tj, channels[0] + lj)
                 prior_new = _quad(self.prec, lj - centers[j])
                 if not np.isfinite(cur).all():
                     raise SamplerDivergenceError("non-finite log-posterior", dict(state))
-                accepted = np.log(_uniforms(rngs)) < ll_new + prior_new - cur
-                rows = accepted[:, None]
-                np.copyto(l[:, j], lj, where=rows)
+                acc = np.less(logu[:, :, r, j], ll_new + prior_new - cur, out=accepted[:, :, r, j])
+                rows = acc[..., None]
+                np.copyto(channels[j], lj, where=rows)
                 np.copyto(terms[j], tj, where=rows)
-                np.copyto(ll, ll_new, where=accepted)
-                np.copyto(prior[j], prior_new, where=accepted)
-                self._adapt(key, accepted, 1, cycle, adapting)
+                np.copyto(ll, ll_new, where=acc)
+                np.copyto(prior[j], prior_new, where=acc)
+                if adapting:
+                    self._adapt(j, acc, 1, cycle)
+        for j in (0, 1):
+            self._count(j, accepted[..., j].sum(axis=-1), _INNER_REPEATS)
 
-    def _update_rho(self, state, lv: _Level, sums, rngs, cycle, adapting):
-        """Per-point Fisher-z random-walk Metropolis on the cross-correlation,
-        ``_INNER_REPEATS`` times, with each point's log-posterior and the terms
-        of the fixed curves cached. A proposal that ``tanh`` rounds to +-1 has
-        log-posterior -inf and is rejected."""
-        l = state[lv.mix.curves]
+    def _update_rho(self, state, sums, tape, cycle, adapting):
+        """Per-point Fisher-z random-walk Metropolis on the cross-correlations
+        of both levels, ``_INNER_REPEATS`` times, with each point's
+        log-posterior and the terms of the fixed curves cached. A proposal
+        that ``tanh`` rounds to +-1 has log-posterior -inf and is rejected."""
+        l = state["logvars"]
         s11, s22, s12 = sums
-        lsum = l[:, 0] + l[:, 1]
-        fixed = (channel_term(l[:, 0], s11), channel_term(l[:, 1], s22), lsum, np.exp(-0.5 * lsum))
+        lsum = l[:, :, 0] + l[:, :, 1]
+        fixed = (channel_term(l[:, :, 0], s11), channel_term(l[:, :, 1], s22), lsum,
+                 np.exp(-0.5 * lsum))
 
         def logpost(rho):  # the Fisher-z Jacobian of the flat prior included
             rr = rho * rho
             rterms = rho_terms(rho, rr, s12)
-            out = block_loglik(*fixed, rterms, lv.count) + np.log1p(-rr)
+            out = block_loglik(*fixed, rterms, self._counts) + np.log1p(-rr)
             np.copyto(out, -np.inf, where=rterms[0] == 0.0)
             return out
 
-        rho = state[lv.rho]
+        rho = state["rho"]
         with np.errstate(divide="ignore", invalid="ignore"):
             cur = logpost(rho)
-            for _ in range(_INNER_REPEATS):
-                zp = np.arctanh(rho) + self.steps[lv.rho][:, None] * _normals(rngs, (self.T,))
+            logu = np.log(tape.u_rho)
+            accepted = np.empty(logu.shape, dtype=bool)  # (chains, level, repeat, T)
+            for r in range(_INNER_REPEATS):
+                zp = np.arctanh(rho) + self._scales[:, 2, :, None] * tape.rho[:, :, r]
                 rp = np.tanh(zp)
                 new = logpost(rp)
-                acc = np.log(_uniforms(rngs, (self.T,))) < new - cur
+                acc = np.less(logu[:, :, r], new - cur, out=accepted[:, :, r])
                 np.copyto(rho, rp, where=acc)
                 np.copyto(cur, new, where=acc)
-                # per-point proposals share one scale, adapted on the mean rate
-                self._adapt(lv.rho, acc.sum(axis=-1), self.T, cycle, adapting)
+                if adapting:  # per-point proposals share one scale, adapted on the mean rate
+                    self._adapt(2, acc.sum(axis=-1), self.T, cycle)
+        self._count(2, accepted.sum(axis=(2, 3)), _INNER_REPEATS * self.T)
 
     # ----- one sweep ------------------------------------------------------
 
     def sweep(self, state, rngs, cycle=0, adapting=False):
         """Advance every chain by one Gibbs sweep; chain c draws only from
         ``rngs[c]``."""
+        tape = self._tape(rngs)
         # neither update moves a variance level, so one precision serves both
-        prec_a = _precision(state, self.levels[1])
-        self._update_alpha(state, _precision(state, self.levels[0]), prec_a, rngs)
-        self._update_mu(state, prec_a, rngs)
-        self._update_mixture(state, self.mu_mix, rngs)
-        for lv in self.levels:
-            # repeating the cheap Metropolis updates sharpens mixing of the
-            # log-variance curves, the sampler's slowest block
-            sums = _cross_sums(lv.residuals(state))
-            self._update_logvars(state, lv, sums, rngs, cycle, adapting)
-            self._update_mixture(state, lv.mix, rngs)
-            self._update_rho(state, lv, sums, rngs, cycle, adapting)
+        prec = _precision(state)
+        prec_a = tuple(p[:, 1] for p in prec)
+        self._update_alpha(state, tuple(p[:, 0] for p in prec), prec_a, tape.alpha)
+        self._update_mu(state, prec_a, tape.mu)
+        alpha = state["alpha"]
+        sums = zip(
+            _cross_sums(self.y - np.take(alpha, self.labels, axis=1)),
+            _cross_sums(alpha - state["mu"][:, None]),
+        )
+        sums = tuple(np.stack(level, axis=1) for level in sums)  # (chains, level, T) each
+        # repeating the cheap Metropolis updates sharpens mixing of the
+        # log-variance curves, the sampler's slowest block
+        self._update_logvars(state, sums, tape, cycle, adapting)
+        self._update_mixtures(state, tape)
+        self._update_rho(state, sums, tape, cycle, adapting)
 
 
 def split_rhat(x: np.ndarray) -> np.ndarray:
@@ -495,7 +568,7 @@ def _run_chains(sampler: MwgSampler, seed, chains, iters, burnin, thin):
             theta[:, keep] = state["mu"][:, 0] - state["mu"][:, 1]
             llam[:, keep] = state["leps"][:, 0] - state["leps"][:, 1]
             lpsi[:, keep] = state["lalp"][:, 0] - state["lalp"][:, 1]
-            indicators[:, keep] = np.stack([state["d_mu"], state["d_e"], state["d_a"]], axis=1)
+            indicators[:, keep] = state["indicators"]
             keep += 1
     return theta, llam, lpsi, indicators
 
@@ -522,6 +595,10 @@ def run_mwg(
     labels, acceptance rates pooled over chains, and split-R-hat diagnostics;
     ``rhat_warning`` is set when any coordinate exceeds 1.1.
     """
+    if burnin < 0:
+        raise ValueError(f"burnin must be at least 0, got {burnin}")
+    if thin < 1:
+        raise ValueError(f"thin must be at least 1, got {thin}")
     if iters <= burnin:
         raise ValueError("iters must exceed burnin")
     sampler = MwgSampler(data, prior)

@@ -215,6 +215,8 @@ def _mode_bayes(args):
         raise CliError("bad-argument", f"--gamma must lie in (0, 1), got {args.gamma}")
     if args.thin < 1:
         raise CliError("bad-argument", f"--thin must be at least 1, got {args.thin}")
+    if args.burnin < 0:
+        raise CliError("bad-argument", f"--burnin must be at least 0, got {args.burnin}")
     draws = args.chains * kept_draws(args.iters, args.burnin, args.thin)
     if draws < MIN_POSTERIOR_DRAWS:
         raise CliError("bad-argument", f"the chains keep {draws} posterior draws; "

@@ -216,6 +216,9 @@ class TestArgumentsCheckedFirst:
         (["bayes", "--scale", "-1"], "prior range and scale must be positive"),
         (["bayes", "--calibrate-target", "2"], "target probability must lie in (0, 1)"),
         (["simulate", "--group-size", "1"], "--group-size must be at least 2, got 1"),
+        (["bayes", "--scale", "nan"], "prior range and scale must be positive and finite"),
+        (["bayes", "--scale", "inf"], "prior range and scale must be positive and finite"),
+        (["bayes", "--burnin", "-5"], "--burnin must be at least 0, got -5"),
     ])
     def test_bad_argument_before_the_work(
         self, equivalent_file, tmp_path, capsys, monkeypatch, argv, message

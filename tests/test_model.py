@@ -122,6 +122,16 @@ class TestPriorSpec:
         with pytest.raises(ValueError, match="psi prior needs multiplicative"):
             PriorSpec(0.3, 0.1, {Metric.THETA: add, Metric.LAMBDA: mult})
 
+    @pytest.mark.parametrize("range_a, scale", [
+        (np.nan, 0.1), (np.inf, 0.1), (0.3, np.nan), (0.3, np.inf),
+    ])
+    def test_range_and_scale_positive_and_finite(self, grid8, range_a, scale):
+        add = make_cosine_bands(grid8, BandKind.ADDITIVE)
+        mult = make_cosine_bands(grid8, BandKind.MULTIPLICATIVE)
+        bands = {Metric.THETA: add, Metric.LAMBDA: mult, Metric.PSI: mult}
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            PriorSpec(range_a, scale, bands)
+
     def test_offsets_log_for_multiplicative(self, grid8):
         mult = make_cosine_bands(grid8, BandKind.MULTIPLICATIVE)
         add = make_cosine_bands(grid8, BandKind.ADDITIVE)

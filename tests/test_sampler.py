@@ -109,6 +109,17 @@ class TestRunMwg:
         np.testing.assert_array_equal(d.theta[d.chain == 2], alone[0])
         np.testing.assert_array_equal(d.indicators[d.chain == 2], alone[3])
 
+    @pytest.mark.parametrize("schedule, message", [
+        (dict(burnin=-5), "burnin must be at least 0, got -5"),
+        (dict(thin=0), "thin must be at least 1, got 0"),
+    ])
+    def test_burnin_and_thin_refused(self, schedule, message):
+        """A negative burn-in would emit rows the chains never write."""
+        rng = np.random.default_rng(0)
+        data = make_grouped(rng, n_points=5)
+        with pytest.raises(ValueError, match=message):
+            run_mwg(data, small_prior(data.grid), chains=1, iters=10, **schedule)
+
     def test_iters_must_exceed_burnin(self):
         rng = np.random.default_rng(0)
         data = make_grouped(rng, n_points=5)
@@ -137,6 +148,28 @@ class TestSamplerCore:
         # fixed hyper-means must not move
         np.testing.assert_array_equal(state["mu0"][0], np.zeros(T))
         np.testing.assert_array_equal(state["tau_e"][0], np.full(T, -1.0))
+
+    def test_fixed_hyper_draws_pinned(self):
+        """A sha256 over the states of successive-conditional cycles with the
+        hyper-means fixed, the path of the Geweke check (criterion 8), whose
+        sweeps draw no hyper-mean normals. Like ``test_draws_pinned`` it
+        guards bit-identity under performance edits of the sampler, with the
+        same numpy and CPU caveat."""
+        rng = np.random.default_rng(0)
+        data = make_grouped(rng, n_groups=3, group_size=4, n_points=5)
+        sampler = MwgSampler(data, small_prior(data.grid))
+        sampler.fixed_hypers = True
+        rngs = [_chain_rng(4, c) for c in range(2)]
+        state = sampler.init_from_prior(rngs, np.zeros(5), np.full(5, -1.0), np.full(5, -1.5))
+        h = hashlib.sha256()
+        for cycle in range(20):
+            sampler.simulate_data(state, rngs)
+            sampler.sweep(state, rngs, cycle=cycle, adapting=cycle < 10)
+            for key in ("mu", "alpha", "leps", "lalp", "rho_e", "rho_a", "d_mu", "d_e", "d_a"):
+                h.update(np.ascontiguousarray(state[key]).tobytes())
+        assert h.hexdigest() == (
+            "5b10767bb5cc5cdc298a2c71b97cdc19fd29ee65ffcb3f0edf41e337ef94e298"
+        )
 
     def test_zero_variance_data_simulation(self, rng):
         data = make_grouped(rng, n_groups=3, group_size=4, n_points=4)
