@@ -20,8 +20,8 @@ def matern_corr(range_a: float, grid: Grid) -> np.ndarray:
     (d/a below about 1e-152, or 0) the entry is the limit 1, and where it
     underflows (d/a above about 743) the entry is 0.
     """
-    if range_a <= 0.0:
-        raise ValueError("kernel range must be positive")
+    if not 0.0 < range_a < np.inf:  # NaN fails both comparisons
+        raise ValueError("kernel range must be positive and finite")
     t = grid.points
     with np.errstate(over="ignore"):  # d/a past the float range is inf, K_2 0
         x = np.abs(t[:, None] - t[None, :]) / range_a

@@ -9,6 +9,11 @@ conditional probabilities, tiny probabilities retain good relative accuracy.
 Scrambling is the costly part of building a Sobol engine, so the engines of
 one (seed, dimension) are built once and reset before each use; a reset
 engine yields the same points as a fresh one.
+
+Of the ``feqt`` modes only prior calibration needs ``scipy.stats.qmc`` and
+``scipy.optimize``, and importing them takes longer than a whole ``tost``
+pass. So each is imported inside the one function that uses it, and the
+other modes start without them.
 """
 
 from __future__ import annotations
@@ -17,9 +22,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
 
 from ..fdata import BandPair
 from .kernels import matern_corr, prior_corr, JITTER
@@ -112,6 +115,8 @@ def _sobol_engines(seed: int, dim: int) -> tuple:
     """The scrambled Sobol engines of ``seed`` in ``dim`` dimensions, built
     once per process. Every call shares them, so a caller ``reset()``s each
     before drawing, and calls must not overlap (feqt makes them one at a time)."""
+    from scipy.stats import qmc
+
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return tuple(
         qmc.Sobol(dim, scramble=True, seed=rng.integers(2**63)) for _ in range(_RANDOMIZATIONS)
@@ -214,6 +219,8 @@ def calibrate_prior_scale(
     Root-finds on log(s2): larger scales push the mixture mass away from the
     rectangle, so the probability is monotone decreasing in s2.
     """
+    from scipy.optimize import brentq
+
     if not 0.0 < target < 1.0:
         raise ValueError("target probability must lie in (0, 1)")
     prior_corr(range_a, bands.grid)  # refuse a singular prior before any work

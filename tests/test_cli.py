@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,6 +287,22 @@ class TestPriorRange:
         assert "numerically singular" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("range_a", ["nan", "inf"])
+    def test_nonfinite_range_refused_before_calibration(
+        self, equivalent_file, tmp_path, capsys, monkeypatch, range_a
+    ):
+        import feqt.bayes.mvnprob as mvnprob
+
+        refuse_engines(monkeypatch, ("run_mwg",))
+        monkeypatch.setattr(mvnprob, "prior_equivalence_prob", cli_never)
+        out = tmp_path / "out"
+        code = run_cli(["bayes", "--input", equivalent_file, "--range-a", range_a,
+                        "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error [bad-argument]: kernel range must be positive and finite")
+        assert not out.exists()
+
     def test_range_inside_the_bound_runs(self, equivalent_file, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli(["bayes", "--input", equivalent_file, "--range-a", "11",
@@ -451,6 +473,17 @@ class TestSimulateMode:
         for path in tmp_path.iterdir():
             assert b"replicate errors" not in path.read_bytes()
 
+    def test_scenario_builder_looked_up_when_the_mode_runs(self, tmp_path, capsys, monkeypatch):
+        import feqt.cli as cli
+
+        monkeypatch.setattr(cli, "boundary_violation_scenarios", cli_never)
+        code = run_cli(["simulate", "--scenarios", "size-theta", "--replicates", "50",
+                        "--replicates-bootstrap", "100", "--groups", "2", "--group-size", "2",
+                        "--grid-size", "4", "--out", str(tmp_path)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error [AssertionError]: ")
+
+
 class TestReportMode:
     def test_rerender_matches_original(self, equivalent_file, tmp_path, capsys):
         first = tmp_path / "first"
@@ -510,3 +543,61 @@ class TestReportMode:
             capsys.readouterr().err
         )
         assert list(out.iterdir()) == []
+
+
+#: Runs each mode but bayes on tiny inputs in a fresh interpreter, then a
+#: calibrated bayes run, and prints which of the packages that only prior
+#: calibration needs were loaded after each step.
+STARTUP_SCRIPT = """
+import json, sys
+from pathlib import Path
+
+CALIBRATION_ONLY = ("scipy.stats", "scipy.optimize")
+loaded = lambda: [m for m in CALIBRATION_ONLY if m in sys.modules]
+steps = []
+
+import feqt
+steps.append(("import feqt", None, loaded()))
+import feqt.cli
+steps.append(("import feqt.cli", None, loaded()))
+
+from feqt.curvefile import write_curves
+from feqt.fdata import equispaced_grid
+from feqt.simlab import default_truth, generate_dataset
+
+out = Path(sys.argv[1])
+data = out / "data.csv"
+write_curves(generate_dataset(default_truth(equispaced_grid(5), 6, 3), 1), data)
+runs = [
+    ["tost", "--input", str(data), "--replicates", "100", "--out", str(out / "tost")],
+    ["simulate", "--scenarios", "size-theta", "--replicates", "50",
+     "--replicates-bootstrap", "100", "--groups", "2", "--group-size", "2",
+     "--grid-size", "4", "--out", str(out / "simulate")],
+    ["bands", "--grid-size", "5", "--out", str(out / "bands")],
+    ["report", "--input", str(out / "tost" / "tost_report.json"), "--out", str(out / "report")],
+    ["bayes", "--input", str(data), "--chains", "1", "--iters", "150", "--burnin", "50",
+     "--thin", "1", "--emit", "json", "--out", str(out / "bayes")],
+]
+for argv in runs:
+    steps.append((argv[0], feqt.cli.run_cli(argv), loaded()))
+print(json.dumps(steps))
+"""
+
+
+def test_only_calibration_loads_scipy_stats_and_optimize(tmp_path):
+    import feqt
+
+    src = str(Path(feqt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    *uncalibrated, (mode, code, loaded) = steps
+    for step, step_code, step_loaded in uncalibrated:
+        assert step_code in (None, EXIT_OK, EXIT_FAIL_TO_REJECT), (step, proc.stderr)
+        assert step_loaded == [], step
+    assert mode == "bayes" and code in (EXIT_OK, EXIT_FAIL_TO_REJECT), proc.stderr
+    assert loaded == ["scipy.stats", "scipy.optimize"]

@@ -1,4 +1,5 @@
-"""Every module-level import in ``src/feqt`` is used by the module itself.
+"""Every import in ``src/feqt``, at module level or inside a function, is
+used by the module itself.
 
 No linter runs on this tree, so this stands in for pyflakes' unused-import
 check. ``__init__.py`` files are exempt: their imports are re-exports.
@@ -14,11 +15,11 @@ MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list:
-    """Names bound by the module-level imports of ``source`` that no name
+    """Names bound by the imports of ``source``, at any depth, that no name
     lookup in the module reads."""
     tree = ast.parse(source)
     bound = set()
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -42,4 +43,4 @@ def test_gate_flags_unused_names():
         "    import json\n"
         "    return numpy.linalg.norm(c)\n"
     )
-    assert unused_imports(source) == ["a", "os"]
+    assert unused_imports(source) == ["a", "json", "os"]
