@@ -31,7 +31,7 @@ class CurveFileError(ValueError):
 
 
 def _fmt(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+    return ",".join(map(repr, values.tolist()))
 
 
 def write_curves_text(sample) -> str:
@@ -109,7 +109,7 @@ def read_curves_text(text: str):
         rows[key] = (_parse_floats(parts[3], lineno, T), lineno)
         order[(group, breath)] = None
     if not rows:
-        raise CurveFileError("file contains no curve rows")
+        raise CurveFileError("line 1: no curve rows follow the header")
 
     channels = {c for (_, _, c) in rows}
     paired = 2 in channels
@@ -134,10 +134,15 @@ def read_curves_text(text: str):
     def pair(group):
         return PairedFunctionalSample(grid, channel_matrix(group, 1), channel_matrix(group, 2))
 
+    if len(group_ids) > 1 and not paired:
+        (first, _), *later = order
+        group, breath = next(k for k in later if k[0] != first)
+        raise CurveFileError(
+            f"line {rows[(group, breath, 1)][1]}: group {group} makes the sample grouped, "
+            "and grouped samples need both channels"
+        )
     try:
         if len(group_ids) > 1:
-            if not paired:
-                raise CurveFileError("grouped samples need both channels")
             return GroupedPairedSample(grid, tuple(pair(g) for g in group_ids))
         if paired:
             return pair(group_ids[0])

@@ -11,17 +11,24 @@ Randomness contract: replicate r draws only from the Philox substream keyed by
 chunking. The draws of a chunk come from one bit generator re-keyed per
 replicate and are mapped to indices in bulk, bit for bit as
 ``Generator.integers`` maps them.
+
+Memory: a chunk's working arrays (the drawn words and indices, the count
+matrix and its product, the grouped kernel's temporaries) live in buffers
+each thread allocates once and reuses across chunks and calls (see
+:func:`_scratch`), so the kernel does not fault fresh pages in per chunk.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .estimators import (
     VARIANCE_FLOOR,
@@ -50,6 +57,9 @@ _CHUNK_ELEMS = 2_000_000
 
 #: Machine epsilon, twice the unit roundoff u of the rounding bounds below.
 _EPS = np.finfo(float).eps
+
+#: This thread's working buffers, one per name (:func:`_scratch`).
+_buffers = threading.local()
 
 
 class Design(enum.Enum):
@@ -167,6 +177,25 @@ def _chunks(total: int, per_replicate_elems: int):
         yield start, min(start + step, total)
 
 
+def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialised C-contiguous ``shape`` array over this thread's
+    buffer ``name``.
+
+    Each name keeps one buffer per thread, replaced only when a request
+    outgrows it, so a thread holds at most one chunk's working arrays and
+    reuses them across chunks and calls. Freed multi-MB temporaries would go
+    back to the OS and fault in again on the next chunk. Arrays requested
+    under one name share its memory: take another only once the last is
+    spent.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = getattr(_buffers, name, None)
+    if buf is None or buf.size < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+        setattr(_buffers, name, buf)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
 def _draw(rng: np.random.Generator, segments) -> np.ndarray:
     """One draw of ``segments`` from ``rng``, one ``integers`` call each."""
     return np.concatenate([off + rng.integers(0, n, size) for size, n, off in segments])
@@ -181,8 +210,9 @@ def _draw_chunk(seed: int, lo: int, hi: int, segments):
     ``integers`` takes 32-bit halves, low half first, carrying a half into
     the next call, and maps a half u to ``(u * n) >> 32``; it rejects u and
     takes the next half when ``(u * n) mod 2**32 < 2**32 mod n`` (Lemire's
-    method). Returns the (m, slots) indices and, per replicate, whether a
-    half was rejected: that replicate's row is not its draw.
+    method). Returns the (m, slots) indices, in this thread's ``idx``
+    buffer, and per replicate whether a half was rejected: that replicate's
+    row is not its draw.
     """
     if any(not 2 <= n <= 2**32 for _, n, _ in segments):
         # integers(0, 1, k) consumes no bits; wider ranges take 64-bit words
@@ -193,14 +223,13 @@ def _draw_chunk(seed: int, lo: int, hi: int, segments):
     state["state"]["key"][0] = seed & _SEED_MASK
     state["state"]["counter"][:] = 0
     state.update(buffer_pos=4, has_uint32=0)  # empty buffer, no carried half
-    words = np.empty((hi - lo, (total + 1) // 2), dtype="<u8")
+    # one buffer, worked in place: each row's halves, their products, then
+    # the indices
+    idx = _scratch("idx", (hi - lo, total), "<u8")
     for i, r in enumerate(range(lo, hi)):
         state["state"]["key"][1] = r
         bitgen.state = state
-        words[i] = bitgen.random_raw(words.shape[1])
-    # one buffer, worked in place: the half, its product, then the index
-    idx = words.view("<u4")[:, :total].astype("<u8")
-    del words
+        idx[i] = np.asarray(bitgen.random_raw((total + 1) // 2), "<u8").view("<u4")[:total]
     low = idx.view("<u4")[:, ::2]
     rejected = np.zeros(hi - lo, dtype=bool)
     a = 0
@@ -239,7 +268,8 @@ def _resolve_replicates(cfg: BootstrapConfig, segments, stats_of, per_rep_elems)
             idx[i] = _draw(rngs[i], segments)
         active = np.arange(hi - lo)
         while True:
-            *stats, ok = stats_of(idx[active])
+            # no copy while every replicate of the chunk is active
+            *stats, ok = stats_of(idx if active.size == hi - lo else idx[active])
             if stats_out is None:
                 stats_out = tuple(np.empty((B,) + s.shape[1:]) for s in stats)
             for out, s in zip(stats_out, stats):
@@ -268,14 +298,26 @@ def _count_sums(idx: np.ndarray, sizes: np.ndarray, columns: np.ndarray) -> np.n
     them for group g, group after group. They form a sparse count matrix with
     one row per (replicate, group) and one column per reservoir row; repeated
     draws of a row add up in the product with ``columns`` (R, K).
+
+    The product is the loop ``csr_matrix @ columns`` runs, over this thread's
+    buffers: each output row starts at +0.0, as in the fresh ``np.zeros``
+    result scipy allocates, and adds its rows in the same order, so the sums
+    are the same bits.
     """
-    m, G = idx.shape[0], sizes.size
-    indptr = np.zeros(m * G + 1, dtype=np.int64)
+    (m, slots), G, K = idx.shape, sizes.size, columns.shape[1]
+    indptr = _scratch("indptr", (m * G + 1,), np.int64)
+    indptr[0] = 0
     np.cumsum(np.tile(sizes, m), out=indptr[1:])
-    counts = sparse.csr_matrix(
-        (np.ones(idx.size), idx.ravel(), indptr), shape=(m * G, columns.shape[0])
+    ones = _scratch("ones", (m * slots,))
+    ones.fill(1.0)
+    indices = _scratch("indices", (m, slots), np.int64)
+    np.copyto(indices, idx)
+    sums = _scratch("sums", (m * G, K))
+    sums.fill(0.0)
+    _sparsetools.csr_matvecs(
+        m * G, columns.shape[0], K, indptr, indices.ravel(), ones, columns.ravel(), sums.ravel()
     )
-    return (counts @ columns).reshape(m, G, columns.shape[1])
+    return sums.reshape(m, G, K)
 
 
 def _settle(ss: np.ndarray, tol: np.ndarray, idx: np.ndarray, values_of) -> np.ndarray:
@@ -405,17 +447,26 @@ def bootstrap_random_effects(
     n_i, n_max, n_star = sizes.astype(float), sizes.max(), decomp.n_star
 
     def stats_of(idx):
+        m = idx.shape[0]
         sq = _count_sums(idx[:, A:], sizes, columns)  # (m, A, 2T), or 4T with Q
         s = sq[..., : 2 * T]
-        means = a_hat[idx[:, :A]] + s / n_i[:, None]  # (m, A, 2T)
-        theta = (means[..., :T] - means[..., T:]).mean(axis=1)
+        # the group means a_hat + S/n and their temporaries, in this thread's
+        # buffers; "clip" (the indices are in range) keeps take from
+        # buffering its output
+        tmp = np.divide(s, n_i[:, None], out=_scratch("tmp", (m, A, 2 * T)))
+        means = _scratch("means", (m, A, 2 * T))
+        np.take(a_hat, idx[:, :A], axis=0, out=means, mode="clip")
+        means += tmp
+        # S/n is spent: the channel differences take the front of its buffer
+        diff = np.subtract(means[..., :T], means[..., T:], out=_scratch("tmp", (m, A, T)))
+        theta = diff.mean(axis=1)
         if theta_only:
-            return theta, np.ones(idx.shape[0], dtype=bool)
+            return theta, np.ones(m, dtype=bool)
         q = sq[..., 2 * T :].sum(axis=1)
         grand = (n_i @ means) / N
-        dev = means - grand[:, None]
-        ssa = n_i @ (dev * dev)  # (m, 2T)
-        sse = q - (1.0 / n_i) @ (s * s) + ssa
+        dev = np.subtract(means, grand[:, None], out=tmp)
+        ssa = n_i @ np.multiply(dev, dev, out=dev)  # (m, 2T)
+        sse = q - (1.0 / n_i) @ np.multiply(s, s, out=tmp) + ssa
         # where the exact SSE is 0, every group mean is the grand mean g and
         # |S_i|^2 <= n_i Q_i: the within-group part errs below (3n + 2A + 4) u Q
         # and SSA, rounding alone, below N ((A + 3) u g)^2 + O(u^2 n N Q), a

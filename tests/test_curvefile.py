@@ -186,8 +186,14 @@ class TestErrors:
 
     def test_empty_body(self):
         header = small_text().splitlines()[0]
-        with pytest.raises(CurveFileError, match="no curve rows"):
+        with pytest.raises(CurveFileError, match="line 1: no curve rows"):
             read_curves_text(header + "\n")
+
+    def test_grouped_channel_1_only_names_the_second_group(self):
+        lines = [l for l in small_text().splitlines() if l.split(",")[1] != "2"]
+        assert lines[3].startswith("2,1,1,")
+        with pytest.raises(CurveFileError, match="line 4: group 2 makes the sample grouped"):
+            read_curves_text("\n".join(lines) + "\n")
 
 
 class TestKindInference:

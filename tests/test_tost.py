@@ -1,9 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import feqt.tost as tost_mod
 from feqt.estimators import (
@@ -201,6 +207,122 @@ class TestBulkDraws:
         draws = bootstrap_matched(s, BootstrapConfig(1000, seed=8))
         assert draws.redraws.sum() > 0
         assert calls == list(np.flatnonzero(draws.redraws))
+
+
+def _bits(draws):
+    return [None if a is None else a.tobytes() for a in draws.__dict__.values()]
+
+
+#: Prints the minor page faults of ``call()`` once ``warm()`` has run the same
+#: kernel shapes, in a fresh interpreter: how freed memory goes back to the OS
+#: depends on the allocations a process made before, so the test process
+#: itself cannot measure it.
+_WARM_FAULTS = """
+import resource, warnings
+from feqt.fdata import BandKind, equispaced_grid, make_cosine_bands
+from feqt.simlab import boundary_violation_scenarios, default_truth, generate_dataset, run_study
+from feqt.tost import BootstrapConfig, Design, Metric, bootstrap_random_effects, run_tost
+
+warnings.simplefilter("ignore")  # the study's low B
+{setup}
+warm()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+call()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def warm_faults(setup):
+    import feqt
+
+    src = str(Path(feqt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WARM_FAULTS.format(setup=setup)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    return int(proc.stdout.split()[-1])
+
+
+class TestChunkBuffers:
+    """The kernel's per-thread working buffers: the same bits as fresh
+    arrays, private to each thread, bounded, and actually reused."""
+
+    @pytest.mark.parametrize("design", ["grouped", "matched"])
+    def test_count_sums_equal_scipy_product(self, design):
+        rng = np.random.default_rng(4)
+        if design == "grouped":  # the residual slots after A = 3 effect slots
+            sizes, K = np.array([4, 2, 5]), 10
+            idx = rng.integers(0, 11, size=(6, 3 + 11))[:, 3:]
+        else:
+            sizes, K = np.array([7]), 8
+            idx = rng.integers(0, 7, size=(5, 7))
+        R = idx.max() + 1
+        # a smaller call first leaves negative sums in the reused output
+        tost_mod._count_sums(idx[:2], sizes, -np.ones((R, K)))
+        columns = rng.normal(size=(R, K))
+        columns[:, 1] = -0.0  # the product starts from +0.0, so it sums to +0.0
+        m, G = idx.shape[0], sizes.size
+        indptr = np.concatenate([[0], np.cumsum(np.tile(sizes, m))])
+        counts = sparse.csr_matrix((np.ones(idx.size), idx.ravel(), indptr), shape=(m * G, R))
+        assert len(set(idx[0])) < idx.shape[1]  # rows repeat within a replicate
+        want = (counts @ columns).reshape(m, G, K)
+        got = tost_mod._count_sums(idx, sizes, columns)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not np.signbit(got[..., 1]).any()
+
+    def test_threads_keep_their_own_buffers(self):
+        datasets = [
+            generate_dataset(default_truth(equispaced_grid(25), A, n), A)
+            for A, n in ((20, 20), (10, 10))
+        ]
+        cfg = BootstrapConfig(1000, seed=2)
+        want = [_bits(bootstrap_random_effects(g, cfg)) for g in datasets]
+        results, pools = [[], []], [None, None]
+
+        def work(k):
+            for r in range(4):  # each thread alternates the two shapes
+                j = (k + r) % 2
+                results[k].append((j, _bits(bootstrap_random_effects(datasets[j], cfg))))
+            pools[k] = sum(b.nbytes for b in vars(tost_mod._buffers).values())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(2):
+            assert len(results[k]) == 4
+            for j, bits in results[k]:
+                assert bits == want[j]
+            # one chunk's working arrays, at 8 bytes an element
+            assert 0 < pools[k] <= 8 * tost_mod._CHUNK_ELEMS
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux ru_minflt")
+    def test_warm_grouped_bootstrap_faults_few_pages(self):
+        faults = warm_faults(
+            "g = generate_dataset(default_truth(equispaced_grid(25), 20, 20), 0)\n"
+            "warm = call = lambda: bootstrap_random_effects(g, BootstrapConfig(2000, seed=0))"
+        )
+        assert faults < 5000  # about 16 000 when each chunk allocates afresh
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux ru_minflt")
+    def test_warm_size_study_faults_few_pages(self):
+        faults = warm_faults(
+            "grid = equispaced_grid(25)\n"
+            "bands = make_cosine_bands(grid, BandKind.ADDITIVE)\n"
+            "seq = boundary_violation_scenarios(default_truth(grid, 10, 10), bands, Metric.THETA)\n"
+            "cfg = BootstrapConfig(100, 0.05, 0, Design.RANDOM_EFFECTS_MATCHED)\n"
+            "warm = lambda: run_tost(generate_dataset(seq.truths[0], 0), cfg, {Metric.THETA: bands})\n"
+            "call = lambda: run_study(seq, 50, cfg, {Metric.THETA: bands})"
+        )
+        assert faults < 5000  # about 150 000 when each chunk allocates afresh
 
 
 class TestBootstrapConfig:
