@@ -4,13 +4,18 @@ The pointwise-factorized correlation makes the mean curves, random effects,
 hyper-means, and mixture indicators conjugate; only the log-variance curves
 (blocked random-walk Metropolis with prior-correlation-shaped proposals) and
 the cross-correlations (per-point Metropolis on the Fisher-z scale) need
-Metropolis steps. The two variance levels, error (log lambda, read from
-y - alpha) and random effect (log psi, read from alpha - mu), are each a pair
-of log-variance curves under a band-centred mixture GP prior plus a pointwise
-cross-correlation. Given alpha and mu they are conditionally independent and
-share one GP, so they are held stacked, as one (chains, level, channel, T)
-array of curves and one (chains, level, T) array of correlations, and every
-Metropolis step moves both levels at once.
+Metropolis steps.
+
+The state is a dict of six arrays, each with a leading chain axis: ``mu``
+(chains, 2, T), the channel mean curves; ``alpha`` (chains, A, 2, T), the
+group random effects; ``logvars`` (chains, level, channel, T), the
+log-variance curves of the error level (log lambda, read from y - alpha) and
+of the random-effect level (log psi, read from alpha - mu); ``rho`` (chains,
+level, T), their pointwise cross-correlations; ``hypers`` (chains, 3, T), the
+hyper-means of the mu, log lambda and log psi mixture GP priors; and
+``indicators`` (chains, 3), those mixtures' indicators. Given alpha and mu
+the two levels are conditionally independent and share one GP, so every
+Metropolis step moves both at once.
 
 One sweep updates, in this order: the random effects alpha, the mean curves
 mu, the log-variance curves of both levels (``_INNER_REPEATS`` passes over
@@ -32,7 +37,12 @@ freeze afterwards, preserving detailed balance for every retained draw.
 A sweep first draws each chain's random tape from that chain's stream, in a
 fixed order (see :meth:`MwgSampler._tape`); the updates then read the tape by
 position, not in the order they run. Chain c's draws are therefore
-independent of how many chains run and in which order.
+independent of how many chains run and in which order. ``MwgSampler.scales``
+and ``MwgSampler.accepted`` hold each chain's proposal scale and accepted
+count, (chains, block, level) each. :func:`run_mwg` reports a block's
+acceptance rate as its accepted count over the proposals the schedule implies
+(chains x iters x ``_INNER_REPEATS``, times T for rho), pooled over chains,
+burn-in included.
 """
 
 from __future__ import annotations
@@ -52,19 +62,11 @@ from .posterior import PosteriorDraws
 _TARGET_ACCEPT = 0.3
 #: Metropolis passes per variance-level block in one sweep.
 _INNER_REPEATS = 5
-_INITIAL_STEPS = {
-    "leps_1": 0.1, "leps_2": 0.1, "lalp_1": 0.3, "lalp_2": 0.3, "rho_e": 0.5, "rho_a": 0.8,
-}
 #: The proposal-scale keys of the three Metropolis blocks (channel 1's and
-#: channel 2's log-variance curves, the cross-correlation), by variance level.
+#: channel 2's log-variance curves, the cross-correlation), by variance level,
+#: and each one's initial scale.
 _BLOCKS = (("leps_1", "lalp_1"), ("leps_2", "lalp_2"), ("rho_e", "rho_a"))
-#: State keys held as one array stacked along axis 1, and the keys of its views.
-_STACKED = {
-    "logvars": ("leps", "lalp"),
-    "rho": ("rho_e", "rho_a"),
-    "hypers": ("mu0", "tau_e", "tau_a"),
-    "indicators": ("d_mu", "d_e", "d_a"),
-}
+_INITIAL_SCALES = ((0.1, 0.3), (0.1, 0.3), (0.5, 0.8))
 
 
 class SamplerDivergenceError(RuntimeError):
@@ -124,12 +126,17 @@ def _inv2x2(a, b, c):
     return c / det, -b / det, a / det
 
 
-def _chol2x2(a, b, c):
-    """Cholesky entries (l11, l21, l22) of symmetric 2x2 covariance arrays."""
-    l11 = np.sqrt(a)
-    l21 = b / l11
-    l22 = np.sqrt(np.maximum(c - l21 * l21, 1e-300))
-    return l11, l21, l22
+def _bvn(m1, m2, c11, c12, c22, z):
+    """Bivariate-normal draws from (..., 2, T) standard normals ``z``, with
+    channel means ``m1``, ``m2`` and covariance entries ``c11``, ``c12``,
+    ``c22``, through the 2x2 Cholesky factor."""
+    l11 = np.sqrt(c11)
+    l21 = c12 / l11
+    l22 = np.sqrt(np.maximum(c22 - l21 * l21, 1e-300))
+    out = np.empty(z.shape)
+    out[..., 0, :] = m1 + l11 * z[..., 0, :]
+    out[..., 1, :] = m2 + l21 * z[..., 0, :] + l22 * z[..., 1, :]
+    return out
 
 
 def _cross_sums(dev):
@@ -158,17 +165,6 @@ def _lapack(routine, *args, **kwargs):
 def _batch(x, chains):
     """A writable copy of ``x`` with its leading axis broadcast to ``chains``."""
     return np.broadcast_to(x, (chains,) + x.shape[1:]).copy()
-
-
-def _stacked(state):
-    """``state`` with each group of ``_STACKED`` keys stacked into one array,
-    the keys re-pointed to views of it, so an in-place write through either
-    reaches both."""
-    for key, parts in _STACKED.items():
-        whole = np.stack([state[p] for p in parts], axis=1)
-        state[key] = whole
-        state.update({p: whole[:, i] for i, p in enumerate(parts)})
-    return state
 
 
 class MwgSampler:
@@ -215,16 +211,10 @@ class MwgSampler:
         )  # (1 or chains, A, 2, T)
 
     def _start(self, chains: int):
-        """Initial proposal scales, one per chain and block, and zero counts;
-        each chain adapts its own scales during burn-in only. ``steps`` and
-        ``accept_counts`` are views of (chains, block, level) arrays."""
-        self._scales = np.tile([[_INITIAL_STEPS[k] for k in keys] for keys in _BLOCKS],
-                               (chains, 1, 1))
-        self._accepted = np.zeros(self._scales.shape, dtype=np.int64)
-        at = {k: (j, i) for j, keys in enumerate(_BLOCKS) for i, k in enumerate(keys)}
-        self.steps = {k: self._scales[:, j, i] for k, (j, i) in at.items()}
-        self.accept_counts = {k: self._accepted[:, j, i] for k, (j, i) in at.items()}
-        self.proposal_counts = {k: 0 for k in _INITIAL_STEPS}
+        """Initial proposal scales and zero acceptance counts, (chains, block,
+        level) each; each chain adapts its own scales during burn-in only."""
+        self.scales = np.tile(_INITIAL_SCALES, (chains, 1, 1))
+        self.accepted = np.zeros(self.scales.shape, dtype=np.int64)
 
     def _mixture_offsets(self, indicators):
         """The (chains, 3, T) offsets the (chains, 3) ``indicators`` select."""
@@ -252,21 +242,16 @@ class MwgSampler:
 
         spread = np.broadcast_to(np.asarray(spread, float), (chains,))[:, None, None]
         jit = lambda: spread * _normals(rngs, (2, self.T))
-        state = {
+        log_v = (np.log(v_eps), np.log(v_alp))
+        hypers = np.stack([mu.mean(axis=1)] + [lv.mean(axis=1) for lv in log_v], axis=1)
+        return {
             "mu": mu + jit() * 0.05,
             "alpha": _batch(self.ybar_group, chains),
-            "leps": np.log(v_eps) + jit() * 0.3,
-            "lalp": np.log(v_alp) + jit() * 0.3,
-            "rho_e": corr(within),
-            "rho_a": corr(dev_a),
-            "mu0": _batch(mu.mean(axis=1), chains),
-            "tau_e": _batch(np.log(v_eps).mean(axis=1), chains),
-            "tau_a": _batch(np.log(v_alp).mean(axis=1), chains),
-            "d_mu": _coin_flips(rngs),
-            "d_e": _coin_flips(rngs),
-            "d_a": _coin_flips(rngs),
+            "logvars": np.stack([lv + jit() * 0.3 for lv in log_v], axis=1),
+            "rho": np.stack([corr(within), corr(dev_a)], axis=1),
+            "hypers": _batch(hypers, chains),
+            "indicators": np.stack([_coin_flips(rngs) for _ in range(3)], axis=1),
         }
-        return _stacked(state)
 
     def init_from_prior(self, rngs, mu0, tau_e, tau_a) -> dict:
         """Draw every parameter of one chain per generator in ``rngs`` from its
@@ -278,41 +263,40 @@ class MwgSampler:
         """
         chains = len(rngs)
         self._start(chains)
-        hypers, indicators = _STACKED["hypers"], _STACKED["indicators"]
-        state = {h: _batch(np.asarray(v, float)[None], chains)
-                 for h, v in zip(hypers, (mu0, tau_e, tau_a))}
-        state.update({d: _coin_flips(rngs) for d in indicators})
-        for curves, h, d, offsets in zip(("mu", "leps", "lalp"), hypers, indicators, self.offsets):
-            hyper = state[h]
+        hypers = _batch(np.array([mu0, tau_e, tau_a], float)[None], chains)
+        indicators = np.stack([_coin_flips(rngs) for _ in range(3)], axis=1)
+        curves = []  # mu, log lambda's and log psi's channel curves, (chains, 2, T) each
+        for hyper, d, offsets in zip(hypers.swapaxes(0, 1), indicators.T, self.offsets):
             c1 = hyper + _mv(self.lcov, _normals(rngs, (self.T,)))
-            c2 = hyper - offsets[state[d]] + _mv(self.lcov, _normals(rngs, (self.T,)))
-            state[curves] = np.stack([c1, c2], axis=1)
-        for key in _STACKED["rho"]:
-            state[key] = np.stack([r.uniform(-1.0, 1.0, self.T) for r in rngs])
-        state["alpha"] = self._draw_pairs(
-            state["mu"][:, None], state["lalp"], state["rho_a"], self.A, rngs
-        )
-        return _stacked(state)
+            c2 = hyper - offsets[d] + _mv(self.lcov, _normals(rngs, (self.T,)))
+            curves.append(np.stack([c1, c2], axis=1))
+        uniforms = lambda: np.stack([r.uniform(-1.0, 1.0, self.T) for r in rngs])
+        rho = np.stack([uniforms(), uniforms()], axis=1)
+        return {
+            "mu": curves[0],
+            "alpha": self._draw_pairs(curves[0][:, None], curves[2], rho[:, 1], self.A, rngs),
+            "logvars": np.stack(curves[1:], axis=1),
+            "rho": rho,
+            "hypers": hypers,
+            "indicators": indicators,
+        }
 
     def _draw_pairs(self, mean, logvar, rho, n, rngs):
         """``n`` bivariate-normal curve pairs per chain around ``mean``
         (broadcast to (chains, n, 2, T)) with channel log-variances ``logvar``
         and correlation ``rho``."""
         s = np.exp(0.5 * logvar)
-        s1, s2 = s[:, 0], s[:, 1]
-        l11, l21, l22 = (x[:, None] for x in _chol2x2(s1**2, rho * s1 * s2, s2**2))
+        s1, s2 = s[:, 0, None], s[:, 1, None]
         z = _normals(rngs, (n, 2, self.T))
-        out = np.empty(z.shape)
-        out[..., 0, :] = mean[..., 0, :] + l11 * z[..., 0, :]
-        out[..., 1, :] = mean[..., 1, :] + l21 * z[..., 0, :] + l22 * z[..., 1, :]
-        return out
+        return _bvn(mean[..., 0, :], mean[..., 1, :], s1**2, rho[:, None] * s1 * s2, s2**2, z)
 
     def simulate_data(self, state, rngs) -> None:
         """Replace the observed curves by one draw per chain from the
         likelihood at ``state`` (used by the successive-conditional Geweke
         check)."""
         mean = state["alpha"][:, self.labels]
-        self._set_data(self._draw_pairs(mean, state["leps"], state["rho_e"], self.N, rngs))
+        lv, rho = state["logvars"][:, 0], state["rho"][:, 0]  # the error level
+        self._set_data(self._draw_pairs(mean, lv, rho, self.N, rngs))
 
     # ----- the random tape ------------------------------------------------
 
@@ -358,21 +342,13 @@ class MwgSampler:
         pe11, pe12, pe22 = (p[:, None] for p in prec_e)
         pa11, pa12, pa22 = (p[:, None] for p in prec_a)
         n = self.sizes[:, None].astype(float)  # (A, 1)
-        q11 = n * pe11 + pa11  # (chains, A, T)
-        q12 = n * pe12 + pa12
-        q22 = n * pe22 + pa22
-        yb1 = self.ybar_group[..., 0, :]
-        yb2 = self.ybar_group[..., 1, :]
-        mu1 = state["mu"][:, 0, None]
-        mu2 = state["mu"][:, 1, None]
+        yb1, yb2 = self.ybar_group[..., 0, :], self.ybar_group[..., 1, :]
+        mu1, mu2 = state["mu"][:, 0, None], state["mu"][:, 1, None]
         h1 = n * (pe11 * yb1 + pe12 * yb2) + pa11 * mu1 + pa12 * mu2
         h2 = n * (pe12 * yb1 + pe22 * yb2) + pa12 * mu1 + pa22 * mu2
-        c11, c12, c22 = _inv2x2(q11, q12, q22)  # posterior covariance entries
-        m1 = c11 * h1 + c12 * h2
-        m2 = c12 * h1 + c22 * h2
-        l11, l21, l22 = _chol2x2(c11, c12, c22)
-        state["alpha"][..., 0, :] = m1 + l11 * z[..., 0, :]
-        state["alpha"][..., 1, :] = m2 + l21 * z[..., 0, :] + l22 * z[..., 1, :]
+        # the posterior covariance entries, (chains, A, T) each
+        c11, c12, c22 = _inv2x2(n * pe11 + pa11, n * pe12 + pa12, n * pe22 + pa22)
+        state["alpha"] = _bvn(c11 * h1 + c12 * h2, c12 * h1 + c22 * h2, c11, c12, c22, z)
 
     def _update_mu(self, state, prec_a, z):
         T, A, chains = self.T, self.A, len(z)
@@ -387,8 +363,9 @@ class MwgSampler:
         flat[:, T : T * n : n] = od  # the diagonals of the off-diagonal blocks
         flat[:, 2 * T * T :: n] = od
         h = np.empty((chains, 2 * T))
-        prior2 = state["mu0"] - self.offsets[0][state["d_mu"]]
-        h[:, :T] = _mv(self.prec, state["mu0"]) + A * (pa11 * abar[:, 0] + pa12 * abar[:, 1])
+        mu0 = state["hypers"][:, 0]
+        prior2 = mu0 - self.offsets[0][state["indicators"][:, 0]]
+        h[:, :T] = _mv(self.prec, mu0) + A * (pa11 * abar[:, 0] + pa12 * abar[:, 1])
         h[:, T:] = _mv(self.prec, prior2) + A * (pa12 * abar[:, 0] + pa22 * abar[:, 1])
         L = np.linalg.cholesky(P)
         # a non-finite chain passes through, to be reported by the
@@ -419,15 +396,8 @@ class MwgSampler:
         its ``accepted`` (chains, level) of ``proposed`` proposals; burn-in
         only (one scale per chain, block and level)."""
         gain = 2.0 / (10.0 + cycle) ** 0.6
-        scales = self._scales[:, block]
+        scales = self.scales[:, block]
         scales[...] = np.exp(np.log(scales) + gain * (accepted / proposed - _TARGET_ACCEPT))
-
-    def _count(self, block, accepted, proposed):
-        """Add each chain's ``accepted`` (chains, level) of ``proposed``
-        proposals to the counts of ``block``."""
-        self._accepted[:, block] += accepted
-        for key in _BLOCKS[block]:
-            self.proposal_counts[key] += proposed * len(accepted)
 
     def _update_logvars(self, state, sums, tape, cycle, adapting):
         """Blocked random-walk Metropolis on each channel's log-variance
@@ -454,7 +424,7 @@ class MwgSampler:
         for r in range(_INNER_REPEATS):
             for j in (0, 1):
                 cur = ll + prior[j]
-                lj = channels[j] + self._scales[:, j, :, None] * moves[:, :, r, j]
+                lj = channels[j] + self.scales[:, j, :, None] * moves[:, :, r, j]
                 tj = channel_term(lj, sums[j])
                 if j == 0:
                     ll_new = loglik(tj, terms[1], lj + channels[1])
@@ -471,8 +441,7 @@ class MwgSampler:
                 np.copyto(prior[j], prior_new, where=acc)
                 if adapting:
                     self._adapt(j, acc, 1, cycle)
-        for j in (0, 1):
-            self._count(j, accepted[..., j].sum(axis=-1), _INNER_REPEATS)
+        self.accepted[:, :2] += accepted.sum(axis=2).swapaxes(1, 2)
 
     def _update_rho(self, state, sums, tape, cycle, adapting):
         """Per-point Fisher-z random-walk Metropolis on the cross-correlations
@@ -498,7 +467,7 @@ class MwgSampler:
             logu = np.log(tape.u_rho)
             accepted = np.empty(logu.shape, dtype=bool)  # (chains, level, repeat, T)
             for r in range(_INNER_REPEATS):
-                zp = np.arctanh(rho) + self._scales[:, 2, :, None] * tape.rho[:, :, r]
+                zp = np.arctanh(rho) + self.scales[:, 2, :, None] * tape.rho[:, :, r]
                 rp = np.tanh(zp)
                 new = logpost(rp)
                 acc = np.less(logu[:, :, r], new - cur, out=accepted[:, :, r])
@@ -506,7 +475,7 @@ class MwgSampler:
                 np.copyto(cur, new, where=acc)
                 if adapting:  # per-point proposals share one scale, adapted on the mean rate
                     self._adapt(2, acc.sum(axis=-1), self.T, cycle)
-        self._count(2, accepted.sum(axis=(2, 3)), _INNER_REPEATS * self.T)
+        self.accepted[:, 2] += accepted.sum(axis=(2, 3))
 
     # ----- one sweep ------------------------------------------------------
 
@@ -520,11 +489,9 @@ class MwgSampler:
         self._update_alpha(state, tuple(p[:, 0] for p in prec), prec_a, tape.alpha)
         self._update_mu(state, prec_a, tape.mu)
         alpha = state["alpha"]
-        sums = zip(
-            _cross_sums(self.y - np.take(alpha, self.labels, axis=1)),
-            _cross_sums(alpha - state["mu"][:, None]),
-        )
-        sums = tuple(np.stack(level, axis=1) for level in sums)  # (chains, level, T) each
+        dev = (self.y - np.take(alpha, self.labels, axis=1), alpha - state["mu"][:, None])
+        # (s11, s22, s12) of both levels, (chains, level, T) each
+        sums = tuple(np.stack(s, axis=1) for s in zip(*map(_cross_sums, dev)))
         # repeating the cheap Metropolis updates sharpens mixing of the
         # log-variance curves, the sampler's slowest block
         self._update_logvars(state, sums, tape, cycle, adapting)
@@ -532,15 +499,16 @@ class MwgSampler:
         self._update_rho(state, sums, tape, cycle, adapting)
 
 
+#: Kept draws per chain that :func:`split_rhat` needs: two in each half.
+MIN_CHAIN_DRAWS = 4
+
+
 def split_rhat(x: np.ndarray) -> np.ndarray:
     """Split-R-hat along axis 0 for draws of shape (chains, draws, ...)."""
-    c, m = x.shape[:2]
-    half = m // 2
+    half = x.shape[1] // 2
     halves = np.concatenate([x[:, :half], x[:, half : 2 * half]], axis=0)
-    means = halves.mean(axis=1)
-    vars_ = halves.var(axis=1, ddof=1)
-    w = vars_.mean(axis=0)
-    b = half * means.var(axis=0, ddof=1)
+    w = halves.var(axis=1, ddof=1).mean(axis=0)
+    b = half * halves.mean(axis=1).var(axis=0, ddof=1)
     var_plus = (half - 1) / half * w + b / half
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.sqrt(var_plus / w)
@@ -557,20 +525,17 @@ def _run_chains(sampler: MwgSampler, seed, chains, iters, burnin, thin):
     """
     rngs = [_chain_rng(seed, c) for c in chains]
     state = sampler.init_from_data(rngs, spread=[0.5 * c for c in chains])
-    theta = np.empty((len(rngs), kept_draws(iters, burnin, thin), sampler.T))
-    llam = np.empty_like(theta)
-    lpsi = np.empty_like(theta)
-    indicators = np.empty(theta.shape[:2] + (3,), dtype=int)
+    metrics = np.empty((len(rngs), kept_draws(iters, burnin, thin), 3, sampler.T))
+    indicators = np.empty(metrics.shape[:2] + (3,), dtype=int)
     keep = 0
     for it in range(iters):
         sampler.sweep(state, rngs, cycle=it, adapting=it < burnin)
         if it >= burnin and (it - burnin) % thin == 0:
-            theta[:, keep] = state["mu"][:, 0] - state["mu"][:, 1]
-            llam[:, keep] = state["leps"][:, 0] - state["leps"][:, 1]
-            lpsi[:, keep] = state["lalp"][:, 0] - state["lalp"][:, 1]
+            x = np.concatenate([state["mu"][:, None], state["logvars"]], axis=1)
+            metrics[:, keep] = x[:, :, 0] - x[:, :, 1]
             indicators[:, keep] = state["indicators"]
             keep += 1
-    return theta, llam, lpsi, indicators
+    return metrics[:, :, 0], metrics[:, :, 1], metrics[:, :, 2], indicators
 
 
 def kept_draws(iters: int, burnin: int, thin: int) -> int:
@@ -601,33 +566,33 @@ def run_mwg(
         raise ValueError(f"thin must be at least 1, got {thin}")
     if iters <= burnin:
         raise ValueError("iters must exceed burnin")
-    sampler = MwgSampler(data, prior)
-    T = sampler.T
     per_chain = kept_draws(iters, burnin, thin)
+    if per_chain < MIN_CHAIN_DRAWS:
+        raise ValueError(f"each chain keeps {per_chain} draws; "
+                         f"split R-hat needs at least {MIN_CHAIN_DRAWS}")
+    sampler = MwgSampler(data, prior)
     theta, llam, lpsi, indicators = _run_chains(
         sampler, seed, range(chains), iters, burnin, thin
     )
-
-    rhat = {
-        "theta": split_rhat(theta),
-        "lambda": split_rhat(llam),
-        "psi": split_rhat(lpsi),
-    }
-    warn = bool(max(v.max() for v in rhat.values()) > 1.1)
+    rhat = dict(zip(("theta", "lambda", "psi"), map(split_rhat, (theta, llam, lpsi))))
+    # each sweep proposes every log-variance curve _INNER_REPEATS times per
+    # chain, and every grid point's correlation as often
+    per_curve = chains * iters * _INNER_REPEATS
+    proposed = (per_curve, per_curve, per_curve * sampler.T)  # per block
+    accepted = sampler.accepted.sum(axis=0)  # (block, level), pooled over chains
     acc = {
-        k: int(sampler.accept_counts[k].sum()) / max(sampler.proposal_counts[k], 1)
-        for k in sampler.steps
+        key: int(accepted[j, i]) / proposed[j]
+        for j, keys in enumerate(_BLOCKS) for i, key in enumerate(keys)
     }
-    chain_ids = np.repeat(np.arange(chains), per_chain)
-    flat = lambda a: a.reshape(chains * per_chain, T)
+    flat = lambda a: a.reshape(chains * per_chain, -1)
     return PosteriorDraws(
         grid_points=data.grid.points,
         theta=flat(theta),
         lam=np.exp(flat(llam)),
         psi=np.exp(flat(lpsi)),
-        chain=chain_ids,
+        chain=np.repeat(np.arange(chains), per_chain),
         acceptance=acc,
         rhat=rhat,
-        rhat_warning=warn,
-        indicators=indicators.reshape(chains * per_chain, 3),
+        rhat_warning=bool(max(v.max() for v in rhat.values()) > 1.1),
+        indicators=flat(indicators),
     )

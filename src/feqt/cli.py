@@ -30,7 +30,7 @@ from .bayes import (
     simultaneous_bands,
 )
 from .bayes.posterior import MIN_POSTERIOR_DRAWS
-from .bayes.sampler import kept_draws
+from .bayes.sampler import MIN_CHAIN_DRAWS, kept_draws
 from .simlab import (
     MIN_STUDY_REPLICATES,
     boundary_violation_scenarios,
@@ -217,10 +217,14 @@ def _mode_bayes(args):
         raise CliError("bad-argument", f"--thin must be at least 1, got {args.thin}")
     if args.burnin < 0:
         raise CliError("bad-argument", f"--burnin must be at least 0, got {args.burnin}")
-    draws = args.chains * kept_draws(args.iters, args.burnin, args.thin)
+    per_chain = kept_draws(args.iters, args.burnin, args.thin)
+    draws = args.chains * per_chain
     if draws < MIN_POSTERIOR_DRAWS:
         raise CliError("bad-argument", f"the chains keep {draws} posterior draws; "
                        f"need at least {MIN_POSTERIOR_DRAWS}")
+    if per_chain < MIN_CHAIN_DRAWS:
+        raise CliError("bad-argument", f"each chain keeps {per_chain} draws; "
+                       f"split R-hat needs at least {MIN_CHAIN_DRAWS}")
     seed = _resolve_seed(args)
     sample = _load_sample(args)
     if not isinstance(sample, GroupedPairedSample):

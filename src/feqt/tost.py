@@ -556,6 +556,12 @@ def tost_decide(
     return TostReport(grid, results, decision, noninf, alpha, replicates)
 
 
+def _check_sample(ok: bool, data, design: Design, name: str) -> None:
+    """Refuse ``data``, unless ``ok``, as not the sample ``design`` needs."""
+    if not ok:
+        raise ValueError(f"design {design.value} needs {name}, got {type(data).__name__}")
+
+
 def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
     """End-to-end TOST: estimate, bootstrap per the configured design, decide.
 
@@ -564,13 +570,20 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
     or a :class:`GroupedPairedSample` for the hierarchical design. The
     hierarchical design decomposes the data once, for the estimates and the
     bootstrap, and bootstraps theta alone when it is the only metric in
-    ``eq_bands``.
+    ``eq_bands``. Data of another type raises ``ValueError``.
     """
     if cfg.design is Design.INDEPENDENT_IID:
+        pair = isinstance(data, tuple) and len(data) == 2
+        _check_sample(pair and all(isinstance(s, FunctionalSample) for s in data), data,
+                      cfg.design, "a (FunctionalSample, FunctionalSample) tuple")
         est, draws = estimate_metrics_paired(data), bootstrap_independent(*data, cfg)
     elif cfg.design is Design.MATCHED_PAIRS:
+        _check_sample(isinstance(data, PairedFunctionalSample), data, cfg.design,
+                      "a PairedFunctionalSample")
         est, draws = estimate_metrics_paired(data), bootstrap_matched(data, cfg)
     elif cfg.design is Design.RANDOM_EFFECTS_MATCHED:
+        _check_sample(isinstance(data, GroupedPairedSample), data, cfg.design,
+                      "a GroupedPairedSample")
         decomp = anova_decompose(data)
         est = estimate_metrics_grouped(data, decomp)
         theta_only = eq_bands.keys() == {Metric.THETA}

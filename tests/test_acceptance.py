@@ -253,10 +253,10 @@ def test_criterion_8_prior_recovery_cycling():
     def scalars(s):
         return np.array([
             s["mu"][0].mean(), s["mu"][1].mean(),
-            s["leps"].mean(), s["lalp"].mean(),
-            s["rho_e"].mean(), s["rho_a"].mean(),
+            s["logvars"][0].mean(), s["logvars"][1].mean(),
+            s["rho"][0].mean(), s["rho"][1].mean(),
             (s["mu"][0] ** 2).mean(), s["alpha"].mean(),
-            float(s["d_mu"]), (s["leps"][0] ** 2).mean(),
+            float(s["indicators"][0]), (s["logvars"][0, 0] ** 2).mean(),
         ])
 
     chain0 = lambda s: {k: v[0] for k, v in s.items()}

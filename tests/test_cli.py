@@ -250,6 +250,10 @@ class TestArgumentsCheckedFirst:
          "keep 20 posterior draws; need at least 100"),
         (["--iters", "500", "--burnin", "500"], "keep 0 posterior draws"),
         (["--thin", "0"], "--thin must be at least 1, got 0"),
+        (["--scale", "0.05", "--chains", "100", "--iters", "2", "--burnin", "1", "--thin", "1"],
+         "each chain keeps 1 draws; split R-hat needs at least 4"),
+        (["--scale", "0.05", "--chains", "50", "--iters", "3", "--burnin", "1", "--thin", "1"],
+         "each chain keeps 2 draws; split R-hat needs at least 4"),
     ])
     def test_bad_bayes_argument_before_calibration(
         self, equivalent_file, tmp_path, capsys, monkeypatch, flags, message

@@ -87,16 +87,17 @@ class TestRunMwg:
 
     def test_chain_draws_independent_of_execution_order(self):
         """Chain c adapts its own proposal scales and draws from its own
-        stream, so its draws are the same whether it runs alone, first or
-        last in a batch."""
+        stream, so its draws, acceptance counts and final scales are the same
+        whether it runs alone, first or last in a batch."""
         rng = np.random.default_rng(0)
         data = make_grouped(rng, n_groups=4, group_size=4, n_points=5)
         prior = small_prior(data.grid)
         schedule = dict(iters=240, burnin=40, thin=10)
 
         def chain_draws(order, chain):
-            runs = _run_chains(MwgSampler(data, prior), 3, order, **schedule)
-            return [draws[order.index(chain)] for draws in runs]
+            sampler = MwgSampler(data, prior)
+            runs = _run_chains(sampler, 3, order, **schedule)
+            return [a[order.index(chain)] for a in (*runs, sampler.accepted, sampler.scales)]
 
         for chain in (0, 1, 2):
             alone = chain_draws([chain], chain)
@@ -112,9 +113,13 @@ class TestRunMwg:
     @pytest.mark.parametrize("schedule, message", [
         (dict(burnin=-5), "burnin must be at least 0, got -5"),
         (dict(thin=0), "thin must be at least 1, got 0"),
+        (dict(burnin=9, thin=1), "each chain keeps 1 draws; split R-hat needs at least 4"),
+        (dict(burnin=8, thin=1), "each chain keeps 2 draws; split R-hat needs at least 4"),
+        (dict(burnin=7, thin=1), "each chain keeps 3 draws; split R-hat needs at least 4"),
     ])
     def test_burnin_and_thin_refused(self, schedule, message):
-        """A negative burn-in would emit rows the chains never write."""
+        """A negative burn-in would emit rows the chains never write, and
+        split R-hat needs two kept draws in each half of every chain."""
         rng = np.random.default_rng(0)
         data = make_grouped(rng, n_points=5)
         with pytest.raises(ValueError, match=message):
@@ -136,18 +141,18 @@ class TestSamplerCore:
         T = 6
         state = sampler.init_from_prior([r], np.zeros(T), np.full(T, -1.0), np.full(T, -2.0))
         assert state["alpha"][0].shape == (3, 2, T)
-        assert np.all(np.abs(state["rho_e"]) < 1.0)
+        assert np.all(np.abs(state["rho"][:, 0]) < 1.0)
         before = sampler.y.copy()
         sampler.simulate_data(state, [r])
         assert sampler.y.shape == before.shape
         assert not np.array_equal(sampler.y, before)
         # a sweep on simulated data keeps the state finite
         sampler.sweep(state, [r])
-        for key in ("mu", "leps", "lalp", "rho_e", "rho_a"):
+        for key in ("mu", "logvars", "rho"):
             assert np.all(np.isfinite(state[key]))
         # fixed hyper-means must not move
-        np.testing.assert_array_equal(state["mu0"][0], np.zeros(T))
-        np.testing.assert_array_equal(state["tau_e"][0], np.full(T, -1.0))
+        np.testing.assert_array_equal(state["hypers"][0, 0], np.zeros(T))
+        np.testing.assert_array_equal(state["hypers"][0, 1], np.full(T, -1.0))
 
     def test_fixed_hyper_draws_pinned(self):
         """A sha256 over the states of successive-conditional cycles with the
@@ -165,8 +170,9 @@ class TestSamplerCore:
         for cycle in range(20):
             sampler.simulate_data(state, rngs)
             sampler.sweep(state, rngs, cycle=cycle, adapting=cycle < 10)
-            for key in ("mu", "alpha", "leps", "lalp", "rho_e", "rho_a", "d_mu", "d_e", "d_a"):
-                h.update(np.ascontiguousarray(state[key]).tobytes())
+            lv, rho, d = state["logvars"], state["rho"], state["indicators"]
+            for a in (state["mu"], state["alpha"], lv[:, 0], lv[:, 1], rho[:, 0], rho[:, 1], *d.T):
+                h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest() == (
             "5b10767bb5cc5cdc298a2c71b97cdc19fd29ee65ffcb3f0edf41e337ef94e298"
         )
@@ -176,7 +182,7 @@ class TestSamplerCore:
         sampler = MwgSampler(data, small_prior(data.grid))
         r = _chain_rng(2, 0)
         state = sampler.init_from_data([r])
-        state["leps"][0] = np.full((2, 4), -60.0)  # essentially noiseless
+        state["logvars"][0, 0] = np.full((2, 4), -60.0)  # essentially noiseless
         sampler.simulate_data(state, [r])
         np.testing.assert_allclose(
             sampler.y[0], state["alpha"][0][data.group_labels()], atol=1e-10
@@ -188,10 +194,10 @@ class TestSamplerCore:
         rngs = [_chain_rng(2, c) for c in range(3)]
         state = sampler.init_from_data(rngs, spread=0.5)
         sampler.sweep(state, rngs)  # finite chains sweep cleanly
-        state["leps"][1, 0, 2] = np.nan
+        state["logvars"][1, 0, 0, 2] = np.nan
         with pytest.raises(SamplerDivergenceError, match="non-finite log-posterior") as info:
             sampler.sweep(state, rngs)
-        dumped = info.value.state["leps"]
+        dumped = info.value.state["logvars"][:, 0]
         assert np.isnan(dumped[1, 0, 2])
         assert np.all(np.isfinite(np.delete(dumped, 1, axis=0)))
 
@@ -202,11 +208,9 @@ class TestSamplerCore:
         sampler = MwgSampler(data, small_prior(data.grid))
         rngs = [_chain_rng(5, c) for c in range(2)]
         state = sampler.init_from_data(rngs, spread=0.5)
-        sampler.steps["rho_e"][:] = 1e3
-        sampler.steps["rho_a"][:] = 1e3
+        sampler.scales[:, 2] = 1e3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(5):
                 sampler.sweep(state, rngs)
-        for key in ("rho_e", "rho_a"):
-            assert np.all(np.abs(state[key]) < 1.0)
+        assert np.all(np.abs(state["rho"]) < 1.0)

@@ -789,6 +789,24 @@ class TestRunTost:
         with pytest.raises(DegenerateVarianceError, match="grid index 3"):
             run_tost(data, cfg, bands)
 
+    @pytest.mark.parametrize("design, kind, needs", [
+        (Design.MATCHED_PAIRS, "grouped", "a PairedFunctionalSample, got GroupedPairedSample"),
+        (Design.RANDOM_EFFECTS_MATCHED, "paired",
+         "a GroupedPairedSample, got PairedFunctionalSample"),
+        (Design.INDEPENDENT_IID, "paired",
+         r"a \(FunctionalSample, FunctionalSample\) tuple, got PairedFunctionalSample"),
+        (Design.INDEPENDENT_IID, "two paired",
+         r"a \(FunctionalSample, FunctionalSample\) tuple, got tuple"),
+    ], ids=["grouped-as-matched", "paired-as-grouped", "paired-as-independent",
+            "two-paired-as-independent"])
+    def test_data_of_another_design_refused(self, rng, design, kind, needs):
+        grouped = make_grouped(rng, n_points=5)
+        data = {"grouped": grouped, "paired": grouped.groups[0],
+                "two paired": grouped.groups[:2]}[kind]
+        bands = {Metric.THETA: make_cosine_bands(grouped.grid, BandKind.ADDITIVE)}
+        with pytest.raises(ValueError, match=f"design {design.value} needs {needs}"):
+            run_tost(data, BootstrapConfig(1000, seed=6, design=design), bands)
+
     def test_separated_means_fail(self, rng, grid25):
         s1 = FunctionalSample(grid25, rng.normal(1.0, 0.1, (30, 25)))
         s2 = FunctionalSample(grid25, rng.normal(0.0, 0.1, (30, 25)))
