@@ -115,11 +115,3 @@ def simultaneous_bands(draws: np.ndarray, coverage: float) -> SimultaneousBand:
         degenerate_points=degenerate,
     )
 
-
-def band_coverage(band: SimultaneousBand, draws: np.ndarray) -> float:
-    """Fraction of draws lying entirely inside the band (closed, with a small
-    tolerance for draws sitting exactly on the defining quantile)."""
-    x = np.atleast_2d(np.asarray(draws, dtype=float))
-    tol = 1e-12 * (1.0 + np.abs(band.upper) + np.abs(band.lower))
-    inside = np.all((x >= band.lower - tol) & (x <= band.upper + tol), axis=1)
-    return float(inside.mean())

@@ -54,7 +54,7 @@ from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from ..fdata import GroupedPairedSample
-from ..tost import Metric
+from ..tost import Metric, replicate_rng
 from .kernels import matern_corr, corr_cholesky
 from .model import PriorSpec, block_loglik, channel_term, rho_terms
 from .posterior import PosteriorDraws
@@ -91,8 +91,7 @@ class _Tape(NamedTuple):
 
 
 def _chain_rng(seed: int, chain: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x6D77670000 + chain], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return replicate_rng(seed, 0x6D77670000 + chain)
 
 
 def _normals(rngs, shape):
@@ -560,6 +559,8 @@ def run_mwg(
     labels, acceptance rates pooled over chains, and split-R-hat diagnostics;
     ``rhat_warning`` is set when any coordinate exceeds 1.1.
     """
+    if chains < 1:
+        raise ValueError(f"chains must be at least 1, got {chains}")
     if burnin < 0:
         raise ValueError(f"burnin must be at least 0, got {burnin}")
     if thin < 1:

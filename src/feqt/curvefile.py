@@ -36,25 +36,19 @@ def _fmt(values) -> str:
 
 def write_curves_text(sample) -> str:
     """Serialize a sample to the curve file text format."""
-    lines = [_HEADER_PREFIX + _fmt(sample.grid.points)]
-
-    def emit(group, channel, breath, row):
-        lines.append(f"{group},{channel},{breath}," + _fmt(row))
-
     if isinstance(sample, GroupedPairedSample):
-        for gi, g in enumerate(sample.groups, start=1):
-            for bi in range(g.n):
-                emit(gi, 1, bi + 1, g.curves_1[bi])
-                emit(gi, 2, bi + 1, g.curves_2[bi])
-    elif isinstance(sample, PairedFunctionalSample):
-        for bi in range(sample.n):
-            emit(1, 1, bi + 1, sample.curves_1[bi])
-            emit(1, 2, bi + 1, sample.curves_2[bi])
-    elif isinstance(sample, FunctionalSample):
-        for bi in range(sample.curves.shape[0]):
-            emit(1, 1, bi + 1, sample.curves[bi])
+        groups = sample.groups
+    elif isinstance(sample, (PairedFunctionalSample, FunctionalSample)):
+        groups = (sample,)
     else:
         raise TypeError(f"cannot serialize {type(sample).__name__}")
+    lines = [_HEADER_PREFIX + _fmt(sample.grid.points)]
+    for gi, g in enumerate(groups, start=1):
+        paired = isinstance(g, PairedFunctionalSample)
+        channels = (g.curves_1, g.curves_2) if paired else (g.curves,)
+        for bi, rows in enumerate(zip(*channels), start=1):
+            for ci, row in enumerate(rows, start=1):
+                lines.append(f"{gi},{ci},{bi}," + _fmt(row))
     return "\n".join(lines) + "\n"
 
 

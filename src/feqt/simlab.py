@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fdata import (
+    BandKind,
     BandPair,
     Grid,
     GroupedPairedSample,
@@ -57,45 +58,27 @@ class TruthSpec:
 
     def __post_init__(self):
         T = len(self.grid)
-        for name in ("mu", "s2_eps", "s2_alpha"):
+        shapes = {"mu": (2, T), "s2_eps": (2, T), "s2_alpha": (2, T),
+                  "rho_eps": (T,), "rho_alpha": (T,), "within_corr": (T, T)}
+        for name, shape in shapes.items():
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (2, T):
-                raise ValueError(f"{name} must have shape (2, {T})")
-            object.__setattr__(self, name, arr)
-        for name in ("rho_eps", "rho_alpha"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (T,):
-                raise ValueError(f"{name} must have shape ({T},)")
-            if np.any(np.abs(arr) >= 1.0):
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+            if name.startswith("rho_") and np.any(np.abs(arr) >= 1.0):
                 raise ValueError(f"{name} must lie strictly inside (-1, 1)")
             object.__setattr__(self, name, arr)
         if np.any(self.s2_eps < 0.0) or np.any(self.s2_alpha < 0.0):
             raise ValueError("variance curves must be nonnegative")
-        corr = np.asarray(self.within_corr, dtype=float)
-        if corr.shape != (T, T):
-            raise ValueError(f"within_corr must be {T} x {T}")
         try:
-            corr_cholesky(corr)
+            corr_cholesky(self.within_corr)
         except np.linalg.LinAlgError:
             raise ValueError("within_corr is not positive semidefinite") from None
-        object.__setattr__(self, "within_corr", corr)
         sizes = np.asarray(self.group_sizes, dtype=int)
         if sizes.ndim != 1 or sizes.size < 2 or np.any(sizes < 1):
             raise ValueError("need at least 2 groups with positive sizes")
         object.__setattr__(self, "group_sizes", sizes)
-
-    @property
-    def n_groups(self) -> int:
-        return self.group_sizes.size
-
-    def theta(self) -> np.ndarray:
-        return self.mu[0] - self.mu[1]
-
-    def lam(self) -> np.ndarray:
-        return self.s2_eps[0] / self.s2_eps[1]
-
-    def psi(self) -> np.ndarray:
-        return self.s2_alpha[0] / self.s2_alpha[1]
 
 
 @dataclass(frozen=True)
@@ -110,10 +93,6 @@ class ScenarioSequence:
     def __post_init__(self):
         if len(self.truths) < 1:
             raise ValueError("sequence must contain at least one scenario")
-
-    @property
-    def count(self) -> int:
-        return len(self.truths)
 
 
 @dataclass(frozen=True)
@@ -237,29 +216,41 @@ def generate_dataset(truth: TruthSpec, seed) -> GroupedPairedSample:
     return GroupedPairedSample(truth.grid, tuple(groups))
 
 
+#: The truth field each metric reads, channel 1 against channel 2.
+_METRIC_FIELDS = {Metric.THETA: "mu", Metric.LAMBDA: "s2_eps", Metric.PSI: "s2_alpha"}
+
+
 def _apply_metric_curve(base: TruthSpec, metric: Metric, target: np.ndarray) -> TruthSpec:
     """Return a copy of ``base`` whose ``metric`` curve equals ``target``,
-    adjusting only channel 2."""
-    if metric is Metric.THETA:
-        mu = base.mu.copy()
-        mu[1] = mu[0] - target
-        return replace(base, mu=mu)
-    if metric is Metric.LAMBDA:
-        s2 = base.s2_eps.copy()
-        s2[1] = s2[0] / target
-        return replace(base, s2_eps=s2)
-    if metric is Metric.PSI:
-        s2 = base.s2_alpha.copy()
-        s2[1] = s2[0] / target
-        return replace(base, s2_alpha=s2)
-    raise ValueError(f"unknown metric {metric}")
+    adjusting only channel 2: channel 1 minus the target for an additive
+    metric, channel 1 divided by it for a multiplicative one."""
+    name = _METRIC_FIELDS[metric]
+    curves = getattr(base, name).copy()
+    if metric.band_kind is BandKind.ADDITIVE:
+        curves[1] = curves[0] - target
+    else:
+        curves[1] = curves[0] / target
+    return replace(base, **{name: curves})
 
 
-def _band_interp(bands: BandPair, weight: np.ndarray) -> np.ndarray:
-    """Curve at fraction ``weight`` of the way from the band midline to the
-    upper band, on the band's working scale."""
+def _scenarios(
+    base: TruthSpec, bands: BandPair, metric: Metric, weights, boundary: bool
+) -> ScenarioSequence:
+    """The sequence whose scenario k has the target curve at fraction
+    ``weights[k - 1]`` of the way from the band midline to the upper band, on
+    the band's working scale."""
+    if bands.kind is not metric.band_kind:
+        raise ValueError(f"{metric.value} requires {metric.band_kind.value} bands")
     mid = bands.to_working(bands.midline)
-    return bands.from_working(mid + weight * (bands.to_working(bands.upper) - mid))
+    targets = bands.from_working(mid + weights * (bands.to_working(bands.upper) - mid))
+    for c in targets:
+        assert band_contains(bands, c) is not boundary
+    truths = tuple(_apply_metric_curve(base, metric, c) for c in targets)
+    return ScenarioSequence(metric=metric, truths=truths, target_curves=targets, boundary=boundary)
+
+
+#: Scenario numbers 1..9 as a column, one weight row each.
+_K = np.arange(1, _SCENARIOS + 1)[:, None]
 
 
 def boundary_violation_scenarios(
@@ -272,16 +263,9 @@ def boundary_violation_scenarios(
     value at the first grid point stays pinned to the band. Every scenario
     fails the (strict) band containment, so rejection rates estimate test size.
     """
-    T = len(base.grid)
-    targets = np.empty((_SCENARIOS, T))
-    for k in range(1, _SCENARIOS + 1):
-        weight = np.full(T, 1.0 - (k - 1) / (_SCENARIOS - 1))
-        weight[0] = 1.0
-        targets[k - 1] = _band_interp(bands, weight)
-    truths = tuple(_apply_metric_curve(base, metric, c) for c in targets)
-    for c in targets:
-        assert not band_contains(bands, c)
-    return ScenarioSequence(metric=metric, truths=truths, target_curves=targets, boundary=True)
+    weights = np.repeat(1.0 - (_K - 1) / (_SCENARIOS - 1), len(base.grid), axis=1)
+    weights[:, 0] = 1.0
+    return _scenarios(base, bands, metric, weights, boundary=True)
 
 
 def interior_scenarios(base: TruthSpec, bands: BandPair, metric: Metric) -> ScenarioSequence:
@@ -290,15 +274,8 @@ def interior_scenarios(base: TruthSpec, bands: BandPair, metric: Metric) -> Scen
     Scenario 1 runs at 0.95 of the half-width from the midline; scenario 9 is
     the midline itself. Rejection rates estimate power.
     """
-    T = len(base.grid)
-    targets = np.empty((_SCENARIOS, T))
-    for k in range(1, _SCENARIOS + 1):
-        weight = np.full(T, 0.95 * (_SCENARIOS - k) / (_SCENARIOS - 1))
-        targets[k - 1] = _band_interp(bands, weight)
-    truths = tuple(_apply_metric_curve(base, metric, c) for c in targets)
-    for c in targets:
-        assert band_contains(bands, c)
-    return ScenarioSequence(metric=metric, truths=truths, target_curves=targets, boundary=False)
+    weights = 0.95 * (_SCENARIOS - _K) / (_SCENARIOS - 1)
+    return _scenarios(base, bands, metric, weights, boundary=False)
 
 
 def _frequentist_reject(data, cfg: BootstrapConfig, eq_bands: dict, metric: Metric) -> bool:
@@ -326,8 +303,9 @@ def run_study(
     if replicates < MIN_STUDY_REPLICATES:
         raise ValueError(f"need at least {MIN_STUDY_REPLICATES} replicates")
     metric = seq.metric
-    counts = np.zeros(seq.count, dtype=int)
-    done = np.zeros(seq.count, dtype=int)
+    n = len(seq.truths)
+    counts = np.zeros(n, dtype=int)
+    done = np.zeros(n, dtype=int)
     errors = []
     for s, truth in enumerate(seq.truths, start=1):
         for r in range(replicates):
@@ -347,7 +325,7 @@ def run_study(
     return StudyResult(
         method="frequentist",
         metric=metric.value,
-        scenarios=np.arange(1, seq.count + 1),
+        scenarios=np.arange(1, n + 1),
         replicates=done,
         rejections=counts,
         errors=tuple(errors),

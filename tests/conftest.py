@@ -53,3 +53,12 @@ def rng():
 @pytest.fixture
 def grid25():
     return equispaced_grid(25)
+
+
+def band_coverage(band, draws):
+    """Fraction of draws lying entirely inside ``band`` (closed, with a small
+    tolerance for draws sitting exactly on the defining quantile)."""
+    x = np.atleast_2d(np.asarray(draws, dtype=float))
+    tol = 1e-12 * (1.0 + np.abs(band.upper) + np.abs(band.lower))
+    inside = np.all((x >= band.lower - tol) & (x <= band.upper + tol), axis=1)
+    return float(inside.mean())

@@ -18,7 +18,6 @@ from feqt.bayes import (
     run_mwg,
     simultaneous_bands,
 )
-from feqt.bayes.posterior import band_coverage
 from feqt.bayes.sampler import MwgSampler, _chain_rng
 from feqt.cli import run_cli
 from feqt.curvefile import write_curves
@@ -47,7 +46,7 @@ from feqt.tost import (
     theta_bands,
 )
 
-from conftest import make_grouped, record_criterion
+from conftest import band_coverage, make_grouped, record_criterion
 
 
 @pytest.mark.slow

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,24 @@ class TestRoundTrip:
         assert header.startswith("#feqt-curves v1; grid=")
         assert len(rows) == 2 * 2 * 2  # groups x breaths x channels
 
+    def test_rows_pinned(self):
+        # the bytes of all three sample shapes: a reordered row or channel
+        # would still round-trip, but moves this digest
+        rng = np.random.default_rng(17)
+        grid = Grid(np.array([0.0, 0.1, 0.35, 0.6, 1.0]))
+        grouped = GroupedPairedSample(grid, tuple(
+            PairedFunctionalSample(grid, rng.normal(size=(n, 5)), rng.normal(size=(n, 5)))
+            for n in (2, 3)
+        ))
+        paired = PairedFunctionalSample(grid, rng.normal(size=(3, 5)), rng.normal(size=(3, 5)))
+        single = FunctionalSample(grid, rng.normal(size=(2, 5)))
+        h = hashlib.sha256()
+        for sample in (grouped, paired, single):
+            h.update(write_curves_text(sample).encode())
+        assert h.hexdigest() == (
+            "c03df4d9ad261ea9da20d410fc44ec57c277bc591ae8eed6a3770414a97d6577"
+        )
+
 
 @st.composite
 def samples(draw):
@@ -122,6 +142,10 @@ def small_text():
 
 
 class TestErrors:
+    def test_unknown_sample_refused(self):
+        with pytest.raises(TypeError, match="cannot serialize dict"):
+            write_curves_text({})
+
     def test_missing_header(self):
         with pytest.raises(CurveFileError, match="line 1: missing header"):
             read_curves_text("1,1,1,0.0,0.0\n")

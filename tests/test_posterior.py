@@ -3,12 +3,13 @@ import pytest
 
 from feqt.bayes.posterior import (
     PosteriorDraws,
-    band_coverage,
     posterior_equivalence_prob,
     simultaneous_bands,
 )
 from feqt.fdata import BandKind, BandPair, equispaced_grid, make_cosine_bands
 from feqt.tost import Metric
+
+from conftest import band_coverage
 
 
 def make_draws(rng, m=400, T=10):

@@ -125,6 +125,13 @@ class TestRunMwg:
         with pytest.raises(ValueError, match=message):
             run_mwg(data, small_prior(data.grid), chains=1, iters=10, **schedule)
 
+    @pytest.mark.parametrize("chains", [0, -1])
+    def test_chains_refused(self, chains):
+        rng = np.random.default_rng(0)
+        data = make_grouped(rng, n_points=5)
+        with pytest.raises(ValueError, match=f"chains must be at least 1, got {chains}"):
+            run_mwg(data, small_prior(data.grid), chains=chains, iters=20, burnin=4, thin=1)
+
     def test_iters_must_exceed_burnin(self):
         rng = np.random.default_rng(0)
         data = make_grouped(rng, n_points=5)

@@ -32,10 +32,10 @@ def grid10():
 class TestTruthSpec:
     def test_default_profile_valid(self, grid10):
         t = default_truth(grid10, 5, 6)
-        assert t.n_groups == 5
-        np.testing.assert_allclose(t.theta(), 0.0)
-        np.testing.assert_allclose(t.lam(), 1.0)
-        np.testing.assert_allclose(t.psi(), 1.0)
+        assert t.group_sizes.size == 5
+        np.testing.assert_allclose(t.mu[0] - t.mu[1], 0.0)
+        np.testing.assert_allclose(t.s2_eps[0] / t.s2_eps[1], 1.0)
+        np.testing.assert_allclose(t.s2_alpha[0] / t.s2_alpha[1], 1.0)
 
     def test_validation(self, grid10):
         t = default_truth(grid10)
@@ -47,6 +47,17 @@ class TestTruthSpec:
             replace(t, within_corr=-np.eye(10))
         with pytest.raises(ValueError, match="2 groups"):
             replace(t, group_sizes=np.array([5]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", [
+        "mu", "s2_eps", "s2_alpha", "rho_eps", "rho_alpha", "within_corr",
+    ])
+    def test_non_finite_refused(self, grid10, name, value):
+        t = default_truth(grid10)
+        arr = getattr(t, name).copy()
+        arr.flat[0] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(t, **{name: arr})
 
 
 class TestGenerateDataset:
@@ -84,7 +95,7 @@ class TestGenerateDataset:
         total_var = t.s2_eps + t.s2_alpha
         # group effects are shared within a group, so the mean's sampling
         # variance is s2_alpha / A + s2_eps / N
-        se = np.sqrt(t.s2_alpha / t.n_groups + t.s2_eps / y.shape[0])
+        se = np.sqrt(t.s2_alpha / t.group_sizes.size + t.s2_eps / y.shape[0])
         assert np.all(np.abs(y.mean(axis=0) - t.mu) < 3.5 * se)
         np.testing.assert_allclose(y.var(axis=0, ddof=1), total_var, rtol=0.10)
 
@@ -104,7 +115,7 @@ class TestScenarios:
         base = default_truth(grid10)
         bands = make_cosine_bands(grid10, BandKind.ADDITIVE)
         seq = boundary_violation_scenarios(base, bands, Metric.THETA)
-        assert seq.count == 9 and seq.boundary
+        assert len(seq.truths) == 9 and seq.boundary
         np.testing.assert_allclose(seq.target_curves[0], bands.upper)
         # scenario 9 touches the band only at the pin
         last = seq.target_curves[8]
@@ -112,7 +123,7 @@ class TestScenarios:
         np.testing.assert_allclose(last[1:], bands.midline[1:], atol=1e-12)
         for k, truth in enumerate(seq.truths):
             assert not band_contains(bands, seq.target_curves[k])
-            np.testing.assert_allclose(truth.theta(), seq.target_curves[k])
+            np.testing.assert_allclose(truth.mu[0] - truth.mu[1], seq.target_curves[k])
 
     def test_boundary_lambda_log_scale(self, grid10):
         base = default_truth(grid10)
@@ -127,7 +138,7 @@ class TestScenarios:
         )
         assert seq.target_curves[k - 1][mid_idx] == pytest.approx(expected)
         for k, truth in enumerate(seq.truths):
-            np.testing.assert_allclose(truth.lam(), seq.target_curves[k])
+            np.testing.assert_allclose(truth.s2_eps[0] / truth.s2_eps[1], seq.target_curves[k])
 
     def test_interior_scenarios_inside(self, grid10):
         base = default_truth(grid10)
@@ -137,6 +148,35 @@ class TestScenarios:
         for c in seq.target_curves:
             assert band_contains(bands, c)
         np.testing.assert_allclose(seq.target_curves[8], bands.midline, atol=1e-12)
+
+    @pytest.mark.parametrize("build", [boundary_violation_scenarios, interior_scenarios])
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_bands_of_another_kind_refused(self, grid10, build, metric):
+        wrong = next(k for k in BandKind if k is not metric.band_kind)
+        bands = make_cosine_bands(grid10, wrong)
+        with pytest.raises(ValueError, match=f"{metric.value} requires "
+                           f"{metric.band_kind.value} bands"):
+            build(default_truth(grid10), bands, metric)
+
+    def test_sequences_pinned(self):
+        # every target and truth of the six sequences, to the bit: a
+        # re-associated weight or a reordered scenario moves this digest
+        h = hashlib.sha256()
+        for T in (5, 25):
+            grid = equispaced_grid(T)
+            base = default_truth(grid, 10, 10)
+            for metric in Metric:
+                bands = make_cosine_bands(grid, metric.band_kind)
+                for build in (boundary_violation_scenarios, interior_scenarios):
+                    seq = build(base, bands, metric)
+                    h.update(seq.target_curves.tobytes())
+                    for t in seq.truths:
+                        for a in (t.mu, t.s2_eps, t.s2_alpha, t.rho_eps, t.rho_alpha,
+                                  t.within_corr, t.group_sizes):
+                            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == (
+            "8f54afc5841ed045c814afac86d95c81f4972f5214efe99f2e719d20e8d9ea65"
+        )
 
 
 def tiny_sequence(grid, metric, target_curves, base):
