@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import kv
 
 from ..fdata import Grid
 
@@ -20,6 +19,8 @@ def matern_corr(range_a: float, grid: Grid) -> np.ndarray:
     (d/a below about 1e-152, or 0) the entry is the limit 1, and where it
     underflows (d/a above about 743) the entry is 0.
     """
+    from scipy.special import kv
+
     if not 0.0 < range_a < np.inf:  # NaN fails both comparisons
         raise ValueError("kernel range must be positive and finite")
     t = grid.points

@@ -10,10 +10,10 @@ Scrambling is the costly part of building a Sobol engine, so the engines of
 one (seed, dimension) are built once and reset before each use; a reset
 engine yields the same points as a fresh one.
 
-Of the ``feqt`` modes only prior calibration needs ``scipy.stats.qmc`` and
-``scipy.optimize``, and importing them takes longer than a whole ``tost``
-pass. So each is imported inside the one function that uses it, and the
-other modes start without them.
+No ``feqt`` run loads a scipy package before it needs one: the first scipy
+import costs more than a whole ``tost`` pass. So ``scipy.special``,
+``scipy.stats.qmc`` and ``scipy.optimize`` are each imported inside the
+functions that use them, and only prior calibration loads the last two.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ..fdata import BandPair
 from .kernels import matern_corr, prior_corr, JITTER
@@ -55,6 +54,8 @@ def _ordered_cholesky(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     probability is pivoted to the front, which concentrates the product's
     variation in the early (well-sampled) QMC coordinates.
     """
+    from scipy.special import ndtr, ndtri
+
     d = cov.shape[0]
     c = cov.copy() + JITTER * np.eye(d)
     a = lower.copy()
@@ -91,6 +92,8 @@ def _genz_batch(L, a, b, u):
 
     ``u`` has shape (n, d-1); returns n probability estimates.
     """
+    from scipy.special import ndtr, ndtri
+
     n = u.shape[0]
     d = a.size
     y = np.zeros((n, d))
@@ -141,6 +144,8 @@ def mvn_rectangle_prob(
     ``rel_accuracy * estimate`` also stops; use that form for tail
     probabilities where an absolute tolerance is meaningless.
     """
+    from scipy.special import ndtr
+
     mean = np.asarray(mean, dtype=float)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     a = np.asarray(lower, dtype=float) - mean

@@ -50,8 +50,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from ..fdata import GroupedPairedSample
 from ..tost import Metric, replicate_rng
@@ -177,6 +175,11 @@ class MwgSampler:
     """
 
     def __init__(self, data: GroupedPairedSample, prior: PriorSpec):
+        # imported here, not per sweep, so no other feqt mode loads scipy.linalg
+        from scipy.linalg import cho_solve
+        from scipy.linalg.lapack import dpotrs, dtrtrs
+
+        self._dpotrs, self._dtrtrs = dpotrs, dtrtrs
         self.grid = data.grid
         self.T = len(data.grid)
         self.A = data.n_groups
@@ -370,7 +373,7 @@ class MwgSampler:
         # a non-finite chain passes through, to be reported by the
         # log-posterior check of the Metropolis updates
         draws = [
-            _lapack(dpotrs, Lc, hc, lower=1) + _lapack(dtrtrs, Lc.T, zc, lower=0)
+            _lapack(self._dpotrs, Lc, hc, lower=1) + _lapack(self._dtrtrs, Lc.T, zc, lower=0)
             for Lc, hc, zc in zip(L, h, z)
         ]
         state["mu"] = np.stack(draws).reshape(-1, 2, T)

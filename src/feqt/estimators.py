@@ -85,10 +85,13 @@ def anova_decompose(g: GroupedPairedSample) -> AnovaDecomposition:
     if N < A + 1:
         raise ValueError("need at least A+1 pairs in total")
 
-    y = g.stacked()  # (N, 2, T)
-    labels = g.group_labels()
+    y = g.stacked()  # (N, 2, T), each group's rows contiguous
     ybar = y.mean(axis=0)  # (2, T)
-    ybar_group = np.stack([y[labels == i].mean(axis=0) for i in range(A)])  # (A, 2, T)
+    # each group's mean as y[rows].mean(axis=0) computes it: the rows summed in order
+    ybar_group = np.empty((A,) + ybar.shape)
+    for i, (n, e) in enumerate(zip(sizes.tolist(), np.cumsum(sizes).tolist())):
+        np.add.reduce(y[e - n : e], axis=0, out=ybar_group[i])
+    ybar_group /= sizes[:, None, None]
 
     sse = ((y - ybar) ** 2).sum(axis=0)
     ssa = (sizes[:, None, None] * (ybar_group - ybar) ** 2).sum(axis=0)

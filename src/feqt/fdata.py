@@ -7,7 +7,7 @@ be shared freely across worker processes or threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +52,9 @@ class Grid:
         return self.points.size
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Grid) and np.array_equal(self.points, other.points)
+        return other is self or (
+            isinstance(other, Grid) and np.array_equal(self.points, other.points)
+        )
 
     def __hash__(self):
         return hash(self.points.tobytes())
@@ -118,10 +120,17 @@ class PairedFunctionalSample:
 
 @dataclass(frozen=True)
 class GroupedPairedSample:
-    """A groups of matched pairs (group i holding n_i pairs), all on one grid."""
+    """A groups of matched pairs (group i holding n_i pairs), all on one grid.
+
+    The stacked pairs, the group sizes and the group labels are computed once,
+    on construction, and are read-only.
+    """
 
     grid: Grid
     groups: tuple
+    _sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    _labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         groups = tuple(self.groups)
@@ -133,6 +142,18 @@ class GroupedPairedSample:
             if g.grid != self.grid:
                 raise ValidationError(f"group {i} is observed on a different grid")
         object.__setattr__(self, "groups", groups)
+        sizes = np.array([g.n for g in groups], dtype=int)
+        stacked = np.empty((sizes.sum(), 2, len(self.grid)))
+        np.concatenate([g.curves_1 for g in groups], out=stacked[:, 0])
+        np.concatenate([g.curves_2 for g in groups], out=stacked[:, 1])
+        derived = {
+            "_sizes": sizes,
+            "_stacked": stacked,
+            "_labels": np.repeat(np.arange(len(groups)), sizes),
+        }
+        for name, arr in derived.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_groups(self) -> int:
@@ -140,19 +161,19 @@ class GroupedPairedSample:
 
     @property
     def group_sizes(self) -> np.ndarray:
-        return np.array([g.n for g in self.groups], dtype=int)
+        return self._sizes
 
     @property
     def n_total(self) -> int:
-        return int(self.group_sizes.sum())
+        return self._labels.size
 
     def stacked(self) -> np.ndarray:
         """All pairs as an (N, 2, T) array, groups concatenated in order."""
-        return np.concatenate([g.stacked() for g in self.groups], axis=0)
+        return self._stacked
 
     def group_labels(self) -> np.ndarray:
         """Group index of each row of :meth:`stacked`."""
-        return np.repeat(np.arange(self.n_groups), self.group_sizes)
+        return self._labels
 
 
 @dataclass(frozen=True)

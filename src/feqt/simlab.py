@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,6 +55,7 @@ class TruthSpec:
     rho_alpha: np.ndarray
     within_corr: np.ndarray
     group_sizes: np.ndarray
+    _chol: np.ndarray = field(init=False, repr=False, compare=False)  # of within_corr
 
     def __post_init__(self):
         T = len(self.grid)
@@ -72,13 +73,15 @@ class TruthSpec:
         if np.any(self.s2_eps < 0.0) or np.any(self.s2_alpha < 0.0):
             raise ValueError("variance curves must be nonnegative")
         try:
-            corr_cholesky(self.within_corr)
+            object.__setattr__(self, "_chol", corr_cholesky(self.within_corr))
         except np.linalg.LinAlgError:
             raise ValueError("within_corr is not positive semidefinite") from None
-        sizes = np.asarray(self.group_sizes, dtype=int)
+        sizes = np.asarray(self.group_sizes, dtype=float)
+        if not np.all(np.isfinite(sizes) & (sizes == np.round(sizes))):
+            raise ValueError(f"group_sizes must be whole numbers, got {sizes.tolist()}")
         if sizes.ndim != 1 or sizes.size < 2 or np.any(sizes < 1):
             raise ValueError("need at least 2 groups with positive sizes")
-        object.__setattr__(self, "group_sizes", sizes)
+        object.__setattr__(self, "group_sizes", sizes.astype(int))
 
 
 @dataclass(frozen=True)
@@ -169,15 +172,15 @@ def default_truth(grid: Grid, n_groups: int = 20, group_size: int = 20) -> Truth
     )
 
 
-def _correlated_pair(z, rho, chol):
-    """Zero-mean unit-variance curve pairs, ``shape + (2, T)``, from ``z``,
-    three blocks of ``shape + (T,)`` standard normals.
+def _correlated_pair(blocks, rho):
+    """Zero-mean unit-variance curve pairs, ``shape + (2, T)``, from ``blocks``,
+    three ``shape + (T,)`` arrays of along-domain-correlated standard normals.
 
-    Each pair shares a common along-domain process weighted by sqrt(|rho(t)|),
-    so the pointwise cross-channel correlation is exactly rho(t) and the
-    construction stays positive semidefinite for any rho curve.
+    Each pair shares the first block, a common along-domain process weighted
+    by sqrt(|rho(t)|), so the pointwise cross-channel correlation is exactly
+    rho(t) and the construction stays positive semidefinite for any rho curve.
     """
-    w, u1, u2 = (block @ chol.T for block in z)
+    w, u1, u2 = blocks
     sr = np.sqrt(np.abs(rho))
     si = np.sqrt(1.0 - np.abs(rho))
     sign = np.where(rho >= 0.0, 1.0, -1.0)
@@ -193,27 +196,36 @@ def generate_dataset(truth: TruthSpec, seed) -> GroupedPairedSample:
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; the draw is
     deterministic in it. One ``standard_normal`` call draws every value;
     group by group it holds the effect's three (T,) blocks, then the
-    residuals' three (n, T) blocks.
+    residuals' three (n, T) blocks. Each block is correlated along the domain
+    by its own product with the Cholesky factor, the products of one shape
+    stacked into one call: a product's rounding can depend on its row count,
+    so one big product over all the rows would not give the same bits.
     """
     rng = np.random.default_rng(seed)
-    chol = corr_cholesky(truth.within_corr)
+    chol_t = truth._chol.T
     sd_alpha = np.sqrt(truth.s2_alpha)
     sd_eps = np.sqrt(truth.s2_eps)
     T = len(truth.grid)
     sizes = truth.group_sizes
-    z = rng.standard_normal(3 * T * (sizes.size + int(sizes.sum())))
-    groups = []
-    a = 0
-    for n in sizes.tolist():
-        block = z[a : a + 3 * T * (n + 1)]
-        a += block.size
-        effect = block[: 3 * T].reshape(3, T)
-        resid = block[3 * T :].reshape(3, n, T)
-        alpha = truth.mu + sd_alpha * _correlated_pair(effect, truth.rho_alpha, chol)
-        e = _correlated_pair(resid, truth.rho_eps, chol)
-        y = alpha[None] + sd_eps[None] * e
-        groups.append(PairedFunctionalSample(truth.grid, y[:, 0], y[:, 1]))
-    return GroupedPairedSample(truth.grid, tuple(groups))
+    ends = np.cumsum(sizes)
+    N = int(ends[-1])
+    z = rng.standard_normal(3 * T * (sizes.size + N))
+    start = 3 * T * (np.cumsum(sizes + 1) - (sizes + 1))  # of each group's values in z
+    effect = z[start[:, None] + np.arange(3 * T)].reshape(-1, 3, 1, T)
+    w = np.matmul(effect, chol_t)[..., 0, :]  # (A, 3, T)
+    u = np.empty((3, N, T))
+    for n in np.unique(sizes).tolist():
+        g = np.flatnonzero(sizes == n)
+        resid = z[(start[g] + 3 * T)[:, None] + np.arange(3 * n * T)].reshape(-1, 3, n, T)
+        rows = ((ends[g] - n)[:, None] + np.arange(n)).ravel()
+        u[:, rows] = np.matmul(resid, chol_t).transpose(1, 0, 2, 3).reshape(3, -1, T)
+    alpha = truth.mu + sd_alpha * _correlated_pair(np.moveaxis(w, 1, 0), truth.rho_alpha)
+    y = alpha.repeat(sizes, axis=0) + sd_eps * _correlated_pair(u, truth.rho_eps)
+    groups = tuple(
+        PairedFunctionalSample(truth.grid, y[e - n : e, 0], y[e - n : e, 1])
+        for n, e in zip(sizes.tolist(), ends.tolist())
+    )
+    return GroupedPairedSample(truth.grid, groups)
 
 
 #: The truth field each metric reads, channel 1 against channel 2.

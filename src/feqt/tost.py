@@ -21,14 +21,18 @@ each thread allocates once and reuses across chunks and calls (see
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import _sparsetools
+from numpy.random import Generator, Philox
 
 from .estimators import (
     VARIANCE_FLOOR,
@@ -165,10 +169,10 @@ def empirical_quantile(x: np.ndarray, p: float) -> np.ndarray:
     return np.sort(x, axis=0)[k]
 
 
-def replicate_rng(seed: int, r: int) -> np.random.Generator:
+def replicate_rng(seed: int, r: int) -> Generator:
     """Counter-based generator for replicate ``r`` of a run keyed by ``seed``."""
     key = np.array([seed & _SEED_MASK, r], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 def _chunks(total: int, per_replicate_elems: int):
@@ -196,7 +200,7 @@ def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
     return buf[:nbytes].view(dtype).reshape(shape)
 
 
-def _draw(rng: np.random.Generator, segments) -> np.ndarray:
+def _draw(rng: Generator, segments) -> np.ndarray:
     """One draw of ``segments`` from ``rng``, one ``integers`` call each."""
     return np.concatenate([off + rng.integers(0, n, size) for size, n, off in segments])
 
@@ -218,7 +222,7 @@ def _draw_chunk(seed: int, lo: int, hi: int, segments):
         # integers(0, 1, k) consumes no bits; wider ranges take 64-bit words
         raise ValueError("bulk draws need ranges in [2, 2**32]")
     total = sum(size for size, _, _ in segments)
-    bitgen = np.random.Philox(0)
+    bitgen = Philox(0)
     state = bitgen.state
     state["state"]["key"][0] = seed & _SEED_MASK
     state["state"]["counter"][:] = 0
@@ -289,6 +293,38 @@ def _resolve_replicates(cfg: BootstrapConfig, segments, stats_of, per_rep_elems)
                     _draw(rngs[i], segments)  # replay the bulk first draw
                 idx[i] = _draw(rngs[i], segments)
     return stats_out, redraws
+
+
+def _load_sparsetools():
+    """scipy's compiled ``sparse/_sparsetools`` extension, loaded from its file
+    and registered as ``feqt._sparsetools``.
+
+    Importing ``scipy.sparse`` instead would run scipy's package set-up, whose
+    numpy compatibility layer loads ``numpy.f2py``, ``numpy.testing`` and
+    ``numpy.ma``: most of a run's start-up, for one compiled loop.
+    """
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else []
+    tried = [
+        os.path.join(root, "sparse", "_sparsetools" + suffix)
+        for root in roots
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    for path in tried:
+        if os.path.isfile(path):
+            name = f"{__package__}._sparsetools"
+            ext = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(ext)
+            ext.loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    raise ImportError(
+        "scipy's sparse/_sparsetools extension not found; searched: "
+        + (", ".join(tried) or "no scipy package on sys.path")
+    )
+
+
+_sparsetools = _load_sparsetools()
 
 
 def _count_sums(idx: np.ndarray, sizes: np.ndarray, columns: np.ndarray) -> np.ndarray:

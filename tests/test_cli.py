@@ -549,15 +549,17 @@ class TestReportMode:
         assert list(out.iterdir()) == []
 
 
-#: Runs each mode but bayes on tiny inputs in a fresh interpreter, then a
-#: calibrated bayes run, and prints which of the packages that only prior
-#: calibration needs were loaded after each step.
+#: Runs every mode on tiny inputs (``data.csv`` in the given directory) in a
+#: fresh interpreter, ending with a calibrated bayes run, and prints which of
+#: the scipy packages feqt calls into were loaded after each step; "scipy"
+#: itself marks any scipy import. The test writes ``data.csv`` beforehand:
+#: generating it loads scipy.special.
 STARTUP_SCRIPT = """
 import json, sys
 from pathlib import Path
 
-CALIBRATION_ONLY = ("scipy.stats", "scipy.optimize")
-loaded = lambda: [m for m in CALIBRATION_ONLY if m in sys.modules]
+WATCHED = ("scipy", "scipy.special", "scipy.linalg", "scipy.stats", "scipy.optimize")
+loaded = lambda: [m for m in WATCHED if m in sys.modules]
 steps = []
 
 import feqt
@@ -565,20 +567,15 @@ steps.append(("import feqt", None, loaded()))
 import feqt.cli
 steps.append(("import feqt.cli", None, loaded()))
 
-from feqt.curvefile import write_curves
-from feqt.fdata import equispaced_grid
-from feqt.simlab import default_truth, generate_dataset
-
 out = Path(sys.argv[1])
 data = out / "data.csv"
-write_curves(generate_dataset(default_truth(equispaced_grid(5), 6, 3), 1), data)
 runs = [
     ["tost", "--input", str(data), "--replicates", "100", "--out", str(out / "tost")],
+    ["bands", "--grid-size", "5", "--out", str(out / "bands")],
+    ["report", "--input", str(out / "tost" / "tost_report.json"), "--out", str(out / "report")],
     ["simulate", "--scenarios", "size-theta", "--replicates", "50",
      "--replicates-bootstrap", "100", "--groups", "2", "--group-size", "2",
      "--grid-size", "4", "--out", str(out / "simulate")],
-    ["bands", "--grid-size", "5", "--out", str(out / "bands")],
-    ["report", "--input", str(out / "tost" / "tost_report.json"), "--out", str(out / "report")],
     ["bayes", "--input", str(data), "--chains", "1", "--iters", "150", "--burnin", "50",
      "--thin", "1", "--emit", "json", "--out", str(out / "bayes")],
 ]
@@ -587,21 +584,31 @@ for argv in runs:
 print(json.dumps(steps))
 """
 
+#: The scipy packages loaded after each step: none until a step calls into
+#: one, then only what that step calls.
+SCIPY_BY_STEP = [
+    ("import feqt", []),
+    ("import feqt.cli", []),
+    ("tost", []),
+    ("bands", []),
+    ("report", []),
+    ("simulate", ["scipy", "scipy.special"]),
+    ("bayes", ["scipy", "scipy.special", "scipy.linalg", "scipy.stats", "scipy.optimize"]),
+]
 
-def test_only_calibration_loads_scipy_stats_and_optimize(tmp_path):
+
+def test_each_step_loads_only_the_scipy_packages_it_calls(tmp_path):
     import feqt
 
     src = str(Path(feqt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    write_curves(generate_dataset(default_truth(equispaced_grid(5), 6, 3), 1), tmp_path / "data.csv")
     proc = subprocess.run(
         [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],
         env=env, capture_output=True, text=True, check=True,
     )
     steps = json.loads(proc.stdout.splitlines()[-1])
-    *uncalibrated, (mode, code, loaded) = steps
-    for step, step_code, step_loaded in uncalibrated:
-        assert step_code in (None, EXIT_OK, EXIT_FAIL_TO_REJECT), (step, proc.stderr)
-        assert step_loaded == [], step
-    assert mode == "bayes" and code in (EXIT_OK, EXIT_FAIL_TO_REJECT), proc.stderr
-    assert loaded == ["scipy.stats", "scipy.optimize"]
+    for step, code, _ in steps:
+        assert code in (None, EXIT_OK, EXIT_FAIL_TO_REJECT), (step, proc.stderr)
+    assert [(step, loaded) for step, _, loaded in steps] == SCIPY_BY_STEP

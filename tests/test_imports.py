@@ -1,8 +1,12 @@
-"""Every import in ``src/feqt``, at module level or inside a function, is
-used by the module itself.
+"""Two import gates on ``src/feqt``, standing in for a linter, which this tree
+does not run.
 
-No linter runs on this tree, so this stands in for pyflakes' unused-import
-check. ``__init__.py`` files are exempt: their imports are re-exports.
+- Every import, at module level or inside a function, is used by the module
+  itself (pyflakes' unused-import check). ``__init__.py`` files are exempt:
+  their imports are re-exports.
+- No module imports ``scipy`` when it is itself imported. Importing any scipy
+  package costs a ``feqt`` run more start-up than a whole ``tost`` pass, so
+  each scipy import sits inside the function that needs it.
 """
 
 import ast
@@ -11,7 +15,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "feqt"
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.rglob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -44,3 +49,50 @@ def test_gate_flags_unused_names():
         "    return numpy.linalg.norm(c)\n"
     )
     assert unused_imports(source) == ["a", "json", "os"]
+
+
+def eager_imports(source: str, package: str) -> list:
+    """Line numbers of the imports of ``package``, or of a module inside it,
+    that run when ``source`` is imported: those outside every function body."""
+    found = []
+    todo = [ast.parse(source)]
+    while todo:
+        for node in ast.iter_child_nodes(todo.pop()):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                names = []
+            if any(n == package or n.startswith(package + ".") for n in names):
+                found.append(node.lineno)
+            todo.append(node)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
+def test_no_module_level_scipy_import(path):
+    assert eager_imports(path.read_text(encoding="utf-8"), "scipy") == []
+
+
+def test_gate_flags_eager_scipy_imports():
+    source = (
+        "import scipy.special\n"
+        "from scipy import linalg\n"
+        "import scipyx, numpy as np\n"
+        "try:\n"
+        "    from scipy.sparse import csr_matrix\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class C:\n"
+        "    import scipy.stats\n"
+        "    def f(self):\n"
+        "        import scipy.optimize\n"
+        "def g():\n"
+        "    from scipy.special import kv\n"
+        "from .scipy import x\n"
+    )
+    # a class body runs on import, a function body only when called
+    assert eager_imports(source, "scipy") == [1, 2, 5, 9]

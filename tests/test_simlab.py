@@ -48,6 +48,12 @@ class TestTruthSpec:
         with pytest.raises(ValueError, match="2 groups"):
             replace(t, group_sizes=np.array([5]))
 
+    @pytest.mark.parametrize("sizes", [[2.7, 3.9], [4.0, 2.5], [3, np.nan], [3, np.inf]])
+    def test_fractional_group_sizes_refused(self, grid10, sizes):
+        # a cast to int first would run [2.7, 3.9] as groups of 2 and 3
+        with pytest.raises(ValueError, match="group_sizes must be whole numbers"):
+            replace(default_truth(grid10), group_sizes=np.array(sizes))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("name", [
         "mu", "s2_eps", "s2_alpha", "rho_eps", "rho_alpha", "within_corr",
@@ -80,6 +86,10 @@ class TestGenerateDataset:
         (25, [10] * 10, (3, 1, 0), "658e7dee4a830df02ed154ea6bd8e84d9971e41b4913694b302236e37bf9dedd"),
         (8, [3] * 4, (3, 1, 0), "7d0390b8b4f39a4c9afb61a86045099bc6a73c3b60250b6780ce795c7d991b2c"),
         (25, [50, 1], 5, "3d2c09d019d4d8cc134513149697723f75b75d0b693ca93f293ddfe3004fe1df"),
+        # one-pair groups between larger ones, and a grid wide enough that a
+        # product's rounding depends on its row count
+        (8, [1, 4, 1, 7], (3, 1, 0), "7dd513f7666db2dec7b424c7c15fff9e13d8785d0d06cc05a0e366be20ecc177"),
+        (37, [2, 40, 1, 3], 11, "cd80123d30ee4129ae6cc85965d33c88c1c6eafdda635029897a88fe0ff44696"),
     ])
     def test_bits_pinned(self, T, sizes, seed, digest):
         # a study's data must not move by one bit: its tallies are pinned

@@ -1,5 +1,7 @@
+import importlib.machinery
 import itertools
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -323,6 +325,18 @@ class TestChunkBuffers:
             "call = lambda: run_study(seq, 50, cfg, {Metric.THETA: bands})"
         )
         assert faults < 5000  # about 150 000 when each chunk allocates afresh
+
+    def test_count_product_loop_loaded_without_scipy_sparse(self):
+        assert sys.modules["feqt._sparsetools"] is tost_mod._sparsetools
+        assert tost_mod._sparsetools is not sparse._sparsetools  # scipy.sparse loads its own
+
+    def test_missing_count_product_loop_names_the_search(self, tmp_path, monkeypatch):
+        scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy_spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(tost_mod.importlib.util, "find_spec", lambda name: scipy_spec)
+        want = str(tmp_path / "sparse" / "_sparsetools") + importlib.machinery.EXTENSION_SUFFIXES[0]
+        with pytest.raises(ImportError, match=re.escape(want)):
+            tost_mod._load_sparsetools()
 
 
 class TestBootstrapConfig:
