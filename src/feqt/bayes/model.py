@@ -18,7 +18,7 @@ from .kernels import prior_corr
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorSpec:
     """The band-centred GP priors of the three metrics: one Matern range and
     scale, and each metric's equivalence bands, whose two curves act as the

@@ -97,7 +97,6 @@ def _genz_batch(L, a, b, u):
     n = u.shape[0]
     d = a.size
     y = np.zeros((n, d))
-    partial = np.zeros(n)
     lo = ndtr(a[0] / L[0, 0])
     hi = ndtr(b[0] / L[0, 0])
     p = np.full(n, hi - lo)

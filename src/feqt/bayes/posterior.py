@@ -15,7 +15,7 @@ Metric = _tost.Metric
 MIN_POSTERIOR_DRAWS = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorDraws:
     """Thinned post-burn-in draws of the three metric curves.
 
@@ -61,7 +61,7 @@ def posterior_equivalence_prob(draws: PosteriorDraws, bands: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimultaneousBand:
     lower: np.ndarray
     upper: np.ndarray
@@ -93,23 +93,18 @@ def simultaneous_bands(draws: np.ndarray, coverage: float) -> SimultaneousBand:
     degenerate = np.flatnonzero(scale <= 0.0)
     good = scale > 0.0
 
+    c = 0.0  # where every point is degenerate, the fallback below sets the band
     if np.any(good):
         z = np.abs(dev[:, good]) / scale[good]
         zmax = z.max(axis=1)
         c = _tost.empirical_quantile(zmax, coverage)
-        lower = center - c * scale
-        upper = center + c * scale
-    else:
-        lower = center.copy()
-        upper = center.copy()
+    lower = center - c * scale
+    upper = center + c * scale
 
-    if degenerate.size:
-        # pointwise fallback keeps the construction well defined where the
-        # spread collapses
-        lo_q = _tost.empirical_quantile(x[:, degenerate], (1.0 - coverage) / 2.0)
-        hi_q = _tost.empirical_quantile(x[:, degenerate], (1.0 + coverage) / 2.0)
-        lower[degenerate] = lo_q
-        upper[degenerate] = hi_q
+    # pointwise fallback keeps the construction well defined where the
+    # spread collapses
+    lower[degenerate] = _tost.empirical_quantile(x[:, degenerate], (1.0 - coverage) / 2.0)
+    upper[degenerate] = _tost.empirical_quantile(x[:, degenerate], (1.0 + coverage) / 2.0)
     return SimultaneousBand(
         lower=lower, upper=upper, center=center, coverage=coverage,
         degenerate_points=degenerate,

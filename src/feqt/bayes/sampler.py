@@ -357,13 +357,11 @@ class MwgSampler:
         pa11, pa12, pa22 = prec_a
         abar = state["alpha"].mean(axis=1)  # (chains, 2, T)
         P = _batch(self._mu_prec_base, chains)
-        flat = P.reshape(chains, -1)
-        n = 2 * T + 1  # flat stride along a diagonal
-        flat[:, : T * n : n] += A * pa11
-        flat[:, T * n :: n] += A * pa22
-        od = A * pa12
-        flat[:, T : T * n : n] = od  # the diagonals of the off-diagonal blocks
-        flat[:, 2 * T * T :: n] = od
+        d, od = np.arange(T), A * pa12
+        P[:, d, d] += A * pa11
+        P[:, d + T, d + T] += A * pa22
+        P[:, d, d + T] = od  # the diagonals of the off-diagonal blocks
+        P[:, d + T, d] = od
         h = np.empty((chains, 2 * T))
         mu0 = state["hypers"][:, 0]
         prior2 = mu0 - self.offsets[0][state["indicators"][:, 0]]
@@ -428,10 +426,9 @@ class MwgSampler:
                 cur = ll + prior[j]
                 lj = channels[j] + self.scales[:, j, :, None] * moves[:, :, r, j]
                 tj = channel_term(lj, sums[j])
-                if j == 0:
-                    ll_new = loglik(tj, terms[1], lj + channels[1])
-                else:
-                    ll_new = loglik(terms[0], tj, channels[0] + lj)
+                lpair, tpair = list(channels), list(terms)
+                lpair[j], tpair[j] = lj, tj
+                ll_new = loglik(*tpair, lpair[0] + lpair[1])
                 prior_new = _quad(self.prec, lj - centers[j])
                 if not np.isfinite(cur).all():
                     raise SamplerDivergenceError("non-finite log-posterior", dict(state))
@@ -545,6 +542,13 @@ def kept_draws(iters: int, burnin: int, thin: int) -> int:
     return len(range(burnin, iters, thin))
 
 
+def check_chain_draws(per_chain: int) -> None:
+    """Refuse chains that keep fewer draws each than :func:`split_rhat` needs."""
+    if per_chain < MIN_CHAIN_DRAWS:
+        raise ValueError(f"each chain keeps {per_chain} draws; "
+                         f"split R-hat needs at least {MIN_CHAIN_DRAWS}")
+
+
 def run_mwg(
     data: GroupedPairedSample,
     prior: PriorSpec,
@@ -571,9 +575,7 @@ def run_mwg(
     if iters <= burnin:
         raise ValueError("iters must exceed burnin")
     per_chain = kept_draws(iters, burnin, thin)
-    if per_chain < MIN_CHAIN_DRAWS:
-        raise ValueError(f"each chain keeps {per_chain} draws; "
-                         f"split R-hat needs at least {MIN_CHAIN_DRAWS}")
+    check_chain_draws(per_chain)
     sampler = MwgSampler(data, prior)
     theta, llam, lpsi, indicators = _run_chains(
         sampler, seed, range(chains), iters, burnin, thin

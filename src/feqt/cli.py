@@ -30,7 +30,7 @@ from .bayes import (
     simultaneous_bands,
 )
 from .bayes.posterior import MIN_POSTERIOR_DRAWS
-from .bayes.sampler import MIN_CHAIN_DRAWS, kept_draws
+from .bayes.sampler import check_chain_draws, kept_draws
 from .simlab import (
     MIN_STUDY_REPLICATES,
     boundary_violation_scenarios,
@@ -43,9 +43,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FAIL_TO_REJECT = 2
 
+#: ``--design`` value -> its design, the sample that design takes, and the file that holds one.
 _DESIGNS = {
-    "matched": Design.MATCHED_PAIRS,
-    "grouped": Design.RANDOM_EFFECTS_MATCHED,
+    "matched": (Design.MATCHED_PAIRS, PairedFunctionalSample, "single-group paired file"),
+    "grouped": (Design.RANDOM_EFFECTS_MATCHED, GroupedPairedSample, "multi-group curve file"),
 }
 
 #: Each mode's outputs: ``--emit`` flag -> file name, in write order.
@@ -158,13 +159,16 @@ def _eq_bands(grid, metrics=Metric):
     return {m: make_cosine_bands(grid, m.band_kind) for m in metrics}
 
 
-def _load_sample(args):
+def _load_sample(args, kind, refusal):
+    """The sample in ``--input``; one that is not a ``kind`` is refused with ``refusal``."""
     try:
         sample = curvefile.read_curves(args.input)
     except FileNotFoundError:
         raise CliError("missing-input", f"input file not found: {args.input}") from None
     except curvefile.CurveFileError as exc:
         raise CliError("curve-parse", str(exc)) from exc
+    if not isinstance(sample, kind):
+        raise CliError("design-mismatch", refusal)
     return sample
 
 
@@ -173,19 +177,12 @@ def _load_sample(args):
 
 def _mode_tost(args):
     seed = _resolve_seed(args)
-    design = _DESIGNS[args.design]
+    design, kind, needs = _DESIGNS[args.design]
     with _argument_errors():
         cfg = BootstrapConfig(args.replicates, args.alpha, seed, design)
-    sample = _load_sample(args)
-    if design is Design.RANDOM_EFFECTS_MATCHED and not isinstance(sample, GroupedPairedSample):
-        raise CliError("design-mismatch", "grouped design requires a multi-group curve file")
-    if design is Design.MATCHED_PAIRS and not isinstance(sample, PairedFunctionalSample):
-        raise CliError("design-mismatch", "matched design requires a single-group paired file")
-    if design is Design.MATCHED_PAIRS and sample.n < 2:
-        raise CliError(
-            "design-mismatch", f"matched design needs at least 2 pairs; the file has {sample.n}"
-        )
-    if design is Design.RANDOM_EFFECTS_MATCHED:
+    sample = _load_sample(args, kind, f"{args.design} design requires a {needs}")
+    grouped = design is Design.RANDOM_EFFECTS_MATCHED
+    if grouped:
         for i, n in enumerate(sample.group_sizes, start=1):
             if n < 2:
                 raise CliError(
@@ -193,7 +190,9 @@ def _mode_tost(args):
                     f"grouped design needs at least 2 pairs per group; group {i} "
                     f"(in group id order) has {n}",
                 )
-    grouped = design is Design.RANDOM_EFFECTS_MATCHED
+    elif sample.n < 2:
+        raise CliError("design-mismatch",
+                       f"matched design needs at least 2 pairs; the file has {sample.n}")
     bands = _eq_bands(sample.grid, Metric if grouped else (Metric.THETA, Metric.LAMBDA))
     rep = run_tost(sample, cfg, bands)
     _emit(args, {
@@ -222,13 +221,10 @@ def _mode_bayes(args):
     if draws < MIN_POSTERIOR_DRAWS:
         raise CliError("bad-argument", f"the chains keep {draws} posterior draws; "
                        f"need at least {MIN_POSTERIOR_DRAWS}")
-    if per_chain < MIN_CHAIN_DRAWS:
-        raise CliError("bad-argument", f"each chain keeps {per_chain} draws; "
-                       f"split R-hat needs at least {MIN_CHAIN_DRAWS}")
+    with _argument_errors():
+        check_chain_draws(per_chain)
     seed = _resolve_seed(args)
-    sample = _load_sample(args)
-    if not isinstance(sample, GroupedPairedSample):
-        raise CliError("design-mismatch", "bayes mode requires a multi-group curve file")
+    sample = _load_sample(args, GroupedPairedSample, "bayes mode requires a multi-group curve file")
     eq = _eq_bands(sample.grid)
     with _argument_errors():
         if args.scale is not None:
@@ -252,9 +248,7 @@ def _mode_bayes(args):
         print(f"P[equivalence | data] {key}: {probs[key]:.4f}")
     if draws.rhat_warning:
         print("warning: split R-hat above 1.1; treat results as unconverged", file=sys.stderr)
-    decided = all(
-        probs[m.value] >= args.gamma for m in (Metric.THETA, Metric.LAMBDA, Metric.PSI)
-    )
+    decided = all(probs[m.value] >= args.gamma for m in Metric)
     return EXIT_OK if decided else EXIT_FAIL_TO_REJECT
 
 
@@ -286,11 +280,8 @@ def _mode_simulate(args):
     seq = builder(truth, bands, metric)
     result = run_study(seq, args.replicates, cfg, {metric: bands}, seed=seed)
     _emit(args, {"csv": result.to_csv_text, "json": result.to_json_text})
-    for i in range(result.scenarios.size):
-        print(
-            f"scenario {result.scenarios[i]}: rate "
-            f"{result.rates[i]:.4f} (se {result.standard_errors[i]:.4f})"
-        )
+    for s, rate, se in zip(result.scenarios, result.rates, result.standard_errors):
+        print(f"scenario {s}: rate {rate:.4f} (se {se:.4f})")
     print(f"replicate errors: {len(result.errors)}")
     return EXIT_OK
 

@@ -24,7 +24,7 @@ class DegenerateSpreadError(ValueError):
     """The spread of the estimated group means is zero at some grid point."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricEstimates:
     """Point estimates of the three equivalence metrics on the grid.
 
@@ -38,7 +38,7 @@ class MetricEstimates:
     psi_hat: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnovaDecomposition:
     """Pointwise one-way ANOVA quantities for a grouped paired sample.
 
@@ -97,16 +97,19 @@ def anova_decompose(g: GroupedPairedSample) -> AnovaDecomposition:
     ssa = (sizes[:, None, None] * (ybar_group - ybar) ** 2).sum(axis=0)
     n_star = (N - (sizes.astype(float) ** 2).sum() / N) / (A - 1)
 
-    s2_alpha = np.maximum((ssa / (A - 1) - sse / (N - 1)) / n_star, VARIANCE_FLOOR)
-
     return AnovaDecomposition(
         mean_overall=ybar,
         mean_by_group=ybar_group,
         sse=sse,
         ssa=ssa,
         n_star=float(n_star),
-        s2_alpha=s2_alpha,
+        s2_alpha=random_effect_variance(ssa, sse, A, N, n_star),
     )
+
+
+def random_effect_variance(ssa, sse, A: int, N: int, n_star: float) -> np.ndarray:
+    """The random-effect variance ``(SSA/(A-1) - SSE/(N-1)) / n*``, floored pointwise."""
+    return np.maximum((ssa / (A - 1) - sse / (N - 1)) / n_star, VARIANCE_FLOOR)
 
 
 def estimate_metrics_grouped(

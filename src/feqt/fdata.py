@@ -65,7 +65,19 @@ def equispaced_grid(n_points: int = 25) -> Grid:
     return Grid(np.linspace(0.0, 1.0, n_points))
 
 
-@dataclass(frozen=True)
+def _curve_matrix(values, name: str, grid: Grid, row: str) -> np.ndarray:
+    """``values`` as a frozen matrix of at least one ``row``, one column per grid point."""
+    curves = _frozen_array(values, name, 2)
+    if curves.shape[0] < 1:
+        raise ValidationError(f"sample must contain at least one {row}")
+    if curves.shape[1] != len(grid):
+        raise ValidationError(
+            f"curves have {curves.shape[1]} columns but grid has {len(grid)} points"
+        )
+    return curves
+
+
+@dataclass(frozen=True, eq=False)
 class FunctionalSample:
     """A set of curves observed on a common grid, stored as an n-by-T matrix."""
 
@@ -73,21 +85,14 @@ class FunctionalSample:
     curves: np.ndarray
 
     def __post_init__(self):
-        curves = _frozen_array(self.curves, "curves", 2)
-        if curves.shape[0] < 1:
-            raise ValidationError("sample must contain at least one curve")
-        if curves.shape[1] != len(self.grid):
-            raise ValidationError(
-                f"curves have {curves.shape[1]} columns but grid has {len(self.grid)} points"
-            )
-        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "curves", _curve_matrix(self.curves, "curves", self.grid, "curve"))
 
     @property
     def n(self) -> int:
         return self.curves.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairedFunctionalSample:
     """Matched pairs of curves: row k of each channel matrix is the k-th pair."""
 
@@ -96,16 +101,10 @@ class PairedFunctionalSample:
     curves_2: np.ndarray
 
     def __post_init__(self):
-        c1 = _frozen_array(self.curves_1, "curves_1", 2)
-        c2 = _frozen_array(self.curves_2, "curves_2", 2)
+        c1 = _curve_matrix(self.curves_1, "curves_1", self.grid, "pair")
+        c2 = _curve_matrix(self.curves_2, "curves_2", self.grid, "pair")
         if c1.shape != c2.shape:
             raise ValidationError(f"curves_1 shape {c1.shape} != curves_2 shape {c2.shape}")
-        if c1.shape[0] < 1:
-            raise ValidationError("sample must contain at least one pair")
-        if c1.shape[1] != len(self.grid):
-            raise ValidationError(
-                f"curves have {c1.shape[1]} columns but grid has {len(self.grid)} points"
-            )
         object.__setattr__(self, "curves_1", c1)
         object.__setattr__(self, "curves_2", c2)
 
@@ -118,7 +117,7 @@ class PairedFunctionalSample:
         return np.stack([self.curves_1, self.curves_2], axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupedPairedSample:
     """A groups of matched pairs (group i holding n_i pairs), all on one grid.
 
@@ -128,9 +127,9 @@ class GroupedPairedSample:
 
     grid: Grid
     groups: tuple
-    _sizes: np.ndarray = field(init=False, repr=False, compare=False)
-    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
-    _labels: np.ndarray = field(init=False, repr=False, compare=False)
+    _sizes: np.ndarray = field(init=False, repr=False)
+    _stacked: np.ndarray = field(init=False, repr=False)
+    _labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         groups = tuple(self.groups)
@@ -176,7 +175,7 @@ class GroupedPairedSample:
         return self._labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandPair:
     """Lower/upper equivalence band functions evaluated on the grid.
 

@@ -38,13 +38,14 @@ _SCENARIOS = 9
 MIN_STUDY_REPLICATES = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthSpec:
     """Ground truth for one simulated population.
 
     ``mu``, ``s2_eps``, ``s2_alpha`` are (2, T) channel curves; ``rho_eps``
     and ``rho_alpha`` are the pointwise cross-channel correlations; the
-    along-domain correlation of both levels is ``within_corr`` (T x T).
+    along-domain correlation of both levels is ``within_corr`` (T x T). Each
+    array is a frozen copy of the one given.
     """
 
     grid: Grid
@@ -55,20 +56,21 @@ class TruthSpec:
     rho_alpha: np.ndarray
     within_corr: np.ndarray
     group_sizes: np.ndarray
-    _chol: np.ndarray = field(init=False, repr=False, compare=False)  # of within_corr
+    _chol: np.ndarray = field(init=False, repr=False)  # of within_corr
 
     def __post_init__(self):
         T = len(self.grid)
         shapes = {"mu": (2, T), "s2_eps": (2, T), "s2_alpha": (2, T),
                   "rho_eps": (T,), "rho_alpha": (T,), "within_corr": (T, T)}
         for name, shape in shapes.items():
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
             if name.startswith("rho_") and np.any(np.abs(arr) >= 1.0):
                 raise ValueError(f"{name} must lie strictly inside (-1, 1)")
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if np.any(self.s2_eps < 0.0) or np.any(self.s2_alpha < 0.0):
             raise ValueError("variance curves must be nonnegative")
@@ -81,10 +83,12 @@ class TruthSpec:
             raise ValueError(f"group_sizes must be whole numbers, got {sizes.tolist()}")
         if sizes.ndim != 1 or sizes.size < 2 or np.any(sizes < 1):
             raise ValueError("need at least 2 groups with positive sizes")
-        object.__setattr__(self, "group_sizes", sizes.astype(int))
+        sizes = sizes.astype(int)
+        sizes.setflags(write=False)
+        object.__setattr__(self, "group_sizes", sizes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioSequence:
     """Ordered truth variants moving one metric along a placement sequence."""
 
@@ -98,7 +102,7 @@ class ScenarioSequence:
             raise ValueError("sequence must contain at least one scenario")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudyResult:
     """Per-scenario rejection tallies for one method."""
 
@@ -124,17 +128,9 @@ class StudyResult:
 
     def to_csv_text(self) -> str:
         lines = ["scenario,replicates,rejections,rate,se"]
-        for i in range(self.scenarios.size):
-            lines.append(
-                "%d,%d,%d,%s,%s"
-                % (
-                    self.scenarios[i],
-                    self.replicates[i],
-                    self.rejections[i],
-                    repr(float(self.rates[i])),
-                    repr(float(self.standard_errors[i])),
-                )
-            )
+        rows = zip(self.scenarios, self.replicates, self.rejections, self.rates,
+                   self.standard_errors)
+        lines += [f"{s},{n},{k},{float(r)!r},{float(e)!r}" for s, n, k, r, e in rows]
         return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
@@ -251,8 +247,7 @@ def _scenarios(
     """The sequence whose scenario k has the target curve at fraction
     ``weights[k - 1]`` of the way from the band midline to the upper band, on
     the band's working scale."""
-    if bands.kind is not metric.band_kind:
-        raise ValueError(f"{metric.value} requires {metric.band_kind.value} bands")
+    metric.check_bands(bands)
     mid = bands.to_working(bands.midline)
     targets = bands.from_working(mid + weights * (bands.to_working(bands.upper) - mid))
     for c in targets:

@@ -35,12 +35,12 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .estimators import (
-    VARIANCE_FLOOR,
     AnovaDecomposition,
     adjusted_random_effects,
     anova_decompose,
     estimate_metrics_grouped,
     estimate_metrics_paired,
+    random_effect_variance,
 )
 from .fdata import (
     BandKind,
@@ -83,6 +83,11 @@ class Metric(enum.Enum):
         difference, multiplicative for the variance ratios."""
         return BandKind.ADDITIVE if self is Metric.THETA else BandKind.MULTIPLICATIVE
 
+    def check_bands(self, bands: BandPair) -> None:
+        """Refuse equivalence ``bands`` of another kind than :attr:`band_kind`."""
+        if bands.kind is not self.band_kind:
+            raise ValueError(f"{self.value} requires {self.band_kind.value} bands")
+
 
 class DegenerateReplicateError(RuntimeError):
     """A replicate stayed degenerate after the redraw cap was exhausted."""
@@ -103,9 +108,11 @@ class BootstrapConfig:
             warnings.warn(msg, stacklevel=3)  # past the generated __init__, at its caller
         if not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 0.5)")
+        if not isinstance(self.design, Design):
+            raise ValueError(f"unknown design {self.design}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplicateDraws:
     """Bootstrap draws of the metric estimates, one row per replicate."""
 
@@ -115,7 +122,7 @@ class ReplicateDraws:
     redraws: Optional[np.ndarray] = None  # (B,), degenerate draws replaced
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneSidedBands:
     """Finite endpoints of the two one-sided pointwise confidence regions.
 
@@ -132,7 +139,7 @@ class OneSidedBands:
     upper_of_lower_ci: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricResult:
     metric: Metric
     estimate: np.ndarray
@@ -147,7 +154,7 @@ class TostDecision(enum.Enum):
     FAIL_TO_REJECT = "fail_to_reject"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TostReport:
     grid: Grid
     results: dict  # Metric -> MetricResult
@@ -509,7 +516,7 @@ def bootstrap_random_effects(
         # last term inside the slack of the first bound
         tol = 2.0 * (n_max + A + 4) * _EPS * q + N * ((A + 3) * _EPS * grand) ** 2
         ok = _settle(sse, tol, idx, lambda d: [a_hat[d[:, :A]][:, slot_group] + resid[d[:, A:]]])
-        s2a = np.maximum((ssa / (A - 1) - sse / (N - 1)) / n_star, VARIANCE_FLOOR)
+        s2a = random_effect_variance(ssa, sse, A, N, n_star)
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = sse[:, :T] / sse[:, T:]
         return theta, lam, s2a[:, :T] / s2a[:, T:], ok
@@ -554,8 +561,7 @@ def ratio_bands(
 
 def _decide_metric(bands: OneSidedBands, eq_band: BandPair, estimate: np.ndarray) -> MetricResult:
     metric = bands.metric
-    if eq_band.kind is not metric.band_kind:
-        raise ValueError(f"{metric.value} requires {metric.band_kind.value} bands")
+    metric.check_bands(eq_band)
     # The shaded region [upper_of_lower_ci, lower_of_upper_ci] must lie
     # strictly inside the open band interval at every grid point.
     reject_lower = eq_band.lower < bands.upper_of_lower_ci
@@ -592,10 +598,12 @@ def tost_decide(
     return TostReport(grid, results, decision, noninf, alpha, replicates)
 
 
-def _check_sample(ok: bool, data, design: Design, name: str) -> None:
-    """Refuse ``data``, unless ``ok``, as not the sample ``design`` needs."""
-    if not ok:
-        raise ValueError(f"design {design.value} needs {name}, got {type(data).__name__}")
+#: The sample each design takes, as :func:`run_tost` names it when refusing another.
+_SAMPLES = {
+    Design.INDEPENDENT_IID: "a (FunctionalSample, FunctionalSample) tuple",
+    Design.MATCHED_PAIRS: "a PairedFunctionalSample",
+    Design.RANDOM_EFFECTS_MATCHED: "a GroupedPairedSample",
+}
 
 
 def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
@@ -608,34 +616,30 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
     bootstrap, and bootstraps theta alone when it is the only metric in
     ``eq_bands``. Data of another type raises ``ValueError``.
     """
-    if cfg.design is Design.INDEPENDENT_IID:
-        pair = isinstance(data, tuple) and len(data) == 2
-        _check_sample(pair and all(isinstance(s, FunctionalSample) for s in data), data,
-                      cfg.design, "a (FunctionalSample, FunctionalSample) tuple")
-        est, draws = estimate_metrics_paired(data), bootstrap_independent(*data, cfg)
-    elif cfg.design is Design.MATCHED_PAIRS:
-        _check_sample(isinstance(data, PairedFunctionalSample), data, cfg.design,
-                      "a PairedFunctionalSample")
-        est, draws = estimate_metrics_paired(data), bootstrap_matched(data, cfg)
-    elif cfg.design is Design.RANDOM_EFFECTS_MATCHED:
-        _check_sample(isinstance(data, GroupedPairedSample), data, cfg.design,
-                      "a GroupedPairedSample")
+    if cfg.design is Design.RANDOM_EFFECTS_MATCHED and isinstance(data, GroupedPairedSample):
         decomp = anova_decompose(data)
         est = estimate_metrics_grouped(data, decomp)
         theta_only = eq_bands.keys() == {Metric.THETA}
         draws = bootstrap_random_effects(data, cfg, decomp, theta_only=theta_only)
+    elif cfg.design is Design.MATCHED_PAIRS and isinstance(data, PairedFunctionalSample):
+        est, draws = estimate_metrics_paired(data), bootstrap_matched(data, cfg)
+    elif (cfg.design is Design.INDEPENDENT_IID and isinstance(data, tuple) and len(data) == 2
+          and all(isinstance(s, FunctionalSample) for s in data)):
+        est, draws = estimate_metrics_paired(data), bootstrap_independent(*data, cfg)
     else:
-        raise ValueError(f"unknown design {cfg.design}")
+        raise ValueError(f"design {cfg.design.value} needs {_SAMPLES[cfg.design]}, "
+                         f"got {type(data).__name__}")
 
+    pairs = {
+        Metric.THETA: (draws.theta, est.theta_hat),
+        Metric.LAMBDA: (draws.lam, est.lambda_hat),
+        Metric.PSI: (draws.psi, est.psi_hat),
+    }
     bands, estimates = {}, {}
     for metric in Metric:
         if metric not in eq_bands:
             continue
-        d, estimates[metric] = {
-            Metric.THETA: (draws.theta, est.theta_hat),
-            Metric.LAMBDA: (draws.lam, est.lambda_hat),
-            Metric.PSI: (draws.psi, est.psi_hat),
-        }[metric]
+        d, estimates[metric] = pairs[metric]
         if d is None:
             raise ValueError("psi requires the random-effects design")
         if metric.band_kind is BandKind.ADDITIVE:
@@ -643,4 +647,3 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
         else:
             bands[metric] = ratio_bands(d, estimates[metric], cfg.alpha, metric)
     return tost_decide(bands, eq_bands, estimates, alpha=cfg.alpha, replicates=cfg.replicates)
-

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -52,6 +53,17 @@ def separated_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "separated.csv"
     write_curves(shifted, path)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    """A matched file of 40 pairs and a grouped file of 8 groups of 5 pairs,
+    on an 8-point grid."""
+    grid = equispaced_grid(8)
+    root = tmp_path_factory.mktemp("small")
+    write_curves(generate_dataset(default_truth(grid, 2, 40), 3).groups[0], root / "matched.csv")
+    write_curves(generate_dataset(default_truth(grid, 8, 5), 4), root / "grouped.csv")
+    return root
 
 
 def read_bytes(path):
@@ -148,6 +160,36 @@ class TestTostMode:
         err = capsys.readouterr().err
         assert "error [design-mismatch]: matched design needs at least 2 pairs" in err
         assert "the file has 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("design, code, digests", [
+        ("matched", EXIT_FAIL_TO_REJECT, (
+            "7db4e1fc9ce56dac746958e274e31d5f9a96e5ec4962cee2ce8f0082cbbee084",
+            "8c8c705e6b4026255aa61fc398e5000ba807384fc94299388850e996fbfc6bfc",
+        )),
+        ("grouped", EXIT_FAIL_TO_REJECT, (
+            "9f09c3222986570aa90ec0bbe9f038e84f8941f2b7222af5260461d3e5279b12",
+            "bcf6558f521da2348765fd50c2c5883f0ed2559f2c608ede0eb1a73bdaa2e3b1",
+        )),
+    ])
+    def test_report_bytes_pinned(self, small_files, tmp_path, design, code, digests):
+        # the whole path of each design a curve file reaches, read to emitted bytes
+        out = tmp_path / "out"
+        assert run_cli([
+            "tost", "--input", str(small_files / f"{design}.csv"), "--design", design,
+            "-B", "500", "--seed", "9", "--out", str(out), "--emit", "json,csv",
+        ]) == code
+        got = tuple(hashlib.sha256(read_bytes(out / f"tost_report.{ext}")).hexdigest()
+                    for ext in ("json", "csv"))
+        assert got == digests
+
+    def test_paired_file_is_grouped_design_mismatch(self, small_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["tost", "--input", str(small_files / "matched.csv"),
+                        "--design", "grouped", "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error [design-mismatch]: grouped design requires a multi-group curve file" in err
         assert not out.exists()
 
     def test_bad_emit_flag_is_error(self, equivalent_file, capsys):
@@ -264,6 +306,17 @@ class TestArgumentsCheckedFirst:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error [bad-argument]: ") and message in err
+        assert not out.exists()
+
+    def test_paired_file_is_bayes_design_mismatch(self, small_files, tmp_path, capsys,
+                                                  monkeypatch):
+        refuse_engines(monkeypatch)
+        out = tmp_path / "out"
+        code = run_cli(["bayes", "--input", str(small_files / "matched.csv"),
+                        "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error [design-mismatch]: bayes mode requires a multi-group curve file" in err
         assert not out.exists()
 
 
@@ -502,6 +555,13 @@ class TestReportMode:
         assert "re-rendered report" in capsys.readouterr().out
         assert read_bytes(second / "tost_report.csv") == read_bytes(first / "tost_report.csv")
         assert read_bytes(second / "tost_report.svg") == read_bytes(first / "tost_report.svg")
+
+    def test_missing_input_is_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["report", "--input", str(tmp_path / "nope.json"), "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert "error [missing-input]: input file not found: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_json_is_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

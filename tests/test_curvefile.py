@@ -178,6 +178,12 @@ class TestErrors:
         with pytest.raises(CurveFileError, match="line 3: bad float"):
             read_curves_text("\n".join(lines) + "\n")
 
+    def test_row_with_too_few_fields(self):
+        lines = small_text().splitlines()
+        lines[1] = "1,1,0.5"
+        with pytest.raises(CurveFileError, match="line 2: expected group,channel,breath,values"):
+            read_curves_text("\n".join(lines) + "\n")
+
     def test_wrong_value_count(self):
         lines = small_text().splitlines()
         lines[1] = lines[1] + ",9.0"

@@ -16,6 +16,8 @@ from feqt.fdata import (
     make_cosine_bands,
 )
 
+from feqt.simlab import default_truth
+
 from conftest import make_grouped
 
 
@@ -171,7 +173,53 @@ class TestSamples:
         np.testing.assert_array_equal(s.group_labels(), [0, 0, 1, 1, 1, 2, 2, 2, 2])
         assert s.stacked().shape == (9, 2, 6)
 
+    def test_non_2d_curves_refused(self, grid25):
+        message = r"curves must be 2-dimensional, got shape \(25,\)"
+        with pytest.raises(ValidationError, match=message):
+            FunctionalSample(grid25, np.zeros(25))
+
+    @pytest.mark.parametrize("paired, unit", [(False, "curve"), (True, "pair")])
+    def test_empty_sample_refused(self, grid25, paired, unit):
+        empty = np.zeros((0, 25))
+        with pytest.raises(ValidationError, match=f"at least one {unit}"):
+            if paired:
+                PairedFunctionalSample(grid25, empty, empty)
+            else:
+                FunctionalSample(grid25, empty)
+
+    def test_paired_columns_must_match_grid(self, grid25):
+        with pytest.raises(ValidationError, match="curves have 7 columns but grid has 25 points"):
+            PairedFunctionalSample(grid25, np.zeros((3, 7)), np.zeros((3, 7)))
+
+    def test_grouped_refuses_a_group_of_curves(self, rng, grid25):
+        g = PairedFunctionalSample(grid25, rng.normal(size=(2, 25)), rng.normal(size=(2, 25)))
+        curves = FunctionalSample(grid25, rng.normal(size=(2, 25)))
+        with pytest.raises(ValidationError, match="group 1 is not a PairedFunctionalSample"):
+            GroupedPairedSample(grid25, (g, curves))
+
     def test_curves_frozen(self, rng, grid25):
         s = FunctionalSample(grid25, rng.normal(size=(3, 25)))
         with pytest.raises(ValueError):
             s.curves[0, 0] = 1.0
+
+
+def _equal_objects(kind):
+    """Two distinct objects of ``kind`` built from equal values."""
+    grid = equispaced_grid(5)
+    c = np.arange(15.0).reshape(3, 5)
+    build = {
+        "sample": lambda: FunctionalSample(grid, c),
+        "pair": lambda: PairedFunctionalSample(grid, c, c + 1.0),
+        "grouped": lambda: make_grouped(np.random.default_rng(3), n_groups=2, n_points=5),
+        "band": lambda: make_cosine_bands(grid, BandKind.ADDITIVE),
+        "truth": lambda: default_truth(grid, 2, 2),
+    }[kind]
+    return build(), build()
+
+
+@pytest.mark.parametrize("kind", ["sample", "pair", "grouped", "band", "truth"])
+def test_array_holders_compare_by_identity(kind):
+    a, b = _equal_objects(kind)
+    assert (a == b) is False and (a != b) is True
+    assert a == a
+    assert {a: 1, b: 2}[a] == 1 and len({a, b, a}) == 2

@@ -7,7 +7,7 @@ from feqt.bayes.posterior import (
     simultaneous_bands,
 )
 from feqt.fdata import BandKind, BandPair, equispaced_grid, make_cosine_bands
-from feqt.tost import Metric
+from feqt.tost import Metric, empirical_quantile
 
 from conftest import band_coverage
 
@@ -75,6 +75,16 @@ class TestSimultaneousBands:
         np.testing.assert_array_equal(band.degenerate_points, [2])
         assert band.lower[2] == band.upper[2] == pytest.approx(3.14)
         assert band_coverage(band, x) >= 0.9
+
+    def test_every_point_degenerate_gives_the_pointwise_band(self, rng):
+        # more than half the draws equal at each point: zero MAD everywhere
+        x = np.zeros((200, 4))
+        x[:60] = rng.normal(size=(60, 4))
+        band = simultaneous_bands(x, 0.9)
+        np.testing.assert_array_equal(band.degenerate_points, np.arange(4))
+        np.testing.assert_array_equal(band.lower, empirical_quantile(x, 0.05))
+        np.testing.assert_array_equal(band.upper, empirical_quantile(x, 0.95))
+        assert np.all(band.lower < 0.0) and np.all(band.upper > 0.0)
 
     def test_input_validation(self, rng):
         with pytest.raises(ValueError, match="100"):

@@ -65,6 +65,30 @@ class TestTruthSpec:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             replace(t, **{name: arr})
 
+    @pytest.mark.parametrize("name", ["s2_eps", "s2_alpha"])
+    def test_negative_variance_refused(self, grid10, name):
+        t = default_truth(grid10)
+        arr = getattr(t, name).copy()
+        arr[1, 3] = -1e-3
+        with pytest.raises(ValueError, match="variance curves must be nonnegative"):
+            replace(t, **{name: arr})
+
+    def test_arrays_copied_and_frozen(self, grid10):
+        base = default_truth(grid10, 3, 4)
+        fields = ("mu", "s2_eps", "s2_alpha", "rho_eps", "rho_alpha", "within_corr",
+                  "group_sizes")
+        given = {name: getattr(base, name).copy() for name in fields}
+        truth = replace(base, **given)
+        drawn = generate_dataset(truth, 5).stacked().copy()
+        kept = {name: getattr(truth, name).copy() for name in fields}
+        for arr in given.values():
+            arr[...] = np.eye(10) if arr.shape == (10, 10) else 0.5
+        for name in fields:
+            np.testing.assert_array_equal(getattr(truth, name), kept[name])
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(truth, name)[...] = 0
+        np.testing.assert_array_equal(generate_dataset(truth, 5).stacked(), drawn)
+
 
 class TestGenerateDataset:
     def test_zero_variances_reproduce_mu(self, grid10):
@@ -167,6 +191,10 @@ class TestScenarios:
         with pytest.raises(ValueError, match=f"{metric.value} requires "
                            f"{metric.band_kind.value} bands"):
             build(default_truth(grid10), bands, metric)
+
+    def test_empty_sequence_refused(self, grid10):
+        with pytest.raises(ValueError, match="at least one scenario"):
+            ScenarioSequence(Metric.THETA, (), np.empty((0, 10)), False)
 
     def test_sequences_pinned(self):
         # every target and truth of the six sequences, to the bit: a

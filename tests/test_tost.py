@@ -488,6 +488,27 @@ class TestBootstrapMechanics:
         np.testing.assert_array_equal(draws.redraws, expected)
         assert draws.redraws.sum() == 112
 
+    @pytest.mark.parametrize("case, message", [
+        ("one curve", "both groups need at least 2 curves"),
+        ("two grids", "groups must share a grid"),
+        ("one pair", "need at least 2 pairs"),
+        ("one-pair group", "every group needs at least 2 pairs"),
+    ])
+    def test_samples_the_kernels_cannot_resample_refused(self, rng, case, message):
+        grid, cfg = equispaced_grid(4), BootstrapConfig(1000, seed=2)
+        curves = lambda n, g=grid: FunctionalSample(g, rng.normal(size=(n, len(g))))
+        run = {
+            "one curve": lambda: bootstrap_independent(curves(1), curves(3), cfg),
+            "two grids": lambda: bootstrap_independent(
+                curves(3), curves(3, equispaced_grid(5)), cfg),
+            "one pair": lambda: bootstrap_matched(
+                PairedFunctionalSample(grid, curves(1).curves, curves(1).curves), cfg),
+            "one-pair group": lambda: bootstrap_random_effects(
+                make_grouped(rng, group_sizes=[3, 1, 3], n_points=4), cfg),
+        }[case]
+        with pytest.raises(ValueError, match=message):
+            run()
+
     def test_random_effects_draw_shapes(self, rng):
         s = make_grouped(rng, group_sizes=[3, 4, 5], n_points=4)
         d = bootstrap_random_effects(s, BootstrapConfig(150, seed=2))
@@ -763,6 +784,15 @@ class TestBandsAndDecision:
                 {Metric.THETA: osb}, {Metric.THETA: band}, {Metric.THETA: np.array([1.0])}
             )
 
+    def test_bands_on_two_grids_rejected(self):
+        g1, g2 = Grid([0.0, 1.0]), Grid([0.0, 0.5])
+        osb = OneSidedBands(Metric.THETA, np.zeros(2), np.zeros(2))
+        bands = {Metric.THETA: make_cosine_bands(g1, BandKind.ADDITIVE),
+                 Metric.LAMBDA: make_cosine_bands(g2, BandKind.MULTIPLICATIVE)}
+        with pytest.raises(ValueError, match="equivalence bands must share one grid"):
+            tost_decide({Metric.THETA: osb, Metric.LAMBDA: osb}, bands,
+                        {Metric.THETA: np.zeros(2), Metric.LAMBDA: np.ones(2)})
+
 
 class TestRunTost:
     def test_grouped_end_to_end_equivalent_data(self, grid25):
@@ -820,6 +850,19 @@ class TestRunTost:
         bands = {Metric.THETA: make_cosine_bands(grouped.grid, BandKind.ADDITIVE)}
         with pytest.raises(ValueError, match=f"design {design.value} needs {needs}"):
             run_tost(data, BootstrapConfig(1000, seed=6, design=design), bands)
+
+    def test_unknown_design_refused(self, rng):
+        grouped = make_grouped(rng, n_points=5)
+        bands = {Metric.THETA: make_cosine_bands(grouped.grid, BandKind.ADDITIVE)}
+        with pytest.raises(ValueError, match="unknown design bogus"):
+            run_tost(grouped, BootstrapConfig(1000, design="bogus"), bands)
+
+    def test_psi_needs_the_random_effects_design(self, rng):
+        pair = make_grouped(rng, n_points=5).groups[0]
+        bands = {m: make_cosine_bands(pair.grid, m.band_kind) for m in (Metric.THETA, Metric.PSI)}
+        cfg = BootstrapConfig(1000, seed=6, design=Design.MATCHED_PAIRS)
+        with pytest.raises(ValueError, match="psi requires the random-effects design"):
+            run_tost(pair, cfg, bands)
 
     def test_separated_means_fail(self, rng, grid25):
         s1 = FunctionalSample(grid25, rng.normal(1.0, 0.1, (30, 25)))
