@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .. import tost as _tost
+from ..fdata import freeze_arrays
 
 Metric = _tost.Metric
 
@@ -33,6 +34,9 @@ class PosteriorDraws:
     rhat_warning: bool = False
     #: (M, 3) mixture-indicator draws (mean, error-variance, reffect-variance)
     indicators: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        freeze_arrays(self)
 
     @property
     def n_draws(self) -> int:
@@ -70,6 +74,9 @@ class SimultaneousBand:
     #: grid indices where the spread degenerated and a pointwise quantile band
     #: was substituted
     degenerate_points: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
+
+    def __post_init__(self):
+        freeze_arrays(self)
 
 
 def simultaneous_bands(draws: np.ndarray, coverage: float) -> SimultaneousBand:

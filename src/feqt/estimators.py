@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fdata import GroupedPairedSample, PairedFunctionalSample
+from .fdata import GroupedPairedSample, PairedFunctionalSample, freeze_arrays
 
 #: Pointwise floor applied to the random-effect variance estimate. The ANOVA
 #: estimator can go negative; the bootstrap and the ratio metric both need a
@@ -37,6 +37,9 @@ class MetricEstimates:
     lambda_hat: np.ndarray
     psi_hat: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        freeze_arrays(self)
+
 
 @dataclass(frozen=True, eq=False)
 class AnovaDecomposition:
@@ -52,6 +55,9 @@ class AnovaDecomposition:
     ssa: np.ndarray  # (2, T)
     n_star: float
     s2_alpha: np.ndarray  # (2, T)
+
+    def __post_init__(self):
+        freeze_arrays(self)
 
 
 def estimate_metrics_paired(s) -> MetricEstimates:

@@ -27,6 +27,20 @@ def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def freeze_arrays(obj) -> None:
+    """Make every array field of the frozen dataclass ``obj`` read-only.
+
+    For result types, whose builders own their arrays: a writable array is
+    replaced by a read-only view of itself, so no data is copied and an
+    array a caller passed in keeps its own flags.
+    """
+    for name, value in list(vars(obj).items()):
+        if isinstance(value, np.ndarray) and value.flags.writeable:
+            view = value.view()
+            view.setflags(write=False)
+            object.__setattr__(obj, name, view)
+
+
 class BandKind(enum.Enum):
     ADDITIVE = "additive"
     MULTIPLICATIVE = "multiplicative"

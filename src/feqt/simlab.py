@@ -22,6 +22,7 @@ from .fdata import (
     GroupedPairedSample,
     PairedFunctionalSample,
     band_contains,
+    freeze_arrays,
 )
 from .estimators import DegenerateSpreadError, DegenerateVarianceError
 from .tost import BootstrapConfig, DegenerateReplicateError, Metric, run_tost
@@ -116,6 +117,7 @@ class StudyResult:
     def __post_init__(self):
         if np.any(self.rejections > self.replicates):
             raise ValueError("more rejections than replicates")
+        freeze_arrays(self)
 
     @property
     def rates(self) -> np.ndarray:

@@ -7,15 +7,23 @@ rejects, which bounds the overall size by alpha.
 
 Randomness contract: replicate r draws only from the Philox substream keyed by
 (seed, r) with its counter starting at 0, exactly the stream of
-``replicate_rng(seed, r)``, so results do not depend on execution order or
-chunking. The draws of a chunk come from one bit generator re-keyed per
-replicate and are mapped to indices in bulk, bit for bit as
-``Generator.integers`` maps them.
+``replicate_rng(seed, r)``, so results do not depend on execution order,
+chunking or the number of threads that run the chunks. The draws of a chunk
+come from one bit generator re-keyed per replicate and are mapped to indices
+in bulk, bit for bit as ``Generator.integers`` maps them.
+
+Threads: a call of more than one chunk, in a process that may use two or
+more cores, splits its chunks between the calling thread and one helper
+thread the process starts on first use and keeps (:func:`_run_chunks`). Each
+chunk writes only its own rows of the outputs, and a failing call raises the
+error of its lowest-numbered failing chunk, the one a serial run raises.
 
 Memory: a chunk's working arrays (the drawn words and indices, the count
 matrix and its product, the grouped kernel's temporaries) live in buffers
 each thread allocates once and reuses across chunks and calls (see
 :func:`_scratch`), so the kernel does not fault fresh pages in per chunk.
+Two threads each take half a serial chunk, so together they hold one
+chunk's buffers.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from .fdata import (
     Grid,
     GroupedPairedSample,
     PairedFunctionalSample,
+    freeze_arrays,
 )
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
@@ -64,6 +73,22 @@ _EPS = np.finfo(float).eps
 
 #: This thread's working buffers, one per name (:func:`_scratch`).
 _buffers = threading.local()
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+#: Threads that run the chunks of a call: the caller, and one helper where
+#: the process may use two or more cores.
+_WORKERS = 2 if _usable_cores() >= 2 else 1
+
+#: The job queue of the helper thread (:func:`_helper`).
+_helper_jobs = None
+_helper_lock = threading.Lock()
 
 
 class Design(enum.Enum):
@@ -121,6 +146,9 @@ class ReplicateDraws:
     psi: Optional[np.ndarray] = None  # (B, T), hierarchical design; None if theta only
     redraws: Optional[np.ndarray] = None  # (B,), degenerate draws replaced
 
+    def __post_init__(self):
+        freeze_arrays(self)
+
 
 @dataclass(frozen=True, eq=False)
 class OneSidedBands:
@@ -138,6 +166,9 @@ class OneSidedBands:
     lower_of_upper_ci: np.ndarray
     upper_of_lower_ci: np.ndarray
 
+    def __post_init__(self):
+        freeze_arrays(self)
+
 
 @dataclass(frozen=True, eq=False)
 class MetricResult:
@@ -147,6 +178,9 @@ class MetricResult:
     eq_band: BandPair
     violations: np.ndarray  # grid indices where a one-sided test fails
     reject: bool
+
+    def __post_init__(self):
+        freeze_arrays(self)
 
 
 class TostDecision(enum.Enum):
@@ -182,10 +216,11 @@ def replicate_rng(seed: int, r: int) -> Generator:
     return Generator(Philox(key=key))
 
 
-def _chunks(total: int, per_replicate_elems: int):
-    step = max(1, _CHUNK_ELEMS // max(per_replicate_elems, 1))
-    for start in range(0, total, step):
-        yield start, min(start + step, total)
+def _chunks(total: int, per_replicate_elems: int, workers: int = 1) -> list:
+    """(lo, hi) bounds of the chunks of ``total`` replicates: each holds at
+    most ``_CHUNK_ELEMS / workers`` elements, or one replicate."""
+    step = max(1, _CHUNK_ELEMS // workers // max(per_replicate_elems, 1))
+    return [(start, min(start + step, total)) for start in range(0, total, step)]
 
 
 def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
@@ -254,6 +289,89 @@ def _draw_chunk(seed: int, lo: int, hi: int, segments):
     return idx.view("<i8"), rejected
 
 
+def _helper():
+    """The job queue of the process's helper thread, which is started on
+    first use and kept: a daemon thread that runs each job put on it."""
+    global _helper_jobs
+    with _helper_lock:
+        if _helper_jobs is None:
+            from queue import SimpleQueue
+
+            jobs = SimpleQueue()
+            helper = threading.Thread(target=_serve, args=(jobs,), name="feqt-bootstrap")
+            helper.daemon = True  # idle between calls; nothing to finish at exit
+            helper.start()
+            _helper_jobs = jobs
+    return _helper_jobs
+
+
+def _serve(jobs) -> None:
+    while True:
+        jobs.get()()  # a _ChunkQueue.work, which raises nothing
+
+
+class _ChunkQueue:
+    """The chunks of one call, claimed in order by the threads that run them.
+
+    A thread claims the lowest unclaimed chunk until none is left or a chunk
+    has failed. Since chunks are claimed in order, every chunk below a
+    failing one is claimed by then, and :meth:`wait` raises the error of the
+    lowest-numbered failing chunk once all claimed chunks have finished.
+    """
+
+    def __init__(self, bounds, run):
+        self.bounds, self.run = bounds, run
+        self.next = 0  # the next chunk to claim
+        self.running = 0  # claimed chunks not yet finished
+        self.errors = {}  # chunk number -> the exception it raised
+        self.changed = threading.Condition()
+
+    def work(self):
+        while True:
+            with self.changed:
+                k = self.next
+                if k >= len(self.bounds) or self.errors:
+                    return
+                self.next, self.running = k + 1, self.running + 1
+            error = None
+            try:
+                self.run(*self.bounds[k])
+            except BaseException as exc:  # re-raised by wait, in the caller
+                error = exc
+            with self.changed:
+                if error is not None:
+                    self.errors[k] = error
+                self.running -= 1
+                self.changed.notify_all()
+
+    def wait(self):
+        with self.changed:
+            self.next = len(self.bounds)  # a late helper finds nothing to claim
+            while self.running:
+                self.changed.wait()
+            self.run = None  # a helper that takes this job late keeps no arrays alive
+        if self.errors:
+            raise self.errors[min(self.errors)]
+
+
+def _run_chunks(bounds, run, workers: int) -> None:
+    """``run(lo, hi)`` for each (lo, hi) of ``bounds``: in order on this
+    thread, or with ``workers`` > 1 also on the helper thread.
+
+    The caller works through the chunks itself and never waits for the
+    helper to start, so a helper busy with another call's chunks delays no
+    one; the caller waits only for chunks the helper has claimed.
+    """
+    if workers == 1:
+        for lo, hi in bounds:
+            run(lo, hi)
+        return
+    chunks = _ChunkQueue(bounds, run)
+    _helper().put(chunks.work)
+    chunks.work()
+    chunks.wait()
+
+
 def _resolve_replicates(cfg: BootstrapConfig, segments, stats_of, per_rep_elems):
     """Run B replicates chunk by chunk, redrawing degenerate ones.
 
@@ -265,13 +383,16 @@ def _resolve_replicates(cfg: BootstrapConfig, segments, stats_of, per_rep_elems)
     bulk draw hit a rejection, or that needs a redraw, continues from its
     own ``replicate_rng``, replaying the first draw. Every draw of replicate
     r is thus the one ``replicate_rng(seed, r)`` makes, whatever the
-    chunking. Returns the statistics, each (B, ...), and the redraw count of
-    each replicate.
+    chunking. A call of more than one chunk runs on :data:`_WORKERS`
+    threads, each chunk half as large on two. Returns the statistics, each
+    (B, ...), and the redraw count of each replicate.
     """
     B = cfg.replicates
-    stats_out = None
+    stats_out = []  # allocated by the first chunk to compute its statistics
+    allocate = threading.Lock()
     redraws = np.zeros(B, dtype=int)
-    for lo, hi in _chunks(B, per_rep_elems):
+
+    def run(lo, hi):
         idx, rejected = _draw_chunk(cfg.seed, lo, hi, segments)
         rngs = {}
         for i in np.flatnonzero(rejected):
@@ -281,8 +402,9 @@ def _resolve_replicates(cfg: BootstrapConfig, segments, stats_of, per_rep_elems)
         while True:
             # no copy while every replicate of the chunk is active
             *stats, ok = stats_of(idx if active.size == hi - lo else idx[active])
-            if stats_out is None:
-                stats_out = tuple(np.empty((B,) + s.shape[1:]) for s in stats)
+            with allocate:
+                if not stats_out:
+                    stats_out.extend(np.empty((B,) + s.shape[1:]) for s in stats)
             for out, s in zip(stats_out, stats):
                 out[lo + active] = s
             active = active[~ok]
@@ -299,7 +421,10 @@ def _resolve_replicates(cfg: BootstrapConfig, segments, stats_of, per_rep_elems)
                     rngs[i] = replicate_rng(cfg.seed, lo + i)
                     _draw(rngs[i], segments)  # replay the bulk first draw
                 idx[i] = _draw(rngs[i], segments)
-    return stats_out, redraws
+
+    workers = _WORKERS if len(_chunks(B, per_rep_elems)) > 1 else 1
+    _run_chunks(_chunks(B, per_rep_elems, workers), run, workers)
+    return tuple(stats_out), redraws
 
 
 def _load_sparsetools():

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -62,3 +64,41 @@ def band_coverage(band, draws):
     tol = 1e-12 * (1.0 + np.abs(band.upper) + np.abs(band.lower))
     inside = np.all((x >= band.lower - tol) & (x <= band.upper + tol), axis=1)
     return float(inside.mean())
+
+
+class ChunkThreads:
+    """Wraps ``feqt.tost._run_chunks`` so that a call of several chunks on two
+    workers surely runs chunks on both threads: the caller's first chunk
+    waits (at most 30 s) until the helper has begun one. ``calls`` lists, per
+    call, the workers, the chunk bounds and the thread of each chunk run."""
+
+    def __init__(self, run_chunks):
+        self.run_chunks = run_chunks
+        self.calls = []
+
+    def __call__(self, bounds, run, workers):
+        caller, helper_began = threading.get_ident(), threading.Event()
+        ran_on = []
+        self.calls.append((workers, bounds, ran_on))
+
+        def traced(lo, hi):
+            me = threading.get_ident()
+            ran_on.append(me)
+            if me != caller:
+                helper_began.set()
+            elif workers > 1 and len(bounds) > 1:
+                helper_began.wait(timeout=30)
+            run(lo, hi)
+
+        return self.run_chunks(bounds, traced, workers)
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """Two workers, each surely running chunks (:class:`ChunkThreads`)."""
+    import feqt.tost as tost_mod
+
+    threads = ChunkThreads(tost_mod._run_chunks)
+    monkeypatch.setattr(tost_mod, "_WORKERS", 2)
+    monkeypatch.setattr(tost_mod, "_run_chunks", threads)
+    return threads

@@ -6,7 +6,10 @@ does not run.
   their imports are re-exports.
 - No module imports ``scipy`` when it is itself imported. Importing any scipy
   package costs a ``feqt`` run more start-up than a whole ``tost`` pass, so
-  each scipy import sits inside the function that needs it.
+  each scipy import sits inside the function that needs it. Likewise for
+  the thread-pool packages ``queue`` and ``concurrent`` (``concurrent.futures``
+  alone takes 6-9 ms): only a bootstrap of several chunks needs a queue, for
+  its helper thread.
 """
 
 import ast
@@ -77,6 +80,12 @@ def test_no_module_level_scipy_import(path):
     assert eager_imports(path.read_text(encoding="utf-8"), "scipy") == []
 
 
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
+def test_no_module_level_thread_pool_import(path):
+    source = path.read_text(encoding="utf-8")
+    assert eager_imports(source, "queue") == eager_imports(source, "concurrent") == []
+
+
 def test_gate_flags_eager_scipy_imports():
     source = (
         "import scipy.special\n"
@@ -96,3 +105,16 @@ def test_gate_flags_eager_scipy_imports():
     )
     # a class body runs on import, a function body only when called
     assert eager_imports(source, "scipy") == [1, 2, 5, 9]
+
+
+def test_gate_flags_eager_thread_pool_imports():
+    source = (
+        "import concurrent.futures\n"
+        "from queue import SimpleQueue\n"
+        "import queues, concurrently\n"
+        "def helper():\n"
+        "    from queue import SimpleQueue\n"
+        "    from concurrent.futures import ThreadPoolExecutor\n"
+    )
+    assert eager_imports(source, "concurrent") == [1]
+    assert eager_imports(source, "queue") == [2]

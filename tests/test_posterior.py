@@ -100,3 +100,13 @@ class TestPosteriorDraws:
         assert d.metric(Metric.LAMBDA) is d.lam
         assert d.metric(Metric.PSI) is d.psi
         assert d.n_draws == 400
+
+
+def test_draws_and_bands_are_read_only(rng):
+    draws = make_draws(rng)
+    band = simultaneous_bands(draws.theta, 0.9)
+    arrays = [draws.grid_points, draws.theta, draws.lam, draws.psi, draws.chain,
+              band.lower, band.upper, band.center, band.degenerate_points]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        band.lower[0] = 99.0

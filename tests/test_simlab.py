@@ -308,6 +308,18 @@ class TestStudyResult:
         payload = json.loads(res.to_json_text())
         assert payload["rates"] == [0.05, 0.5]
 
+    def test_arrays_are_read_only(self):
+        rejections = np.array([5, 50])
+        res = StudyResult(
+            method="frequentist", metric="theta", scenarios=np.array([1, 2]),
+            replicates=np.array([100, 100]), rejections=rejections,
+        )
+        assert not any(a.flags.writeable for a in (res.scenarios, res.replicates,
+                                                    res.rejections))
+        with pytest.raises(ValueError, match="read-only"):
+            res.rejections[0] = 100
+        assert rejections.flags.writeable  # the caller's array keeps its flags
+
     def test_invariant(self):
         with pytest.raises(ValueError, match="more rejections"):
             StudyResult(

@@ -19,6 +19,7 @@ from feqt.estimators import (
     DegenerateVarianceError,
     adjusted_random_effects,
     anova_decompose,
+    estimate_metrics_grouped,
 )
 from feqt.fdata import (
     BandKind,
@@ -48,6 +49,7 @@ from feqt.tost import (
     tost_decide,
 )
 
+from feqt.report import tost_report_csv
 from feqt.simlab import default_truth, generate_dataset
 from conftest import make_grouped
 import reference_bootstrap
@@ -337,6 +339,222 @@ class TestChunkBuffers:
         want = str(tmp_path / "sparse" / "_sparsetools") + importlib.machinery.EXTENSION_SUFFIXES[0]
         with pytest.raises(ImportError, match=re.escape(want)):
             tost_mod._load_sparsetools()
+
+
+def _lemire_run(rng):
+    # 2**32 mod 1179 = 1178, so a drawn half is rejected with probability
+    # 2.7e-7; with seed 4 four of the first 1000 replicates hit a rejection
+    grid = equispaced_grid(2)
+    y = rng.normal(size=(1179, 2, 2))
+    s = PairedFunctionalSample(grid, y[:, 0], y[:, 1])
+    assert tost_mod._draw_chunk(4, 0, 1000, ((1179, 1179, 0),))[1].sum() == 4
+    return lambda cfg: bootstrap_matched(s, cfg)
+
+
+def _spread_below_rounding_run(rng):
+    x1, x2 = np.array([0.0, 1e-9, 1e9]), np.array([1.0, 2.0, 4.0])
+    s = PairedFunctionalSample(Grid([0.5]), x1[:, None], x2[:, None])
+    return lambda cfg: bootstrap_matched(s, cfg)
+
+
+def _grouped_redrawn_run(rng):
+    g = generate_dataset(default_truth(equispaced_grid(8), 3, 2), 0)
+    return lambda cfg: bootstrap_random_effects(g, cfg)
+
+
+def _grouped_theta_run(rng):
+    g = make_grouped(rng, group_sizes=[3, 4, 5, 2, 6], n_points=7)
+    return lambda cfg: bootstrap_random_effects(g, cfg, theta_only=True)
+
+
+class TestTwoWorkers:
+    """Chunks split between the caller and the helper thread give the bits,
+    the redraws and the errors of one thread."""
+
+    #: name -> (run maker, seed, total redraws at B=1000)
+    CASES = {
+        "grouped": (_grouped_run, 10, 0),
+        "grouped theta only": (_grouped_theta_run, 10, 0),
+        "grouped redrawn": (_grouped_redrawn_run, 6, None),
+        "matched": (_matched_run, 4, None),
+        "independent": (_independent_run, 4, None),
+        "spread below rounding": (_spread_below_rounding_run, 1, 112),
+        "Lemire rejections": (_lemire_run, 4, 0),
+    }
+
+    @pytest.mark.parametrize("chunk_elems", [600, 20_000, tost_mod._CHUNK_ELEMS])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bits_do_not_depend_on_the_worker_count(
+        self, case, chunk_elems, monkeypatch, two_threads
+    ):
+        make_run, seed, total_redraws = self.CASES[case]
+        run, cfg = make_run(np.random.default_rng(7)), BootstrapConfig(1000, seed=seed)
+        monkeypatch.setattr(tost_mod, "_CHUNK_ELEMS", chunk_elems)
+        monkeypatch.setattr(tost_mod, "_WORKERS", 1)
+        one = run(cfg)
+        monkeypatch.setattr(tost_mod, "_WORKERS", 2)
+        two = run(cfg)
+        assert _bits(two) == _bits(one)
+        if total_redraws is not None:
+            assert two.redraws.sum() == total_redraws
+        else:
+            assert two.redraws.sum() > 0
+        (_, serial, _), (workers, bounds, ran_on) = two_threads.calls
+        if len(serial) > 1:  # half chunks, some run by the helper
+            assert workers == 2 and len(set(ran_on)) == 2
+            assert 2 * (bounds[0][1] - bounds[0][0]) <= serial[0][1] - serial[0][0] + 1
+        else:
+            assert workers == 1 and bounds == serial
+
+    def test_a_failing_later_chunk_raises_the_serial_error(self, monkeypatch, two_threads):
+        # with one redraw allowed, a replicate fails when drawn degenerate
+        # twice running (1 in 81 on three distinct pairs): about a dozen of
+        # 1000 fail, spread over the chunks of both threads
+        monkeypatch.setattr(tost_mod, "REDRAW_CAP", 1)
+        monkeypatch.setattr(tost_mod, "_CHUNK_ELEMS", 600)
+        x = np.array([[1.1, 0.9], [2.3, 2.0], [0.4, 0.7]])
+        s = PairedFunctionalSample(Grid([0.5]), x[:, :1], x[:, 1:])
+        cfg = BootstrapConfig(1000, seed=3)
+        messages = []
+        for workers in (1, 2):
+            monkeypatch.setattr(tost_mod, "_WORKERS", workers)
+            with pytest.raises(DegenerateReplicateError) as err:
+                bootstrap_matched(s, cfg)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        first = int(re.search(r"replicate (\d+)", messages[0]).group(1))
+        workers, bounds, ran_on = two_threads.calls[-1]
+        assert first >= bounds[0][1] and len(set(ran_on)) == 2  # a later chunk, both threads
+
+    def test_the_lowest_failing_chunk_raises(self):
+        # chunk 2 fails first; chunk 1, claimed before it, fails after it
+        chunk_2_failed, done = threading.Event(), []
+
+        def run(lo, hi):
+            if lo == 1:
+                chunk_2_failed.wait(timeout=30)
+                raise ValueError("chunk 1")
+            if lo == 2:
+                chunk_2_failed.set()
+                raise ValueError("chunk 2")
+            done.append(lo)
+
+        with pytest.raises(ValueError, match="chunk 1"):
+            tost_mod._run_chunks([(0, 1), (1, 2), (2, 3), (3, 4)], run, 2)
+        assert chunk_2_failed.is_set() and done == [0]  # no chunk claimed after a failure
+
+    def test_one_chunk_calls_start_no_thread(self, monkeypatch):
+        # the size study's shape: 10 groups of 10 pairs, T=25, B=100
+        def no_helper():
+            raise AssertionError("a one-chunk call asked for the helper thread")
+
+        monkeypatch.setattr(tost_mod, "_WORKERS", 2)
+        monkeypatch.setattr(tost_mod, "_helper", no_helper)
+        g = generate_dataset(default_truth(equispaced_grid(25), 10, 10), 0)
+        before = threading.active_count()
+        for theta_only in (True, False):
+            bootstrap_random_effects(g, BootstrapConfig(100, seed=1), theta_only=theta_only)
+        assert threading.active_count() == before
+
+    def test_helper_is_started_once_and_kept(self, two_threads):
+        g = make_grouped(np.random.default_rng(2), n_groups=20, group_size=20, n_points=25)
+        for seed in (0, 1):
+            bootstrap_random_effects(g, BootstrapConfig(2000, seed=seed))
+        helpers = [set(ran_on) - {threading.get_ident()} for _, _, ran_on in two_threads.calls]
+        assert len(helpers) == 2 and helpers[0] == helpers[1] and len(helpers[0]) == 1
+        assert tost_mod._helper() is tost_mod._helper()
+
+    def test_callers_sharing_the_helper_under_rapid_switching(self, monkeypatch):
+        # three callers and the helper on many small chunks, switching
+        # threads every microsecond: a lost update of a chunk's rows or
+        # redraw counts would change the bits
+        monkeypatch.setattr(tost_mod, "_CHUNK_ELEMS", 600)
+        runs = [make_run(np.random.default_rng(k)) for k, make_run in enumerate(
+            (_matched_run, _independent_run, _grouped_redrawn_run))]
+        cfg = BootstrapConfig(1000, seed=4)
+        monkeypatch.setattr(tost_mod, "_WORKERS", 1)
+        want = [_bits(run(cfg)) for run in runs]
+        monkeypatch.setattr(tost_mod, "_WORKERS", 2)
+        got = [[] for _ in runs]
+
+        def work(k):
+            for _ in range(3):
+                got[k].append(_bits(runs[k](cfg)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(runs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * 3 for w in want]
+
+    def test_a_busy_helper_holds_no_caller_back(self, monkeypatch):
+        monkeypatch.setattr(tost_mod, "_WORKERS", 2)
+        monkeypatch.setattr(tost_mod, "_CHUNK_ELEMS", 600)
+        g = make_grouped(np.random.default_rng(3), group_sizes=[3, 4, 5, 2, 6], n_points=7)
+        cfg = BootstrapConfig(1000, seed=10)
+        entered, release = threading.Event(), threading.Event()
+
+        def occupy():  # another caller's chunks
+            entered.set()
+            release.wait(timeout=120)
+
+        tost_mod._helper().put(occupy)
+        assert entered.wait(timeout=30)
+        got = []
+        caller = threading.Thread(
+            target=lambda: got.append(_bits(bootstrap_random_effects(g, cfg))))
+        try:
+            caller.start()
+            caller.join(timeout=60)
+            finished = not caller.is_alive()
+        finally:
+            release.set()
+            caller.join()
+        assert finished
+        monkeypatch.setattr(tost_mod, "_WORKERS", 1)
+        assert got == [_bits(bootstrap_random_effects(g, cfg))]
+
+
+class TestReadOnlyResults:
+    """Result arrays are read-only views: no copy, the caller's flags kept."""
+
+    def test_report_arrays_cannot_be_written(self):
+        g = generate_dataset(default_truth(equispaced_grid(8), 8, 5), 0)
+        bands = {m: make_cosine_bands(g.grid, m.band_kind) for m in Metric}
+        cfg = BootstrapConfig(200, seed=1, design=Design.RANDOM_EFFECTS_MATCHED)
+        rep = run_tost(g, cfg, bands)
+        csv = tost_report_csv(rep)
+        with pytest.raises(ValueError, match="read-only"):
+            rep.results[Metric.THETA].bands.lower_of_upper_ci[0] = 99.0
+        for r in rep.results.values():
+            for a in (r.estimate, r.violations, r.bands.lower_of_upper_ci,
+                      r.bands.upper_of_lower_ci):
+                assert not a.flags.writeable
+        assert tost_report_csv(rep) == csv
+
+    def test_draws_and_estimates_are_read_only(self, rng):
+        g = make_grouped(rng, n_groups=5, group_size=4, n_points=6)
+        draws = bootstrap_random_effects(g, BootstrapConfig(200, seed=3))
+        decomp = anova_decompose(g)
+        est = estimate_metrics_grouped(g, decomp)
+        arrays = [draws.theta, draws.lam, draws.psi, draws.redraws,
+                  est.theta_hat, est.lambda_hat, est.psi_hat,
+                  decomp.mean_overall, decomp.mean_by_group, decomp.sse, decomp.ssa,
+                  decomp.s2_alpha]
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_the_callers_array_is_shared_and_keeps_its_flags(self):
+        lo, hi = np.array([0.3, 0.4]), np.array([-0.2, -0.1])
+        osb = OneSidedBands(Metric.THETA, lo, hi)
+        assert np.shares_memory(osb.lower_of_upper_ci, lo) and lo.flags.writeable
+        assert not osb.lower_of_upper_ci.flags.writeable
 
 
 class TestBootstrapConfig:
