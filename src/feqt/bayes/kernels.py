@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._scipyext import _load_scipy_ext
 from ..fdata import Grid
 
 #: Diagonal jitter added before any factorization of a correlation matrix.
@@ -19,8 +20,7 @@ def matern_corr(range_a: float, grid: Grid) -> np.ndarray:
     (d/a below about 1e-152, or 0) the entry is the limit 1, and where it
     underflows (d/a above about 743) the entry is 0.
     """
-    from scipy.special import kv
-
+    kv = _load_scipy_ext("special/_special_ufuncs").kv
     if not 0.0 < range_a < np.inf:  # NaN fails both comparisons
         raise ValueError("kernel range must be positive and finite")
     t = grid.points

@@ -11,18 +11,26 @@ one (seed, dimension) are built once and reset before each use; a reset
 engine yields the same points as a fresh one.
 
 No ``feqt`` run loads a scipy package before it needs one: the first scipy
-import costs more than a whole ``tost`` pass. So ``scipy.special``,
-``scipy.stats.qmc`` and ``scipy.optimize`` are each imported inside the
-functions that use them, and only prior calibration loads the last two.
+import costs more than a whole ``tost`` pass, and ``scipy.stats`` alone about
+40 MB. So the compiled routines this module calls are loaded from their
+extension files (:func:`~feqt._scipyext._load_scipy_ext`): ``ndtr`` from
+``special/_special_ufuncs``, the Sobol loops from ``stats/_sobol`` (driven by
+:class:`_Sobol`) and Brent's root finder from ``optimize/_zeros`` (behind
+:func:`_brentq`). Only ``ndtri`` comes from ``scipy.special``, whose
+``_ufuncs`` extension does not load outside its package, so a rectangle of
+two or more dimensions, and with it prior calibration, loads that package
+and no other.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .._scipyext import _load_scipy_ext
 from ..fdata import BandPair
 from .kernels import matern_corr, prior_corr, JITTER
 
@@ -35,6 +43,8 @@ _MAX_POINTS = 1 << 17
 #: its root search on log(s2).
 _CALIBRATION_REL_TOL = 1e-3
 _LOG_S2_BRACKET = (-12.0, 8.0)
+#: Bits of the Sobol points, scipy's default.
+_SOBOL_BITS = 30
 
 
 class AccuracyError(RuntimeError):
@@ -54,8 +64,9 @@ def _ordered_cholesky(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     probability is pivoted to the front, which concentrates the product's
     variation in the early (well-sampled) QMC coordinates.
     """
-    from scipy.special import ndtr, ndtri
+    from scipy.special import ndtri
 
+    ndtr = _load_scipy_ext("special/_special_ufuncs").ndtr
     d = cov.shape[0]
     c = cov.copy() + JITTER * np.eye(d)
     a = lower.copy()
@@ -92,8 +103,9 @@ def _genz_batch(L, a, b, u):
 
     ``u`` has shape (n, d-1); returns n probability estimates.
     """
-    from scipy.special import ndtr, ndtri
+    from scipy.special import ndtri
 
+    ndtr = _load_scipy_ext("special/_special_ufuncs").ndtr
     n = u.shape[0]
     d = a.size
     y = np.zeros((n, d))
@@ -112,17 +124,69 @@ def _genz_batch(L, a, b, u):
     return p
 
 
+def _sobol_ext():
+    """scipy's ``stats/_sobol`` extension, with its direction-number table
+    loaded.
+
+    The extension reads the table through
+    ``importlib.resources.files("scipy.stats")``, which imports all of
+    ``scipy.stats``, unless its per-dtype cache already holds it. So the
+    cache is filled first, from the same file. The stored arrays are
+    Fortran-ordered and the extension reads C-contiguous ones.
+    """
+    sobol = _load_scipy_ext("stats/_sobol")
+    if np.uint32 not in sobol._vinit_dict:
+        path = os.path.join(os.path.dirname(sobol.__file__), "_sobol_direction_numbers.npz")
+        with np.load(path) as table:
+            sobol._poly_dict[np.uint32] = np.ascontiguousarray(table["poly"], np.uint32)
+            sobol._vinit_dict[np.uint32] = np.ascontiguousarray(table["vinit"], np.uint32)
+    return sobol
+
+
+class _Sobol:
+    """The points of ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed)``,
+    bit for bit: ``random(n)`` draws the next ``n`` and ``reset()`` restarts
+    the sequence."""
+
+    def __init__(self, dim: int, seed):
+        self._ext = _sobol_ext()
+        self._dim = dim
+        rng = np.random.default_rng(seed)
+        self._sv = np.zeros((dim, _SOBOL_BITS), dtype=np.uint32)
+        self._ext._initialize_v(self._sv, dim=dim, bits=_SOBOL_BITS)
+        # scrambling: a random digital shift, then a random lower-triangular
+        # bit matrix per dimension applied to the direction numbers
+        self._shift = np.dot(
+            rng.integers(2, size=(dim, _SOBOL_BITS), dtype=np.uint32),
+            2 ** np.arange(_SOBOL_BITS, dtype=np.uint32),
+        )
+        ltm = np.tril(rng.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+        self._ext._cscramble(dim=dim, bits=_SOBOL_BITS, ltm=ltm, sv=self._sv)
+        self.reset()
+
+    def reset(self) -> None:
+        self._quasi = self._shift.copy()
+        self._drawn = 0
+
+    def random(self, n: int) -> np.ndarray:
+        scale = 2.0**-_SOBOL_BITS
+        sample = np.empty((n, self._dim))
+        if self._drawn == 0:  # the first point is the shift itself
+            sample[0] = self._quasi * scale
+            self._ext._draw(n - 1, 0, self._dim, scale, self._sv, self._quasi, sample[1:])
+        else:
+            self._ext._draw(n, self._drawn - 1, self._dim, scale, self._sv, self._quasi, sample)
+        self._drawn += n
+        return sample
+
+
 @functools.lru_cache(maxsize=8)
 def _sobol_engines(seed: int, dim: int) -> tuple:
     """The scrambled Sobol engines of ``seed`` in ``dim`` dimensions, built
     once per process. Every call shares them, so a caller ``reset()``s each
     before drawing, and calls must not overlap (feqt makes them one at a time)."""
-    from scipy.stats import qmc
-
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return tuple(
-        qmc.Sobol(dim, scramble=True, seed=rng.integers(2**63)) for _ in range(_RANDOMIZATIONS)
-    )
+    return tuple(_Sobol(dim, rng.integers(2**63)) for _ in range(_RANDOMIZATIONS))
 
 
 def mvn_rectangle_prob(
@@ -143,8 +207,7 @@ def mvn_rectangle_prob(
     ``rel_accuracy * estimate`` also stops; use that form for tail
     probabilities where an absolute tolerance is meaningless.
     """
-    from scipy.special import ndtr
-
+    ndtr = _load_scipy_ext("special/_special_ufuncs").ndtr
     mean = np.asarray(mean, dtype=float)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     a = np.asarray(lower, dtype=float) - mean
@@ -211,6 +274,21 @@ def prior_equivalence_prob(
     return RectangleProb(float(est), float(se))
 
 
+def _brentq(f, a: float, b: float, xtol: float) -> float:
+    """``scipy.optimize.brentq(f, a, b, xtol=xtol)``: scipy's compiled Brent
+    loop, with the public function's default ``rtol`` and iteration cap,
+    behind the same guard against a NaN value of ``f``."""
+
+    def guarded(x):
+        fx = f(x)
+        if np.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    zeros = _load_scipy_ext("optimize/_zeros")
+    return zeros._brentq(guarded, a, b, xtol, 4 * np.finfo(float).eps, 100, (), False, True)
+
+
 def calibrate_prior_scale(
     range_a: float,
     bands: BandPair,
@@ -223,8 +301,6 @@ def calibrate_prior_scale(
     Root-finds on log(s2): larger scales push the mixture mass away from the
     rectangle, so the probability is monotone decreasing in s2.
     """
-    from scipy.optimize import brentq
-
     if not 0.0 < target < 1.0:
         raise ValueError("target probability must lie in (0, 1)")
     prior_corr(range_a, bands.grid)  # refuse a singular prior before any work
@@ -237,7 +313,7 @@ def calibrate_prior_scale(
         return np.log(p.estimate) - np.log(target)
 
     try:
-        root = brentq(f, *_LOG_S2_BRACKET, xtol=1e-4)
+        root = _brentq(f, *_LOG_S2_BRACKET, xtol=1e-4)
     except ValueError as exc:  # brentq evaluates the bracket ends, once each
         if "different signs" not in str(exc):
             raise

@@ -51,6 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .._scipyext import _load_scipy_ext
 from ..fdata import GroupedPairedSample
 from ..tost import Metric, replicate_rng
 from .kernels import matern_corr, corr_cholesky
@@ -152,7 +153,7 @@ def _precision(state):
 
 
 def _lapack(routine, *args, **kwargs):
-    """Call a LAPACK wrapper from ``scipy.linalg.lapack``; raise on nonzero ``info``."""
+    """Call a LAPACK wrapper of scipy's ``linalg/_flapack``; raise on nonzero ``info``."""
     x, info = routine(*args, **kwargs)
     if info != 0:
         raise np.linalg.LinAlgError(f"{routine.__name__} failed with info={info}")
@@ -175,11 +176,9 @@ class MwgSampler:
     """
 
     def __init__(self, data: GroupedPairedSample, prior: PriorSpec):
-        # imported here, not per sweep, so no other feqt mode loads scipy.linalg
-        from scipy.linalg import cho_solve
-        from scipy.linalg.lapack import dpotrs, dtrtrs
-
-        self._dpotrs, self._dtrtrs = dpotrs, dtrtrs
+        # loaded here, not at import, so no other feqt mode loads scipy's LAPACK
+        flapack = _load_scipy_ext("linalg/_flapack")
+        self._dpotrs, self._dtrtrs = flapack.dpotrs, flapack.dtrtrs
         self.grid = data.grid
         self.T = len(data.grid)
         self.A = data.n_groups
@@ -192,7 +191,9 @@ class MwgSampler:
         self.lcorr = corr_cholesky(corr)
         self.lcov = np.sqrt(prior.scale_s2) * self.lcorr
         self._lcov_hyper = self.lcov / np.sqrt(2.0)  # of a hyper-mean given both curves
-        self.prec = cho_solve((corr_cholesky(prior.scale_s2 * corr), True), np.eye(self.T))
+        self.prec = _lapack(
+            self._dpotrs, corr_cholesky(prior.scale_s2 * corr), np.eye(self.T), lower=1
+        )
 
         # (3, 2, T) mixture offsets of mu, log lambda and log psi, on their working scales
         self.offsets = np.stack(

@@ -29,11 +29,8 @@ chunk's buffers.
 from __future__ import annotations
 
 import enum
-import importlib.machinery
-import importlib.util
 import math
 import os
-import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -42,6 +39,7 @@ from typing import Optional
 import numpy as np
 from numpy.random import Generator, Philox
 
+from ._scipyext import _load_scipy_ext
 from .estimators import (
     AnovaDecomposition,
     adjusted_random_effects,
@@ -264,18 +262,26 @@ def _draw_chunk(seed: int, lo: int, hi: int, segments):
         # integers(0, 1, k) consumes no bits; wider ranges take 64-bit words
         raise ValueError("bulk draws need ranges in [2, 2**32]")
     total = sum(size for size, _, _ in segments)
+    words = (total + 1) // 2
     bitgen = Philox(0)
-    state = bitgen.state
-    state["state"]["key"][0] = seed & _SEED_MASK
-    state["state"]["counter"][:] = 0
-    state.update(buffer_pos=4, has_uint32=0)  # empty buffer, no carried half
+    # counter 0, an empty buffer and no carried half; the setter reads
+    # Python ints faster than the numpy arrays of ``bitgen.state``
+    key = [seed & _SEED_MASK, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     # one buffer, worked in place: each row's halves, their products, then
     # the indices
     idx = _scratch("idx", (hi - lo, total), "<u8")
     for i, r in enumerate(range(lo, hi)):
-        state["state"]["key"][1] = r
+        key[1] = r
         bitgen.state = state
-        idx[i] = np.asarray(bitgen.random_raw((total + 1) // 2), "<u8").view("<u4")[:total]
+        idx[i] = bitgen.random_raw(words).view("<u4")[:total]
     low = idx.view("<u4")[:, ::2]
     rejected = np.zeros(hi - lo, dtype=bool)
     a = 0
@@ -427,36 +433,8 @@ def _resolve_replicates(cfg: BootstrapConfig, segments, stats_of, per_rep_elems)
     return tuple(stats_out), redraws
 
 
-def _load_sparsetools():
-    """scipy's compiled ``sparse/_sparsetools`` extension, loaded from its file
-    and registered as ``feqt._sparsetools``.
-
-    Importing ``scipy.sparse`` instead would run scipy's package set-up, whose
-    numpy compatibility layer loads ``numpy.f2py``, ``numpy.testing`` and
-    ``numpy.ma``: most of a run's start-up, for one compiled loop.
-    """
-    spec = importlib.util.find_spec("scipy")
-    roots = spec.submodule_search_locations if spec is not None else []
-    tried = [
-        os.path.join(root, "sparse", "_sparsetools" + suffix)
-        for root in roots
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES
-    ]
-    for path in tried:
-        if os.path.isfile(path):
-            name = f"{__package__}._sparsetools"
-            ext = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(ext)
-            ext.loader.exec_module(module)
-            sys.modules[name] = module
-            return module
-    raise ImportError(
-        "scipy's sparse/_sparsetools extension not found; searched: "
-        + (", ".join(tried) or "no scipy package on sys.path")
-    )
-
-
-_sparsetools = _load_sparsetools()
+#: scipy's count product loop ``csr_matvecs``, without importing ``scipy.sparse``
+_sparsetools = _load_scipy_ext("sparse/_sparsetools")
 
 
 def _count_sums(idx: np.ndarray, sizes: np.ndarray, columns: np.ndarray) -> np.ndarray:

@@ -610,10 +610,9 @@ class TestReportMode:
 
 
 #: Runs every mode on tiny inputs (``data.csv`` in the given directory) in a
-#: fresh interpreter, ending with a calibrated bayes run, and prints which of
-#: the scipy packages feqt calls into were loaded after each step; "scipy"
-#: itself marks any scipy import. The test writes ``data.csv`` beforehand:
-#: generating it loads scipy.special.
+#: fresh interpreter, ending with a bayes run at a given scale and a
+#: calibrated one, and prints which of the scipy packages feqt once imported
+#: were loaded after each step; "scipy" itself marks any scipy import.
 STARTUP_SCRIPT = """
 import json, sys
 from pathlib import Path
@@ -636,24 +635,31 @@ runs = [
     ["simulate", "--scenarios", "size-theta", "--replicates", "50",
      "--replicates-bootstrap", "100", "--groups", "2", "--group-size", "2",
      "--grid-size", "4", "--out", str(out / "simulate")],
-    ["bayes", "--input", str(data), "--chains", "1", "--iters", "150", "--burnin", "50",
-     "--thin", "1", "--emit", "json", "--out", str(out / "bayes")],
+]
+bayes = ["bayes", "--input", str(data), "--chains", "1", "--iters", "150", "--burnin", "50",
+         "--thin", "1", "--emit", "json"]
+runs += [
+    bayes + ["--scale", "0.1", "--out", str(out / "bayes-scale")],
+    bayes + ["--out", str(out / "bayes")],
 ]
 for argv in runs:
-    steps.append((argv[0], feqt.cli.run_cli(argv), loaded()))
+    label = argv[0] + (" --scale" if "--scale" in argv else "")
+    steps.append((label, feqt.cli.run_cli(argv), loaded()))
 print(json.dumps(steps))
 """
 
-#: The scipy packages loaded after each step: none until a step calls into
-#: one, then only what that step calls.
+#: The scipy packages loaded after each step: none until calibration needs
+#: ``ndtri`` from ``scipy.special``. Every other routine feqt calls comes from
+#: an extension file loaded without its package (``feqt._scipyext``).
 SCIPY_BY_STEP = [
     ("import feqt", []),
     ("import feqt.cli", []),
     ("tost", []),
     ("bands", []),
     ("report", []),
-    ("simulate", ["scipy", "scipy.special"]),
-    ("bayes", ["scipy", "scipy.special", "scipy.linalg", "scipy.stats", "scipy.optimize"]),
+    ("simulate", []),
+    ("bayes --scale", []),
+    ("bayes", ["scipy", "scipy.special"]),
 ]
 
 

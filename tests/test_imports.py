@@ -6,7 +6,10 @@ does not run.
   their imports are re-exports.
 - No module imports ``scipy`` when it is itself imported. Importing any scipy
   package costs a ``feqt`` run more start-up than a whole ``tost`` pass, so
-  each scipy import sits inside the function that needs it. Likewise for
+  each scipy import sits inside the function that needs it. The only ones
+  left import ``scipy.special`` for ``ndtri``, inside the two functions of the
+  QMC integrand that prior calibration runs; every other scipy routine comes
+  from an extension file loaded without its package. Likewise for
   the thread-pool packages ``queue`` and ``concurrent`` (``concurrent.futures``
   alone takes 6-9 ms): only a bootstrap of several chunks needs a queue, for
   its helper thread.
@@ -78,6 +81,58 @@ def eager_imports(source: str, package: str) -> list:
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
 def test_no_module_level_scipy_import(path):
     assert eager_imports(path.read_text(encoding="utf-8"), "scipy") == []
+
+
+def scipy_imports(source: str) -> list:
+    """(innermost enclosing function, "" at module level; imported module) of
+    every import of ``scipy`` or a module inside it in ``source``, at any depth."""
+    found = []
+    todo = [(ast.parse(source), "")]
+    while todo:
+        node, func = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((func, a.name) for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append((func, child.module))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            todo.append((child, child.name if is_def else func))
+    return sorted((f, m) for f, m in found if m == "scipy" or m.startswith("scipy."))
+
+
+def test_only_calibration_imports_a_scipy_package():
+    found = [
+        (path.relative_to(SRC).as_posix(), func, module)
+        for path in ALL_MODULES
+        for func, module in scipy_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert sorted(found) == [
+        ("bayes/mvnprob.py", "_genz_batch", "scipy.special"),
+        ("bayes/mvnprob.py", "_ordered_cholesky", "scipy.special"),
+    ]
+
+
+def test_gate_lists_every_scipy_import():
+    source = (
+        "import scipy.special, numpy as np\n"
+        "from scipy import linalg\n"
+        "import scipyx\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        from scipy.stats import qmc\n"
+        "def g():\n"
+        "    def h():\n"
+        "        import scipy.optimize as so\n"
+        "    from scipy.special import ndtri\n"
+        "from .scipy import x\n"
+    )
+    assert scipy_imports(source) == [
+        ("", "scipy"),
+        ("", "scipy.special"),
+        ("f", "scipy.stats"),
+        ("g", "scipy.special"),
+        ("h", "scipy.optimize"),
+    ]
 
 
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.relative_to(SRC).as_posix())

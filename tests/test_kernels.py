@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import k0, k1
+from scipy.special import k0, k1, kv
 
+from feqt._scipyext import _load_scipy_ext
 from feqt.bayes.kernels import JITTER, corr_cholesky, matern_corr
 from feqt.fdata import Grid, equispaced_grid
 
@@ -94,3 +95,10 @@ class TestCorrelationMatrix:
         c = matern_corr(0.2, grid)
         L = corr_cholesky(c)
         np.testing.assert_allclose(L @ L.T, c + JITTER * np.eye(10), atol=1e-12)
+
+
+def test_kv_equals_scipy():
+    x = np.concatenate([[0.0, 1e-300, 1e-152, 700.0, 743.0, 800.0, np.inf, np.nan],
+                        np.geomspace(1e-8, 1e3, 2001)])
+    got = _load_scipy_ext("special/_special_ufuncs").kv(2, x)
+    assert np.array_equal(got, kv(2, x), equal_nan=True)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
-from scipy.stats import multivariate_normal, norm
+import scipy.special
+from scipy.optimize import brentq
+from scipy.stats import multivariate_normal, norm, qmc
 
 import feqt.bayes.mvnprob as mvnprob_mod
+from feqt._scipyext import _load_scipy_ext
 from feqt.bayes.kernels import matern_corr
 from feqt.bayes.mvnprob import (
     AccuracyError,
@@ -149,3 +152,59 @@ class TestCalibrationPinned:
         kb = make_cosine_bands(grid25, BandKind.ADDITIVE)
         s2 = calibrate_prior_scale(0.3, kb, 0.01, seed=2)
         assert s2 == pytest.approx(0.0955874086715996, rel=1e-12)
+
+
+class TestPrivateScipyRoutines:
+    """The routines loaded from scipy's extension files act as their public
+    scipy names."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 24])
+    @pytest.mark.parametrize("seed", [0, 3, 2**62 + 5, np.int64(987654321)])
+    def test_sobol_points_equal_scipy(self, dim, seed):
+        ours = mvnprob_mod._Sobol(dim, seed)
+        theirs = qmc.Sobol(dim, scramble=True, seed=seed)
+        # the first point alone, then on across several doublings
+        for n in (1, 1, 2, 4, 8, 1024, 1040, 2048):
+            assert np.array_equal(ours.random(n), theirs.random(n))
+        ours.reset()
+        theirs.reset()
+        for n in (1024, 1024, 2048):
+            assert np.array_equal(ours.random(n), theirs.random(n))
+
+    def test_sobol_table_loaded_c_contiguous(self, monkeypatch):
+        """The engine fills the extension's empty table cache itself, and
+        in C order: with the file's Fortran-ordered arrays the extension
+        would skip every direction number and repeat one point."""
+        sobol = mvnprob_mod._sobol_ext()
+        monkeypatch.setattr(sobol, "_poly_dict", {})
+        monkeypatch.setattr(sobol, "_vinit_dict", {})
+        points = mvnprob_mod._Sobol(6, 11).random(1024)
+        for cache in (sobol._poly_dict, sobol._vinit_dict):
+            assert list(cache) == [np.uint32] and cache[np.uint32].flags.c_contiguous
+        # the first 2**10 points of a scrambled Sobol sequence fill each
+        # of the 2**10 equal bins of every coordinate once
+        bins = np.sort(np.floor(points * 1024).astype(int), axis=0)
+        assert np.array_equal(bins, np.tile(np.arange(1024)[:, None], (1, 6)))
+
+    def test_brentq_root_equals_scipy(self):
+        f = lambda x: np.log(np.exp(x) + 1.0) - 2.0
+        for xtol in (1e-4, 1e-12, 1e-300):  # at 1e-300 the relative tolerance decides
+            assert mvnprob_mod._brentq(f, -12.0, 8.0, xtol) == brentq(f, -12.0, 8.0, xtol=xtol)
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: x * x + 1.0, lambda x: np.nan],
+        ids=["same-signs", "nan"],
+    )
+    def test_brentq_errors_equal_scipy(self, f):
+        with pytest.raises(ValueError) as want:
+            brentq(f, -1.0, 2.0, xtol=1e-4)
+        with pytest.raises(ValueError) as got:
+            mvnprob_mod._brentq(f, -1.0, 2.0, 1e-4)
+        assert str(got.value) == str(want.value)
+
+    def test_ndtr_equals_scipy(self):
+        x = np.concatenate([[-np.inf, -40.0, -1e-300, 0.0, 1e-300, 9.0, np.inf, np.nan],
+                            np.linspace(-10.0, 10.0, 2001)])
+        got = _load_scipy_ext("special/_special_ufuncs").ndtr(x)
+        assert np.array_equal(got, scipy.special.ndtr(x), equal_nan=True)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from feqt.bayes import PriorSpec, run_mwg
+from feqt.bayes.kernels import corr_cholesky, matern_corr
 from feqt.bayes.sampler import (
     MwgSampler,
     SamplerDivergenceError,
@@ -183,6 +184,27 @@ class TestSamplerCore:
         assert h.hexdigest() == (
             "5b10767bb5cc5cdc298a2c71b97cdc19fd29ee65ffcb3f0edf41e337ef94e298"
         )
+
+    def test_lapack_routines_equal_scipy(self, rng):
+        """The sampler's ``dpotrs`` and ``dtrtrs``, loaded from scipy's
+        ``linalg/_flapack`` file, solve as ``scipy.linalg``'s do, and the
+        prior precision is ``cho_solve``'s, bit for bit."""
+        from scipy.linalg import cho_solve
+        from scipy.linalg.lapack import dpotrs, dtrtrs
+
+        data = make_grouped(rng, n_groups=3, group_size=4, n_points=6)
+        prior = small_prior(data.grid)
+        sampler = MwgSampler(data, prior)
+        a = rng.normal(size=(6, 6))
+        L = np.linalg.cholesky(a @ a.T + 6.0 * np.eye(6))
+        b = rng.normal(size=(6, 2))
+        for ours, theirs, lower in ((sampler._dpotrs, dpotrs, 1), (sampler._dtrtrs, dtrtrs, 0)):
+            c = L if lower else L.T
+            got, want = ours(c, b, lower=lower), theirs(c, b, lower=lower)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1] == 0
+        corr = matern_corr(prior.range_a, data.grid)
+        prec = cho_solve((corr_cholesky(prior.scale_s2 * corr), True), np.eye(6))
+        assert np.array_equal(sampler.prec, prec)
 
     def test_zero_variance_data_simulation(self, rng):
         data = make_grouped(rng, n_groups=3, group_size=4, n_points=4)

@@ -1,3 +1,4 @@
+import ast
 import importlib.machinery
 import itertools
 import os
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import feqt._scipyext as scipyext
 import feqt.tost as tost_mod
 from feqt.estimators import (
     DegenerateSpreadError,
@@ -248,6 +250,16 @@ def warm_faults(setup):
     return int(proc.stdout.split()[-1])
 
 
+#: The scipy extensions feqt loads from their files (``feqt._scipyext``).
+LOADED_EXTENSIONS = (
+    "sparse/_sparsetools",
+    "special/_special_ufuncs",
+    "linalg/_flapack",
+    "optimize/_zeros",
+    "stats/_sobol",
+)
+
+
 class TestChunkBuffers:
     """The kernel's per-thread working buffers: the same bits as fresh
     arrays, private to each thread, bounded, and actually reused."""
@@ -333,12 +345,29 @@ class TestChunkBuffers:
         assert tost_mod._sparsetools is not sparse._sparsetools  # scipy.sparse loads its own
 
     def test_missing_count_product_loop_names_the_search(self, tmp_path, monkeypatch):
+        """So does every other extension the loader serves."""
         scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
         scipy_spec.submodule_search_locations = [str(tmp_path)]
-        monkeypatch.setattr(tost_mod.importlib.util, "find_spec", lambda name: scipy_spec)
-        want = str(tmp_path / "sparse" / "_sparsetools") + importlib.machinery.EXTENSION_SUFFIXES[0]
-        with pytest.raises(ImportError, match=re.escape(want)):
-            tost_mod._load_sparsetools()
+        monkeypatch.setattr(scipyext.importlib.util, "find_spec", lambda name: scipy_spec)
+        for path in LOADED_EXTENSIONS:
+            monkeypatch.delitem(sys.modules, "feqt." + path.split("/")[1], raising=False)
+            want = str(tmp_path.joinpath(*path.split("/")))
+            want += importlib.machinery.EXTENSION_SUFFIXES[0]
+            with pytest.raises(ImportError, match=re.escape(want)):
+                scipyext._load_scipy_ext(path)
+
+    def test_every_extension_fed_to_the_loader_is_listed_and_kept(self):
+        called = {
+            node.args[0].value
+            for path in Path(tost_mod.__file__).parent.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_load_scipy_ext"
+        }
+        assert sorted(called) == sorted(LOADED_EXTENSIONS)
+        for path in LOADED_EXTENSIONS:
+            module = scipyext._load_scipy_ext(path)
+            assert sys.modules["feqt." + path.split("/")[1]] is module
+            assert scipyext._load_scipy_ext(path) is module
 
 
 def _lemire_run(rng):
