@@ -17,26 +17,33 @@ hyper-means of the mu, log lambda and log psi mixture GP priors; and
 the two levels are conditionally independent and share one GP, so every
 Metropolis step moves both at once.
 
-One sweep updates, in this order: the random effects alpha, the mean curves
-mu, the log-variance curves of both levels (``_INNER_REPEATS`` passes over
-channel 1 then channel 2), the hyper-means and indicators of all three
-mixtures (mu, log lambda, log psi), and the cross-correlations of both levels
-(``_INNER_REPEATS`` passes). Within the Metropolis loops the current
-log-posterior terms are cached and overwritten in place only where a proposal
-is accepted. The block log-likelihood comes from cached invariant terms
-through :func:`~feqt.bayes.model.block_loglik`: a log-variance proposal
-recomputes only its own channel's term, a cross-correlation proposal only the
-terms of rho. Each term is computed as
-:func:`~feqt.bayes.model.paired_block_loglik` computes it.
+One sweep updates, in this order: the mean curves mu with the random effects
+integrated out (given the variances, group g's mean curve is pointwise
+N2(mu, Psi + Lambda / n_g), a blocked Gibbs step after Liu, Wong & Kong 1994),
+the random effects alpha given mu, the log-variance curves of both levels
+(``_INNER_REPEATS`` passes over channel 1 then channel 2), the hyper-means and
+indicators of all three mixtures (mu, log lambda, log psi), and the
+cross-correlations of both levels (``_INNER_REPEATS`` passes). The error
+level's cross sums come from per-group sufficient statistics,
+S = W + sum_g n_g d_g d_g' with d_g = ybar_g - alpha_g and W the fixed
+within-group cross sums of y - ybar_g, so a sweep never revisits the N curve
+pairs. Within the Metropolis loops the current log-posterior terms are
+cached and overwritten in place only where a proposal is accepted. The block
+log-likelihood comes from cached invariant terms through
+:func:`~feqt.bayes.model.block_loglik`: a log-variance proposal recomputes
+only its own channel's term, a cross-correlation proposal only the terms of
+rho. Each term is computed as :func:`~feqt.bayes.model.paired_block_loglik`
+computes it.
 
 Chains run side by side: every state array has a leading chain axis, and one
 :meth:`MwgSampler.sweep` advances all of them. Each chain keeps its own
 random stream, keyed by (seed, c), and its own proposal scales: all start
 from the same initial values, move toward 30% acceptance during burn-in and
 freeze afterwards, preserving detailed balance for every retained draw.
-A sweep first draws each chain's random tape from that chain's stream, in a
-fixed order (see :meth:`MwgSampler._tape`); the updates then read the tape by
-position, not in the order they run. Chain c's draws are therefore
+A sweep first draws each chain's random tape from that chain's stream in two
+calls, one for all its normals and one for all its uniforms, sliced into
+fields by a fixed layout (see :meth:`MwgSampler._tape`); the updates then read
+the tape by position, not in the order they run. Chain c's draws are therefore
 independent of how many chains run and in which order. ``MwgSampler.scales``
 and ``MwgSampler.accepted`` hold each chain's proposal scale and accepted
 count, (chains, block, level) each. :func:`run_mwg` reports a block's
@@ -47,6 +54,8 @@ burn-in included.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -77,16 +86,38 @@ class SamplerDivergenceError(RuntimeError):
 
 
 class _Tape(NamedTuple):
-    """One sweep's random numbers, each with a leading chain axis."""
+    """One sweep's random numbers, each with a leading chain axis: the
+    normals, then the uniforms, each in field order (see :func:`_tape_layout`)."""
 
-    alpha: np.ndarray  # (chains, A, 2, T) normals of the random effects
     mu: np.ndarray  # (chains, 2T) normals of the mean curves
-    hyper: np.ndarray  # (chains, 3, T) normals of the mixture hyper-means
-    mix: np.ndarray  # (chains, 3) uniforms of the mixture indicators
+    alpha: np.ndarray  # (chains, A, 2, T) normals of the random effects
     logvars: np.ndarray  # (chains, level, repeat, channel, T) proposal normals
-    u_logvars: np.ndarray  # (chains, level, repeat, channel) acceptance uniforms
     rho: np.ndarray  # (chains, level, repeat, T) Fisher-z proposal normals
+    hyper: np.ndarray  # (chains, 3, T) hyper-mean normals; (chains, 0, T) under fixed_hypers
+    mix: np.ndarray  # (chains, 3) uniforms of the mixture indicators
+    u_logvars: np.ndarray  # (chains, level, repeat, channel) acceptance uniforms
     u_rho: np.ndarray  # (chains, level, repeat, T) acceptance uniforms
+
+
+@lru_cache
+def _tape_layout(A: int, T: int, fixed_hypers: bool):
+    """Each :class:`_Tape` field's (source, offset, size, shape) in one chain's
+    tape, source 0 being its normals and 1 its uniforms, and the two sources'
+    lengths. The hyper-mean normals come last, so a ``fixed_hypers`` tape,
+    which holds none, keeps every other field at the same offset."""
+    R = _INNER_REPEATS
+    shapes = dict(
+        mu=(0, (2 * T,)), alpha=(0, (A, 2, T)), logvars=(0, (2, R, 2, T)), rho=(0, (2, R, T)),
+        hyper=(0, (0 if fixed_hypers else 3, T)),
+        mix=(1, (3,)), u_logvars=(1, (2, R, 2)), u_rho=(1, (2, R, T)),
+    )
+    lengths, fields = [0, 0], []
+    for name in _Tape._fields:
+        source, shape = shapes[name]
+        size = prod(shape)
+        fields.append((source, lengths[source], size, shape))
+        lengths[source] += size
+    return tuple(fields), tuple(lengths)
 
 
 def _chain_rng(seed: int, chain: int) -> np.random.Generator:
@@ -137,19 +168,22 @@ def _bvn(m1, m2, c11, c12, c22, z):
     return out
 
 
-def _cross_sums(dev):
+def _cross_sums(dev, weight=None):
     """Per-gridpoint sums (s11, s22, s12) of squares and cross-products of
-    (..., n, 2, T) residuals over n."""
-    sq = (dev * dev).sum(axis=-3)
-    s12 = (dev[..., 0, :] * dev[..., 1, :]).sum(axis=-2)
+    (..., n, 2, T) residuals over n, each pair times ``weight`` (..., n, 1, 1)
+    if given."""
+    wdev = dev if weight is None else weight * dev
+    sq = (wdev * dev).sum(axis=-3)
+    s12 = (wdev[..., 0, :] * dev[..., 1, :]).sum(axis=-2)
     return sq[..., 0, :], sq[..., 1, :], s12
 
 
-def _precision(state):
-    """Per-gridpoint 2x2 precision entries of both variance levels, (chains, level, T) each."""
+def _variances(state):
+    """Per-gridpoint channel variances v1 and v2, cross-correlation rho and
+    sd = sqrt(v1 v2) of both variance levels, (chains, level, T) each."""
     v = np.exp(state["logvars"])
     v1, v2 = v[:, :, 0], v[:, :, 1]
-    return _inv2x2(v1, state["rho"] * np.sqrt(v1 * v2), v2)
+    return v1, v2, state["rho"], np.sqrt(v1 * v2)
 
 
 def _lapack(routine, *args, **kwargs):
@@ -183,6 +217,7 @@ class MwgSampler:
         self.T = len(data.grid)
         self.A = data.n_groups
         self.sizes = data.group_sizes
+        self._n = self.sizes[:, None].astype(float)  # (A, 1)
         self.N = data.n_total
         self.labels = data.group_labels()
         self._set_data(data.stacked()[None])
@@ -212,6 +247,8 @@ class MwgSampler:
         self.ybar_group = np.stack(
             [y[:, self.labels == i].mean(axis=1) for i in range(self.A)], axis=1
         )  # (1 or chains, A, 2, T)
+        # the within-group cross sums (s11, s22, s12) of y - ybar_g, (1 or chains, T) each
+        self.within = _cross_sums(y - self.ybar_group[:, self.labels])
 
     def _start(self, chains: int):
         """Initial proposal scales and zero acceptance counts, (chains, block,
@@ -231,14 +268,13 @@ class MwgSampler:
         distinct chain starting points."""
         chains = len(rngs)
         self._start(chains)
-        within = self.y - self.ybar_group[:, self.labels]
-        v_eps = np.maximum((within**2).sum(axis=1) / max(self.N - self.A, 1), 1e-8)
+        w11, w22, _ = self.within
+        v_eps = np.maximum(np.stack([w11, w22], axis=1) / max(self.N - self.A, 1), 1e-8)
         mu = self.ybar_group.mean(axis=1)
         dev_a = self.ybar_group - mu[:, None]
         v_alp = np.maximum(dev_a.var(axis=1, ddof=1), 1e-8)
 
-        def corr(dev):
-            s11, s22, s12 = _cross_sums(dev)
+        def corr(s11, s22, s12):
             with np.errstate(invalid="ignore", divide="ignore"):
                 r = s12 / np.sqrt(s11 * s22)
             return _batch(np.clip(np.nan_to_num(r), -0.9, 0.9), chains)
@@ -251,7 +287,7 @@ class MwgSampler:
             "mu": mu + jit() * 0.05,
             "alpha": _batch(self.ybar_group, chains),
             "logvars": np.stack([lv + jit() * 0.3 for lv in log_v], axis=1),
-            "rho": np.stack([corr(within), corr(dev_a)], axis=1),
+            "rho": np.stack([corr(*self.within), corr(*_cross_sums(dev_a))], axis=1),
             "hypers": _batch(hypers, chains),
             "indicators": np.stack([_coin_flips(rngs) for _ in range(3)], axis=1),
         }
@@ -304,47 +340,28 @@ class MwgSampler:
     # ----- the random tape ------------------------------------------------
 
     def _tape(self, rngs) -> _Tape:
-        """Draw one sweep's random numbers, chain c's from ``rngs[c]`` in this
-        order: the normals of alpha, of mu and (unless ``fixed_hypers``) of
-        mu's hyper-mean; the mu indicator's uniform; then for each variance
-        level, error first: ``_INNER_REPEATS`` x [T normals, 1 uniform] for
-        channel 1 then channel 2, the hyper-mean's T normals (unless
-        ``fixed_hypers``) and the indicator's uniform, then
-        ``_INNER_REPEATS`` x [T normals, T uniforms] of the cross-correlation."""
-        c, T, R = len(rngs), self.T, _INNER_REPEATS
-        alpha, mu, hyper = np.empty((c, self.A, 2, T)), np.empty((c, 2 * T)), np.empty((c, 3, T))
-        steps = np.empty((c, 2, 2 * R, T))  # (level, repeat x channel) rows in draw order
-        rho, u_rho = np.empty((c, 2, R, T)), np.empty((c, 2, R, T))
-        mix, u_steps = [], []  # single uniforms, drawn as Python floats
-        hypers = not self.fixed_hypers
-        for i, rng in enumerate(rngs):
-            normal, uniform = rng.standard_normal, rng.random
-            normal(out=alpha[i])
-            normal(out=mu[i])
-            if hypers:
-                normal(out=hyper[i, 0])
-            mix.append(uniform())
-            for lev in (0, 1):
-                for z in steps[i, lev]:
-                    normal(out=z)
-                    u_steps.append(uniform())
-                if hypers:
-                    normal(out=hyper[i, lev + 1])
-                mix.append(uniform())
-                for z, u in zip(rho[i, lev], u_rho[i, lev]):
-                    normal(out=z)
-                    uniform(out=u)
-        return _Tape(
-            alpha, mu, hyper, np.reshape(mix, (c, 3)), steps.reshape(c, 2, R, 2, T),
-            np.reshape(u_steps, (c, 2, R, 2)), rho, u_rho,
-        )
+        """Draw one sweep's random numbers: chain c's normals in one
+        ``rngs[c].standard_normal`` call, then its uniforms in one
+        ``rngs[c].random`` call, sliced into fields by :func:`_tape_layout`.
+        Under ``fixed_hypers`` the tape holds no hyper-mean normals."""
+        fields, (n, m) = _tape_layout(self.A, self.T, self.fixed_hypers)
+        c = len(rngs)
+        z, u = np.empty((c, n)), np.empty((c, m))
+        for rng, zc, uc in zip(rngs, z, u):
+            rng.standard_normal(out=zc)
+            rng.random(out=uc)
+        sources = (z, u)
+        return _Tape(*(
+            sources[src][:, start : start + size].reshape((c,) + shape)
+            for src, start, size, shape in fields
+        ))
 
     # ----- conjugate updates ---------------------------------------------
 
     def _update_alpha(self, state, prec_e, prec_a, z):
         pe11, pe12, pe22 = (p[:, None] for p in prec_e)
         pa11, pa12, pa22 = (p[:, None] for p in prec_a)
-        n = self.sizes[:, None].astype(float)  # (A, 1)
+        n = self._n
         yb1, yb2 = self.ybar_group[..., 0, :], self.ybar_group[..., 1, :]
         mu1, mu2 = state["mu"][:, 0, None], state["mu"][:, 1, None]
         h1 = n * (pe11 * yb1 + pe12 * yb2) + pa11 * mu1 + pa12 * mu2
@@ -353,21 +370,36 @@ class MwgSampler:
         c11, c12, c22 = _inv2x2(n * pe11 + pa11, n * pe12 + pa12, n * pe22 + pa22)
         state["alpha"] = _bvn(c11 * h1 + c12 * h2, c12 * h1 + c22 * h2, c11, c12, c22, z)
 
-    def _update_mu(self, state, prec_a, z):
-        T, A, chains = self.T, self.A, len(z)
-        pa11, pa12, pa22 = prec_a
-        abar = state["alpha"].mean(axis=1)  # (chains, 2, T)
+    def _update_mu(self, state, var, z):
+        """Draw mu with alpha integrated out: given the variances ``var`` (as
+        :func:`_variances` gives them), group g's mean curve is pointwise
+        N2(mu, Psi + Lambda / n_g), so each point's likelihood precision is
+        sum_g (Psi + Lambda / n_g)^-1."""
+        T, chains = self.T, len(z)
+        (e1, a1), (e2, a2), (re, ra), (se, sa) = ((x[:, None, 0], x[:, None, 1]) for x in var)
+        inv_n = 1.0 / self._n
+        # det(Psi + Lambda / n) summed from nonnegative parts, det Psi +
+        # cross / n + det Lambda / n^2: unlike m11 m22 - m12^2 it keeps its
+        # digits where a nearly singular Psi swamps Lambda / n
+        cross = (np.sqrt(a1 * e2) - np.sqrt(e1 * a2)) ** 2 + 2.0 * sa * se * (1.0 - ra * re)
+        det_e = se * se * ((1.0 - re) * (1.0 + re))
+        det = sa * sa * ((1.0 - ra) * (1.0 + ra)) + inv_n * (cross + inv_n * det_e)
+        # the precision entries of each group's mean curve, (chains, A, T) each
+        k11 = (a2 + e2 * inv_n) / det
+        k12 = -(ra * sa + re * se * inv_n) / det
+        k22 = (a1 + e1 * inv_n) / det
+        yb1, yb2 = self.ybar_group[..., 0, :], self.ybar_group[..., 1, :]
         P = _batch(self._mu_prec_base, chains)
-        d, od = np.arange(T), A * pa12
-        P[:, d, d] += A * pa11
-        P[:, d + T, d + T] += A * pa22
+        d, od = np.arange(T), k12.sum(axis=1)
+        P[:, d, d] += k11.sum(axis=1)
+        P[:, d + T, d + T] += k22.sum(axis=1)
         P[:, d, d + T] = od  # the diagonals of the off-diagonal blocks
         P[:, d + T, d] = od
         h = np.empty((chains, 2 * T))
         mu0 = state["hypers"][:, 0]
         prior2 = mu0 - self.offsets[0][state["indicators"][:, 0]]
-        h[:, :T] = _mv(self.prec, mu0) + A * (pa11 * abar[:, 0] + pa12 * abar[:, 1])
-        h[:, T:] = _mv(self.prec, prior2) + A * (pa12 * abar[:, 0] + pa22 * abar[:, 1])
+        h[:, :T] = _mv(self.prec, mu0) + (k11 * yb1 + k12 * yb2).sum(axis=1)
+        h[:, T:] = _mv(self.prec, prior2) + (k12 * yb1 + k22 * yb2).sum(axis=1)
         L = np.linalg.cholesky(P)
         # a non-finite chain passes through, to be reported by the
         # log-posterior check of the Metropolis updates
@@ -479,19 +511,27 @@ class MwgSampler:
 
     # ----- one sweep ------------------------------------------------------
 
+    def _level_sums(self, state):
+        """The cross sums (s11, s22, s12) of both variance levels, (chains,
+        level, T) each: the error level's residuals y - alpha through the
+        fixed within-group sums plus each group's n_g d d' with
+        d = ybar_g - alpha_g, the random-effect level's from alpha - mu."""
+        alpha = state["alpha"]
+        err = _cross_sums(self.ybar_group - alpha, self._n[:, None])
+        ran = _cross_sums(alpha - state["mu"][:, None])
+        return tuple(np.stack((w + e, a), axis=1) for w, e, a in zip(self.within, err, ran))
+
     def sweep(self, state, rngs, cycle=0, adapting=False):
         """Advance every chain by one Gibbs sweep; chain c draws only from
         ``rngs[c]``."""
         tape = self._tape(rngs)
-        # neither update moves a variance level, so one precision serves both
-        prec = _precision(state)
-        prec_a = tuple(p[:, 1] for p in prec)
-        self._update_alpha(state, tuple(p[:, 0] for p in prec), prec_a, tape.alpha)
-        self._update_mu(state, prec_a, tape.mu)
-        alpha = state["alpha"]
-        dev = (self.y - np.take(alpha, self.labels, axis=1), alpha - state["mu"][:, None])
-        # (s11, s22, s12) of both levels, (chains, level, T) each
-        sums = tuple(np.stack(s, axis=1) for s in zip(*map(_cross_sums, dev)))
+        # neither update moves a variance level, so one set of variances serves both
+        var = _variances(state)
+        self._update_mu(state, var, tape.mu)
+        v1, v2, rho, sd = var
+        prec = _inv2x2(v1, rho * sd, v2)
+        self._update_alpha(state, *(tuple(p[:, lev] for p in prec) for lev in (0, 1)), tape.alpha)
+        sums = self._level_sums(state)
         # repeating the cheap Metropolis updates sharpens mixing of the
         # log-variance curves, the sampler's slowest block
         self._update_logvars(state, sums, tape, cycle, adapting)

@@ -10,7 +10,9 @@ from feqt.bayes.sampler import (
     MwgSampler,
     SamplerDivergenceError,
     _chain_rng,
+    _cross_sums,
     _run_chains,
+    _tape_layout,
     split_rhat,
 )
 from feqt.fdata import BandKind, equispaced_grid, make_cosine_bands
@@ -83,7 +85,7 @@ class TestRunMwg:
             h.update(np.ascontiguousarray(a).tobytes())
         h.update(np.array([d.acceptance[k] for k in sorted(d.acceptance)]).tobytes())
         assert h.hexdigest() == (
-            "bf339ce24fc4b2bbda06f2ecb523c864d5a79ec23d851fbff05b3576f660f6b9"
+            "30536109fb4c071697cc25d0103a40f51da3007fa8b9eeb38ce3237d9c56eefc"
         )
 
     def test_chain_draws_independent_of_execution_order(self):
@@ -182,8 +184,65 @@ class TestSamplerCore:
             for a in (state["mu"], state["alpha"], lv[:, 0], lv[:, 1], rho[:, 0], rho[:, 1], *d.T):
                 h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest() == (
-            "5b10767bb5cc5cdc298a2c71b97cdc19fd29ee65ffcb3f0edf41e337ef94e298"
+            "ff8473d46786933c87aa7c069f72c4b3553368a95a53543f7dd300b05a97cb78"
         )
+
+    @pytest.mark.parametrize("sizes", [[4, 4, 4], [2, 7, 3, 5]])
+    def test_level_sums_equal_direct_sums(self, rng, sizes):
+        """The error level's cross sums, from the fixed within-group sums
+        plus each group's n_g d d', equal the sums over every residual
+        y - alpha, with balanced and unbalanced groups, on the observed data
+        and on data ``simulate_data`` drew."""
+        data = make_grouped(rng, group_sizes=sizes, n_points=5)
+        sampler = MwgSampler(data, small_prior(data.grid))
+        rngs = [_chain_rng(6, c) for c in range(2)]
+        state = sampler.init_from_data(rngs, spread=0.5)
+
+        def check():
+            alpha = state["alpha"]
+            direct = (_cross_sums(sampler.y - alpha[:, sampler.labels]),
+                      _cross_sums(alpha - state["mu"][:, None]))
+            for level, want in enumerate(direct):
+                for got, w in zip(sampler._level_sums(state), want):
+                    np.testing.assert_allclose(got[:, level], w, rtol=1e-12)
+
+        sampler.sweep(state, rngs)
+        check()
+        sampler.simulate_data(state, rngs)
+        check()
+        sampler.sweep(state, rngs)
+        check()
+
+    def test_tape_is_two_draws_per_chain(self):
+        """Chain c's tape is one ``standard_normal`` call for all its normals
+        and then one ``random`` call for all its uniforms, laid out in field
+        order. A ``fixed_hypers`` tape holds 3T fewer normals, the
+        hyper-means' that come last, so its other normals are the full
+        tape's and every field keeps its offset."""
+        T = 5
+        data = make_grouped(np.random.default_rng(0), n_groups=3, group_size=4, n_points=T)
+        sampler = MwgSampler(data, small_prior(data.grid))
+        tapes = {}
+        for fixed in (False, True):
+            sampler.fixed_hypers = fixed
+            tapes[fixed] = tape = sampler._tape([_chain_rng(7, c) for c in range(2)])
+            for c in range(2):
+                rng = _chain_rng(7, c)
+                z = [tape.mu, tape.alpha, tape.logvars, tape.rho, tape.hyper]
+                u = [tape.mix, tape.u_logvars, tape.u_rho]
+                for fields, draw in ((z, rng.standard_normal), (u, rng.random)):
+                    drawn = np.concatenate([f[c].ravel() for f in fields])
+                    np.testing.assert_array_equal(drawn, draw(drawn.size))
+        full, fixed = tapes[False], tapes[True]
+        assert full.hyper.shape == (2, 3, T) and fixed.hyper.shape == (2, 0, T)
+        for name in ("mu", "alpha", "logvars", "rho"):
+            np.testing.assert_array_equal(getattr(full, name), getattr(fixed, name))
+        (full_fields, (n_full, m_full)), (fixed_fields, (n_fixed, m_fixed)) = (
+            _tape_layout(3, T, f) for f in (False, True)
+        )
+        assert n_full - n_fixed == 3 * T and m_full == m_fixed
+        offsets = lambda fields: [start for _, start, _, _ in fields]
+        assert offsets(full_fields) == offsets(fixed_fields)
 
     def test_lapack_routines_equal_scipy(self, rng):
         """The sampler's ``dpotrs`` and ``dtrtrs``, loaded from scipy's
