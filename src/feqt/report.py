@@ -123,6 +123,8 @@ def bands_csv(bands: dict) -> str:
 
 def bands_json(bands: dict) -> str:
     """JSON of equivalence band curves and their grid; ``bands`` maps Metric to BandPair."""
+    if not bands:
+        raise ValueError("no bands to write")
     payload = {
         m.value: {"lower": _floats(b.lower), "upper": _floats(b.upper)} for m, b in bands.items()
     }

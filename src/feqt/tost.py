@@ -14,16 +14,16 @@ in bulk, bit for bit as ``Generator.integers`` maps them.
 
 Threads: a call of more than one chunk, in a process that may use two or
 more cores, splits its chunks between the calling thread and one helper
-thread the process starts on first use and keeps (:func:`_run_chunks`). Each
-chunk writes only its own rows of the outputs, and a failing call raises the
-error of its lowest-numbered failing chunk, the one a serial run raises.
+thread that it starts and joins (:func:`_run_chunks`). Each chunk writes only
+its own rows of the outputs, and a failing call raises the error of its
+lowest-numbered failing chunk, the one a serial run raises.
 
 Memory: a chunk's working arrays (the drawn words and indices, the count
 matrix and its product, the grouped kernel's temporaries) live in buffers
-each thread allocates once and reuses across chunks and calls (see
-:func:`_scratch`), so the kernel does not fault fresh pages in per chunk.
-Two threads each take half a serial chunk, so together they hold one
-chunk's buffers.
+each thread allocates once and reuses, the caller's across calls and a
+helper's across its call's chunks (see :func:`_scratch`), so the kernel does
+not fault fresh pages in per chunk. Two threads each take half a serial
+chunk, so together they hold one chunk's buffers.
 """
 
 from __future__ import annotations
@@ -83,10 +83,6 @@ def _usable_cores() -> int:
 #: Threads that run the chunks of a call: the caller, and one helper where
 #: the process may use two or more cores.
 _WORKERS = 2 if _usable_cores() >= 2 else 1
-
-#: The job queue of the helper thread (:func:`_helper`).
-_helper_jobs = None
-_helper_lock = threading.Lock()
 
 
 class Design(enum.Enum):
@@ -295,87 +291,44 @@ def _draw_chunk(seed: int, lo: int, hi: int, segments):
     return idx.view("<i8"), rejected
 
 
-def _helper():
-    """The job queue of the process's helper thread, which is started on
-    first use and kept: a daemon thread that runs each job put on it."""
-    global _helper_jobs
-    with _helper_lock:
-        if _helper_jobs is None:
-            from queue import SimpleQueue
-
-            jobs = SimpleQueue()
-            helper = threading.Thread(target=_serve, args=(jobs,), name="feqt-bootstrap")
-            helper.daemon = True  # idle between calls; nothing to finish at exit
-            helper.start()
-            _helper_jobs = jobs
-    return _helper_jobs
-
-
-def _serve(jobs) -> None:
-    while True:
-        jobs.get()()  # a _ChunkQueue.work, which raises nothing
-
-
-class _ChunkQueue:
-    """The chunks of one call, claimed in order by the threads that run them.
-
-    A thread claims the lowest unclaimed chunk until none is left or a chunk
-    has failed. Since chunks are claimed in order, every chunk below a
-    failing one is claimed by then, and :meth:`wait` raises the error of the
-    lowest-numbered failing chunk once all claimed chunks have finished.
-    """
-
-    def __init__(self, bounds, run):
-        self.bounds, self.run = bounds, run
-        self.next = 0  # the next chunk to claim
-        self.running = 0  # claimed chunks not yet finished
-        self.errors = {}  # chunk number -> the exception it raised
-        self.changed = threading.Condition()
-
-    def work(self):
-        while True:
-            with self.changed:
-                k = self.next
-                if k >= len(self.bounds) or self.errors:
-                    return
-                self.next, self.running = k + 1, self.running + 1
-            error = None
-            try:
-                self.run(*self.bounds[k])
-            except BaseException as exc:  # re-raised by wait, in the caller
-                error = exc
-            with self.changed:
-                if error is not None:
-                    self.errors[k] = error
-                self.running -= 1
-                self.changed.notify_all()
-
-    def wait(self):
-        with self.changed:
-            self.next = len(self.bounds)  # a late helper finds nothing to claim
-            while self.running:
-                self.changed.wait()
-            self.run = None  # a helper that takes this job late keeps no arrays alive
-        if self.errors:
-            raise self.errors[min(self.errors)]
-
-
 def _run_chunks(bounds, run, workers: int) -> None:
     """``run(lo, hi)`` for each (lo, hi) of ``bounds``: in order on this
-    thread, or with ``workers`` > 1 also on the helper thread.
-
-    The caller works through the chunks itself and never waits for the
-    helper to start, so a helper busy with another call's chunks delays no
-    one; the caller waits only for chunks the helper has claimed.
+    thread, or with ``workers`` > 1 also on a helper thread that the call
+    starts and joins. Chunks are claimed in order until none is left or one
+    has failed, so the call raises the error of the lowest-numbered failing
+    chunk, as a serial run does.
     """
     if workers == 1:
         for lo, hi in bounds:
             run(lo, hi)
         return
-    chunks = _ChunkQueue(bounds, run)
-    _helper().put(chunks.work)
-    chunks.work()
-    chunks.wait()
+    claim, unclaimed, errors = threading.Lock(), iter(range(len(bounds))), {}
+
+    def claimed():
+        with claim:
+            return None if errors else next(unclaimed, None)
+
+    def work(k):
+        while k is not None:
+            try:
+                run(*bounds[k])
+            except BaseException as exc:  # raised by the caller, after the join
+                errors[k] = exc
+            k = claimed()
+
+    # the caller claims first: a helper that starts first can keep the
+    # interpreter lock until every chunk has run. A daemon: no exit waits on it.
+    k = claimed()
+    helper = threading.Thread(target=lambda: work(claimed()), name="feqt-bootstrap", daemon=True)
+    try:
+        helper.start()
+        work(k)
+    except BaseException as exc:  # an interrupt between chunks: the helper stops claiming
+        errors[len(bounds)] = exc
+        raise
+    helper.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _resolve_replicates(cfg: BootstrapConfig, segments, stats_of, per_rep_elems):
@@ -682,8 +635,10 @@ def tost_decide(
     :class:`OneSidedBands`, :class:`BandPair`, and estimate vectors. Also
     reports a noninferiority decision for the error-variance ratio (upper
     band only), which is the relevant one-sided test when lower variance is
-    strictly preferred.
+    strictly preferred. Refuses ``bands`` of no metric.
     """
+    if not bands:
+        raise ValueError("a TOST needs the bands of at least one metric")
     grid = next(iter(eq_bands.values())).grid
     results = {}
     for metric, osb in bands.items():
@@ -717,8 +672,11 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
     or a :class:`GroupedPairedSample` for the hierarchical design. The
     hierarchical design decomposes the data once, for the estimates and the
     bootstrap, and bootstraps theta alone when it is the only metric in
-    ``eq_bands``. Data of another type raises ``ValueError``.
+    ``eq_bands``. Data of another type, or ``eq_bands`` that is empty or has
+    a key that is not a :class:`Metric`, raises ``ValueError``.
     """
+    if not eq_bands or not all(isinstance(m, Metric) for m in eq_bands):
+        raise ValueError("eq_bands must map one or more Metrics to their bands")
     if cfg.design is Design.RANDOM_EFFECTS_MATCHED and isinstance(data, GroupedPairedSample):
         decomp = anova_decompose(data)
         est = estimate_metrics_grouped(data, decomp)

@@ -11,8 +11,9 @@ does not run.
   QMC integrand that prior calibration runs; every other scipy routine comes
   from an extension file loaded without its package. Likewise for
   the thread-pool packages ``queue`` and ``concurrent`` (``concurrent.futures``
-  alone takes 6-9 ms): only a bootstrap of several chunks needs a queue, for
-  its helper thread.
+  alone takes 6-9 ms), which no module imports now: the bootstrap's helper
+  thread needs only ``threading``. Should one come back, it belongs inside
+  the function that needs it.
 """
 
 import ast

@@ -7,6 +7,7 @@ from feqt.bayes.posterior import PosteriorDraws, simultaneous_bands
 from feqt.fdata import BandKind, equispaced_grid, make_cosine_bands
 from feqt.report import (
     bands_csv,
+    bands_json,
     posterior_bands_svg,
     posterior_summary_json,
     tost_report_csv,
@@ -95,6 +96,10 @@ class TestTostEmitters:
         assert len(lines) == 1 + 3 * 6
         row = lines[1].split(",")
         assert float(row[2]) < float(row[3])
+
+    def test_bands_json_of_no_metric_refused(self):
+        with pytest.raises(ValueError, match="no bands"):
+            bands_json({})
 
 
 class TestPosteriorEmitters:

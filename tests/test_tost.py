@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -472,26 +473,42 @@ class TestTwoWorkers:
             tost_mod._run_chunks([(0, 1), (1, 2), (2, 3), (3, 4)], run, 2)
         assert chunk_2_failed.is_set() and done == [0]  # no chunk claimed after a failure
 
+    def test_an_interrupt_stops_the_helper_claiming(self):
+        caller, ran = threading.get_ident(), []
+
+        def run(lo, hi):
+            ran.append(lo)
+            if threading.get_ident() == caller:
+                raise KeyboardInterrupt
+            time.sleep(0.01)
+
+        with pytest.raises(KeyboardInterrupt):
+            tost_mod._run_chunks([(k, k + 1) for k in range(100)], run, 2)
+        assert len(ran) < 100  # the helper stopped claiming, and is joined
+        assert "feqt-bootstrap" not in [t.name for t in threading.enumerate()]
+
     def test_one_chunk_calls_start_no_thread(self, monkeypatch):
         # the size study's shape: 10 groups of 10 pairs, T=25, B=100
-        def no_helper():
-            raise AssertionError("a one-chunk call asked for the helper thread")
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-chunk call started a thread")
 
         monkeypatch.setattr(tost_mod, "_WORKERS", 2)
-        monkeypatch.setattr(tost_mod, "_helper", no_helper)
+        monkeypatch.setattr(tost_mod.threading, "Thread", no_thread)
         g = generate_dataset(default_truth(equispaced_grid(25), 10, 10), 0)
         before = threading.active_count()
         for theta_only in (True, False):
             bootstrap_random_effects(g, BootstrapConfig(100, seed=1), theta_only=theta_only)
         assert threading.active_count() == before
 
-    def test_helper_is_started_once_and_kept(self, two_threads):
+    def test_the_helper_is_joined_before_the_call_returns(self, two_threads):
         g = make_grouped(np.random.default_rng(2), n_groups=20, group_size=20, n_points=25)
+        before = threading.active_count()
         for seed in (0, 1):
             bootstrap_random_effects(g, BootstrapConfig(2000, seed=seed))
+            assert threading.active_count() == before
+            assert "feqt-bootstrap" not in [t.name for t in threading.enumerate()]
         helpers = [set(ran_on) - {threading.get_ident()} for _, _, ran_on in two_threads.calls]
-        assert len(helpers) == 2 and helpers[0] == helpers[1] and len(helpers[0]) == 1
-        assert tost_mod._helper() is tost_mod._helper()
+        assert [len(h) for h in helpers] == [1, 1]
 
     def test_callers_sharing_the_helper_under_rapid_switching(self, monkeypatch):
         # three callers and the helper on many small chunks, switching
@@ -523,32 +540,37 @@ class TestTwoWorkers:
         assert not any(t.is_alive() for t in threads)
         assert got == [[w] * 3 for w in want]
 
-    def test_a_busy_helper_holds_no_caller_back(self, monkeypatch):
+    def test_a_late_helper_claims_no_chunk(self, monkeypatch):
         monkeypatch.setattr(tost_mod, "_WORKERS", 2)
         monkeypatch.setattr(tost_mod, "_CHUNK_ELEMS", 600)
         g = make_grouped(np.random.default_rng(3), group_sizes=[3, 4, 5, 2, 6], n_points=7)
         cfg = BootstrapConfig(1000, seed=10)
-        entered, release = threading.Event(), threading.Event()
+        joined, ran_on, run_chunks = threading.Event(), [], tost_mod._run_chunks
 
-        def occupy():  # another caller's chunks
-            entered.set()
-            release.wait(timeout=120)
+        class LateThread(threading.Thread):
+            """Begins its work only once the caller, out of chunks, joins it."""
 
-        tost_mod._helper().put(occupy)
-        assert entered.wait(timeout=30)
-        got = []
-        caller = threading.Thread(
-            target=lambda: got.append(_bits(bootstrap_random_effects(g, cfg))))
-        try:
-            caller.start()
-            caller.join(timeout=60)
-            finished = not caller.is_alive()
-        finally:
-            release.set()
-            caller.join()
-        assert finished
+            def run(self):
+                joined.wait(timeout=30)
+                super().run()
+
+            def join(self, timeout=None):
+                joined.set()
+                super().join(timeout)
+
+        def noting_threads(bounds, run, workers):
+            def noted(lo, hi):
+                ran_on.append(threading.get_ident())
+                run(lo, hi)
+
+            run_chunks(bounds, noted, workers)
+
+        monkeypatch.setattr(tost_mod.threading, "Thread", LateThread)
+        monkeypatch.setattr(tost_mod, "_run_chunks", noting_threads)
+        got = _bits(bootstrap_random_effects(g, cfg))
+        assert joined.is_set() and len(ran_on) > 1 and set(ran_on) == {threading.get_ident()}
         monkeypatch.setattr(tost_mod, "_WORKERS", 1)
-        assert got == [_bits(bootstrap_random_effects(g, cfg))]
+        assert got == _bits(bootstrap_random_effects(g, cfg))
 
 
 class TestReadOnlyResults:
@@ -1031,6 +1053,13 @@ class TestBandsAndDecision:
                 {Metric.THETA: osb}, {Metric.THETA: band}, {Metric.THETA: np.array([1.0])}
             )
 
+    @pytest.mark.parametrize("with_eq_band", [False, True])
+    def test_no_metric_refused(self, with_eq_band):
+        band = make_cosine_bands(Grid([0.0]), BandKind.ADDITIVE)
+        eq_bands = {Metric.THETA: band} if with_eq_band else {}
+        with pytest.raises(ValueError, match="at least one metric"):
+            tost_decide({}, eq_bands, {})
+
     def test_bands_on_two_grids_rejected(self):
         g1, g2 = Grid([0.0, 1.0]), Grid([0.0, 0.5])
         osb = OneSidedBands(Metric.THETA, np.zeros(2), np.zeros(2))
@@ -1103,6 +1132,20 @@ class TestRunTost:
         bands = {Metric.THETA: make_cosine_bands(grouped.grid, BandKind.ADDITIVE)}
         with pytest.raises(ValueError, match="unknown design bogus"):
             run_tost(grouped, BootstrapConfig(1000, design="bogus"), bands)
+
+    @pytest.mark.parametrize("keys", [(), ("theta",), (Metric.THETA, "lambda")],
+                             ids=["empty", "a name", "a metric and a name"])
+    def test_band_maps_without_metrics_refused_before_bootstrapping(self, rng, monkeypatch, keys):
+        grouped = make_grouped(rng, n_points=5)
+        band = make_cosine_bands(grouped.grid, BandKind.ADDITIVE)
+
+        def no_bootstrap(*args):
+            raise AssertionError("bootstrapped before checking eq_bands")
+
+        monkeypatch.setattr(tost_mod, "_resolve_replicates", no_bootstrap)
+        cfg = BootstrapConfig(1000, seed=6, design=Design.RANDOM_EFFECTS_MATCHED)
+        with pytest.raises(ValueError, match="eq_bands must map one or more Metrics"):
+            run_tost(grouped, cfg, dict.fromkeys(keys, band))
 
     def test_psi_needs_the_random_effects_design(self, rng):
         pair = make_grouped(rng, n_points=5).groups[0]
