@@ -114,6 +114,8 @@ def tost_report_from_json(payload) -> TostReport:
 
 def bands_csv(bands: dict) -> str:
     """CSV of equivalence band curves; ``bands`` maps Metric to BandPair."""
+    if not bands:
+        raise ValueError("no bands to write")
     lines = ["metric,t,band_lower,band_upper"]
     for metric, band in _by_metric(bands.items()):
         for row in zip(band.grid.points, band.lower, band.upper):

@@ -34,6 +34,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -71,6 +72,9 @@ _EPS = np.finfo(float).eps
 
 #: This thread's working buffers, one per name (:func:`_scratch`).
 _buffers = threading.local()
+
+#: This thread's bit generator, re-keyed per replicate (:func:`_draw_chunk`).
+_bitgens = threading.local()
 
 
 def _usable_cores() -> int:
@@ -259,7 +263,9 @@ def _draw_chunk(seed: int, lo: int, hi: int, segments):
         raise ValueError("bulk draws need ranges in [2, 2**32]")
     total = sum(size for size, _, _ in segments)
     words = (total + 1) // 2
-    bitgen = Philox(0)
+    bitgen = getattr(_bitgens, "philox", None)
+    if bitgen is None:  # seeding a SeedSequence costs more than a chunk's keys
+        bitgen = _bitgens.philox = Philox(0)
     # counter 0, an empty buffer and no carried half; the setter reads
     # Python ints faster than the numpy arrays of ``bitgen.state``
     key = [seed & _SEED_MASK, 0]
@@ -271,13 +277,17 @@ def _draw_chunk(seed: int, lo: int, hi: int, segments):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    # one buffer, worked in place: each row's halves, their products, then
-    # the indices
-    idx = _scratch("idx", (hi - lo, total), "<u8")
+    # the words are spent once cast: the count product's column indices, at
+    # most (m, total), take their buffer next
+    raw = _scratch("indices", (hi - lo, total), "<u8")[:, :words]
     for i, r in enumerate(range(lo, hi)):
         key[1] = r
         bitgen.state = state
-        idx[i] = bitgen.random_raw(words).view("<u4")[:total]
+        raw[i] = bitgen.random_raw(words)
+    # one buffer, worked in place: each row's halves, their products, then
+    # the indices
+    idx = _scratch("idx", (hi - lo, total), "<u8")
+    idx[...] = raw.view("<u4")[:, :total]
     low = idx.view("<u4")[:, ::2]
     rejected = np.zeros(hi - lo, dtype=bool)
     a = 0
@@ -419,6 +429,34 @@ def _count_sums(idx: np.ndarray, sizes: np.ndarray, columns: np.ndarray) -> np.n
     return sums.reshape(m, G, K)
 
 
+def _theta(idx: np.ndarray, effects: np.ndarray, resid: np.ndarray, weights: np.ndarray):
+    """Theta of the grouped replicates drawn as the rows of ``idx``: (m, T).
+
+    A row draws A random effects, then N residual pairs from the pooled
+    reservoir, and theta is linear in them: A theta = sum_g effects[d_g] +
+    sum_s weights[s] resid[idx_s], where ``effects`` (A, T) and ``resid``
+    (N, T) hold the channel differences and ``weights[s]`` is 1/n of slot
+    s's group, not of the drawn row's. The effects are summed first; then
+    ``csr_matvecs``, one row per replicate over the count product's buffers,
+    adds the weighted residuals slot by slot. So a replicate's theta does not
+    depend on the chunk it is in, and no BLAS call is made.
+    """
+    m, (A, T), N = idx.shape[0], effects.shape, weights.size
+    drawn = np.take(effects, idx[:, :A], axis=0, out=_scratch("tmp", (m, A, T)), mode="clip")
+    theta = drawn.sum(axis=1)
+    indptr = _scratch("indptr", (m + 1,), np.int64)
+    np.multiply(np.arange(m + 1), N, out=indptr)
+    data = _scratch("ones", (m, N))
+    data[:] = weights
+    indices = _scratch("indices", (m, N), np.int64)
+    np.copyto(indices, idx[:, A:])
+    _sparsetools.csr_matvecs(
+        m, N, T, indptr, indices.ravel(), data.ravel(), resid.ravel(), theta.ravel()
+    )
+    theta /= A
+    return theta
+
+
 def _settle(ss: np.ndarray, tol: np.ndarray, idx: np.ndarray, values_of) -> np.ndarray:
     """The degeneracy rule of every design: a replicate is degenerate iff, in
     some denominator channel, all its drawn values are equal at some grid
@@ -525,13 +563,17 @@ def bootstrap_random_effects(
     The curves are never built: a group's mean is its drawn effect plus the
     mean of its drawn residuals, and with the residuals' per-group sums S and
     sums of squares Q, SSE is the within-group part sum(Q - S^2/n_i) plus SSA.
-    A replicate is redrawn iff a channel's reconstructed values are all equal
-    at some grid point, where its SSE is 0 (:func:`_settle`).
+    Theta is the mean of the effects' and the residuals' channel differences,
+    each residual weighted by 1/n of its slot's group, from one weighted
+    product per replicate (:func:`_theta`). A replicate is redrawn iff a
+    channel's reconstructed values are all equal at some grid point, where
+    its SSE is 0 (:func:`_settle`).
 
-    With ``theta_only`` a replicate computes the group means and theta
-    alone, from S without Q, and returns ``lam`` and ``psi`` as None. Theta
-    is defined for every draw, so no replicate is redrawn; wherever the full
-    bootstrap redraws nothing, the theta draws are the same bits.
+    With ``theta_only`` a replicate computes theta alone, by the same
+    product, without S, Q or the group means, and returns ``lam`` and
+    ``psi`` as None. Theta is defined for every draw, so no replicate is
+    redrawn; wherever the full bootstrap redraws nothing, the theta draws
+    are the same bits.
     """
     if np.any(g.group_sizes < 2):
         raise ValueError("every group needs at least 2 pairs")
@@ -542,12 +584,16 @@ def bootstrap_random_effects(
     a_hat = adjusted_random_effects(decomp).reshape(A, 2 * T)
     slot_group = g.group_labels()
     resid = (g.stacked() - decomp.mean_by_group[slot_group]).reshape(N, 2 * T)
-    columns = resid if theta_only else np.concatenate([resid, resid**2], axis=1)
     n_i, n_max, n_star = sizes.astype(float), sizes.max(), decomp.n_star
+    # theta's terms: the channel differences and each residual slot's weight
+    terms = a_hat[:, :T] - a_hat[:, T:], resid[:, :T] - resid[:, T:], 1.0 / n_i[slot_group]
+    columns = None if theta_only else np.concatenate([resid, resid**2], axis=1)
 
     def stats_of(idx):
         m = idx.shape[0]
-        sq = _count_sums(idx[:, A:], sizes, columns)  # (m, A, 2T), or 4T with Q
+        if theta_only:
+            return _theta(idx, *terms), np.ones(m, dtype=bool)
+        sq = _count_sums(idx[:, A:], sizes, columns)  # (m, A, 4T)
         s = sq[..., : 2 * T]
         # the group means a_hat + S/n and their temporaries, in this thread's
         # buffers; "clip" (the indices are in range) keeps take from
@@ -556,11 +602,6 @@ def bootstrap_random_effects(
         means = _scratch("means", (m, A, 2 * T))
         np.take(a_hat, idx[:, :A], axis=0, out=means, mode="clip")
         means += tmp
-        # S/n is spent: the channel differences take the front of its buffer
-        diff = np.subtract(means[..., :T], means[..., T:], out=_scratch("tmp", (m, A, T)))
-        theta = diff.mean(axis=1)
-        if theta_only:
-            return theta, np.ones(m, dtype=bool)
         q = sq[..., 2 * T :].sum(axis=1)
         grand = (n_i @ means) / N
         dev = np.subtract(means, grand[:, None], out=tmp)
@@ -575,11 +616,17 @@ def bootstrap_random_effects(
         s2a = random_effect_variance(ssa, sse, A, N, n_star)
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = sse[:, :T] / sse[:, T:]
-        return theta, lam, s2a[:, :T] / s2a[:, T:], ok
+        # last, in the spent buffers of the sums, which outsize its own
+        return _theta(idx, *terms), lam, s2a[:, :T] / s2a[:, T:], ok
 
-    # the drawn indices and count-matrix entries, then at most the (A, 4T)
-    # sums and the (A, 2T) group means and temporaries
-    per_rep = 3 * N + A + 12 * A * T
+    if theta_only:
+        # the drawn indices and their words, an entry and a column index per
+        # residual slot, then the (A, T) drawn effects and theta
+        per_rep = 4 * N + 2 * A + (A + 1) * T
+    else:
+        # the drawn indices and count-matrix entries, then the (A, 4T) sums
+        # and the (A, 2T) group means and temporaries
+        per_rep = 3 * N + A + 12 * A * T
     segments = ((A, A, 0), (N, N, 0))
     stats, redraws = _resolve_replicates(cfg, segments, stats_of, per_rep)
     return ReplicateDraws(*stats, redraws=redraws)
@@ -672,8 +719,9 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
     or a :class:`GroupedPairedSample` for the hierarchical design. The
     hierarchical design decomposes the data once, for the estimates and the
     bootstrap, and bootstraps theta alone when it is the only metric in
-    ``eq_bands``. Data of another type, or ``eq_bands`` that is empty or has
-    a key that is not a :class:`Metric`, raises ``ValueError``.
+    ``eq_bands``. Data of another type, ``eq_bands`` that is empty or has a
+    key that is not a :class:`Metric`, or psi asked of a design without
+    random effects raises ``ValueError``, before any draw.
     """
     if not eq_bands or not all(isinstance(m, Metric) for m in eq_bands):
         raise ValueError("eq_bands must map one or more Metrics to their bands")
@@ -681,15 +729,18 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
         decomp = anova_decompose(data)
         est = estimate_metrics_grouped(data, decomp)
         theta_only = eq_bands.keys() == {Metric.THETA}
-        draws = bootstrap_random_effects(data, cfg, decomp, theta_only=theta_only)
+        bootstrap = partial(bootstrap_random_effects, data, cfg, decomp, theta_only=theta_only)
     elif cfg.design is Design.MATCHED_PAIRS and isinstance(data, PairedFunctionalSample):
-        est, draws = estimate_metrics_paired(data), bootstrap_matched(data, cfg)
+        est, bootstrap = estimate_metrics_paired(data), partial(bootstrap_matched, data, cfg)
     elif (cfg.design is Design.INDEPENDENT_IID and isinstance(data, tuple) and len(data) == 2
           and all(isinstance(s, FunctionalSample) for s in data)):
-        est, draws = estimate_metrics_paired(data), bootstrap_independent(*data, cfg)
+        est, bootstrap = estimate_metrics_paired(data), partial(bootstrap_independent, *data, cfg)
     else:
         raise ValueError(f"design {cfg.design.value} needs {_SAMPLES[cfg.design]}, "
                          f"got {type(data).__name__}")
+    if Metric.PSI in eq_bands and est.psi_hat is None:  # before any draw
+        raise ValueError("psi requires the random-effects design")
+    draws = bootstrap()
 
     pairs = {
         Metric.THETA: (draws.theta, est.theta_hat),
@@ -701,8 +752,6 @@ def run_tost(data, cfg: BootstrapConfig, eq_bands: dict) -> TostReport:
         if metric not in eq_bands:
             continue
         d, estimates[metric] = pairs[metric]
-        if d is None:
-            raise ValueError("psi requires the random-effects design")
         if metric.band_kind is BandKind.ADDITIVE:
             bands[metric] = theta_bands(d, estimates[metric], cfg.alpha)
         else:

@@ -168,8 +168,8 @@ class TestTostMode:
             "8c8c705e6b4026255aa61fc398e5000ba807384fc94299388850e996fbfc6bfc",
         )),
         ("grouped", EXIT_FAIL_TO_REJECT, (
-            "9f09c3222986570aa90ec0bbe9f038e84f8941f2b7222af5260461d3e5279b12",
-            "bcf6558f521da2348765fd50c2c5883f0ed2559f2c608ede0eb1a73bdaa2e3b1",
+            "86a2e9606cce008d0fcffbc8f9a25fd9edbc826af684755e89af2ef10873ddb7",
+            "4692a71913d1334d99133b5a5f198bf9338bdd4ff6f959b12ec277fce2a70473",
         )),
     ])
     def test_report_bytes_pinned(self, small_files, tmp_path, design, code, digests):

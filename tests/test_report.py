@@ -101,6 +101,10 @@ class TestTostEmitters:
         with pytest.raises(ValueError, match="no bands"):
             bands_json({})
 
+    def test_bands_csv_of_no_metric_refused(self):
+        with pytest.raises(ValueError, match="no bands"):
+            bands_csv({})
+
 
 class TestPosteriorEmitters:
     def test_summary_json(self, rng):

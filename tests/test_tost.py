@@ -914,6 +914,79 @@ class TestThetaOnly:
         np.testing.assert_array_equal(got.upper_of_lower_ci, expected.upper_of_lower_ci)
 
 
+class TestTheta:
+    """Theta from one weighted product per replicate (``tost._theta``): the
+    brute-force theta, the same bits however the replicates are chunked or
+    threaded, and no per-group sums."""
+
+    SIZES = [2, 3, 7, 4]
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Patch ``_theta`` to note each call's rows and terms; returns the notes."""
+        calls, theta = [], tost_mod._theta
+
+        def noted(idx, *terms):
+            calls.append((idx.copy(), terms))
+            return theta(idx, *terms)
+
+        monkeypatch.setattr(tost_mod, "_theta", noted)
+        return calls
+
+    def test_equals_brute_force_on_unbalanced_groups(self, rng):
+        g = make_grouped(rng, group_sizes=self.SIZES, n_points=6)
+        A, N = g.n_groups, g.n_total
+        cfg = BootstrapConfig(300, seed=5)
+        draws = bootstrap_random_effects(g, cfg, theta_only=True)
+        d = anova_decompose(g)
+        a_hat, labels = adjusted_random_effects(d), g.group_labels()
+        resid = g.stacked() - d.mean_by_group[labels]
+        for r in range(cfg.replicates):
+            rng_r = replicate_rng(cfg.seed, r)
+            effects, rows = rng_r.integers(0, A, A), rng_r.integers(0, N, N)
+            y = a_hat[effects][labels] + resid[rows]  # the reconstructed curves, (N, 2, T)
+            means = np.stack([y[labels == k].mean(axis=0) for k in range(A)])
+            want = (means[:, 0] - means[:, 1]).mean(axis=0)
+            np.testing.assert_allclose(draws.theta[r], want, rtol=0.0, atol=1e-12, err_msg=str(r))
+
+    @pytest.mark.parametrize("sizes", [SIZES, [5, 5, 5, 5]], ids=["unbalanced", "balanced"])
+    def test_bits_do_not_depend_on_the_chunk_size(self, rng, monkeypatch, sizes):
+        g = make_grouped(rng, group_sizes=sizes, n_points=6)
+        calls = self.recorded(monkeypatch)
+        want = bootstrap_random_effects(g, BootstrapConfig(250, seed=3), theta_only=True).theta
+        [(idx, terms)] = calls
+        for step in (1, 7, 125, 250):
+            got = np.concatenate(
+                [tost_mod._theta(idx[lo:lo + step], *terms) for lo in range(0, 250, step)]
+            )
+            assert got.tobytes() == want.tobytes(), step
+
+    @pytest.mark.parametrize("theta_only", [True, False], ids=["theta only", "full"])
+    def test_bits_do_not_depend_on_the_worker_count(self, rng, monkeypatch, theta_only):
+        g = make_grouped(rng, group_sizes=self.SIZES, n_points=6)
+        cfg = BootstrapConfig(1000, seed=8)
+        monkeypatch.setattr(tost_mod, "_CHUNK_ELEMS", 2000)
+        calls, bits = self.recorded(monkeypatch), []
+        for workers in (1, 2):
+            monkeypatch.setattr(tost_mod, "_WORKERS", workers)
+            draws = bootstrap_random_effects(g, cfg, theta_only=theta_only)
+            bits.append(draws.theta.tobytes())
+        assert bits[0] == bits[1]
+        assert len(calls) > 4  # several chunks on each worker count
+
+    def test_theta_only_takes_no_count_sums(self, rng, monkeypatch):
+        def no_sums(*args):
+            raise AssertionError("a theta-only replicate built per-group sums")
+
+        g = make_grouped(rng, group_sizes=self.SIZES, n_points=6)
+        want = bootstrap_random_effects(g, BootstrapConfig(200, seed=4)).theta
+        monkeypatch.setattr(tost_mod, "_count_sums", no_sums)
+        cfg = BootstrapConfig(200, seed=4, design=Design.RANDOM_EFFECTS_MATCHED)
+        draws = bootstrap_random_effects(g, cfg, theta_only=True)
+        assert draws.theta.tobytes() == want.tobytes()
+        run_tost(g, cfg, {Metric.THETA: make_cosine_bands(g.grid, BandKind.ADDITIVE)})
+
+
 class TestAgainstGatherReference:
     """The count kernel against the gather kernels it replaced
     (``reference_bootstrap``), at tolerances fixed when it came in: theta
@@ -1153,6 +1226,21 @@ class TestRunTost:
         cfg = BootstrapConfig(1000, seed=6, design=Design.MATCHED_PAIRS)
         with pytest.raises(ValueError, match="psi requires the random-effects design"):
             run_tost(pair, cfg, bands)
+
+    @pytest.mark.parametrize("design", [Design.MATCHED_PAIRS, Design.INDEPENDENT_IID])
+    def test_psi_refused_before_bootstrapping(self, rng, monkeypatch, design):
+        def no_bootstrap(*args):
+            raise AssertionError("bootstrapped before refusing psi")
+
+        monkeypatch.setattr(tost_mod, "_resolve_replicates", no_bootstrap)
+        pair = make_grouped(rng, n_points=5).groups[0]
+        data = pair if design is Design.MATCHED_PAIRS else (
+            FunctionalSample(pair.grid, pair.curves_1), FunctionalSample(pair.grid, pair.curves_2)
+        )
+        bands = {m: make_cosine_bands(pair.grid, m.band_kind) for m in (Metric.THETA, Metric.PSI)}
+        cfg = BootstrapConfig(1000, seed=6, design=design)
+        with pytest.raises(ValueError, match="psi requires the random-effects design"):
+            run_tost(data, cfg, bands)
 
     def test_separated_means_fail(self, rng, grid25):
         s1 = FunctionalSample(grid25, rng.normal(1.0, 0.1, (30, 25)))
