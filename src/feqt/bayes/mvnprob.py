@@ -10,16 +10,14 @@ Scrambling is the costly part of building a Sobol engine, so the engines of
 one (seed, dimension) are built once and reset before each use; a reset
 engine yields the same points as a fresh one.
 
-No ``feqt`` run loads a scipy package before it needs one: the first scipy
-import costs more than a whole ``tost`` pass, and ``scipy.stats`` alone about
-40 MB. So the compiled routines this module calls are loaded from their
-extension files (:func:`~feqt._scipyext._load_scipy_ext`): ``ndtr`` from
-``special/_special_ufuncs``, the Sobol loops from ``stats/_sobol`` (driven by
-:class:`_Sobol`) and Brent's root finder from ``optimize/_zeros`` (behind
-:func:`_brentq`). Only ``ndtri`` comes from ``scipy.special``, whose
-``_ufuncs`` extension does not load outside its package, so a rectangle of
-two or more dimensions, and with it prior calibration, loads that package
-and no other.
+No ``feqt`` run loads a scipy package: the first scipy import costs more
+than a whole ``tost`` pass, and ``scipy.stats`` alone about 40 MB. So the
+compiled routines this module calls are loaded from their extensions
+(:mod:`feqt._scipyext`): ``ndtr`` from ``special/_special_ufuncs``, the
+Sobol loops from ``stats/_sobol`` (driven by :class:`_Sobol`) and Brent's
+root finder from ``optimize/_zeros`` (behind :func:`_brentq`), each from its
+file; ``ndtri`` from ``special/_ufuncs``, imported as
+``scipy.special._ufuncs`` without running ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._scipyext import _load_scipy_ext
+from .._scipyext import _import_scipy_ext, _load_scipy_ext
 from ..fdata import BandPair
 from .kernels import matern_corr, prior_corr, JITTER
 
@@ -64,8 +62,7 @@ def _ordered_cholesky(cov: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     probability is pivoted to the front, which concentrates the product's
     variation in the early (well-sampled) QMC coordinates.
     """
-    from scipy.special import ndtri
-
+    ndtri = _import_scipy_ext("special/_ufuncs").ndtri
     ndtr = _load_scipy_ext("special/_special_ufuncs").ndtr
     d = cov.shape[0]
     c = cov.copy() + JITTER * np.eye(d)
@@ -103,8 +100,7 @@ def _genz_batch(L, a, b, u):
 
     ``u`` has shape (n, d-1); returns n probability estimates.
     """
-    from scipy.special import ndtri
-
+    ndtri = _import_scipy_ext("special/_ufuncs").ndtri
     ndtr = _load_scipy_ext("special/_special_ufuncs").ndtr
     n = u.shape[0]
     d = a.size
@@ -212,6 +208,8 @@ def mvn_rectangle_prob(
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     a = np.asarray(lower, dtype=float) - mean
     b = np.asarray(upper, dtype=float) - mean
+    if np.isnan(cov).any() or np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("mean, cov, lower and upper must not be NaN")
     if np.any(a >= b):
         raise ValueError("lower must be strictly below upper")
     d = a.size

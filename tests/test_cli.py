@@ -648,9 +648,10 @@ for argv in runs:
 print(json.dumps(steps))
 """
 
-#: The scipy packages loaded after each step: none until calibration needs
-#: ``ndtri`` from ``scipy.special``. Every other routine feqt calls comes from
-#: an extension file loaded without its package (``feqt._scipyext``).
+#: The scipy packages loaded after each step: none. Every routine feqt calls
+#: comes from a compiled extension loaded without its package
+#: (``feqt._scipyext``); calibration's ``stats/_sobol`` imports ``scipy``
+#: itself (its ``__init__`` alone) through Cython's utility module.
 SCIPY_BY_STEP = [
     ("import feqt", []),
     ("import feqt.cli", []),
@@ -659,7 +660,7 @@ SCIPY_BY_STEP = [
     ("report", []),
     ("simulate", []),
     ("bayes --scale", []),
-    ("bayes", ["scipy", "scipy.special"]),
+    ("bayes", ["scipy"]),
 ]
 
 

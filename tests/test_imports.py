@@ -4,14 +4,13 @@ does not run.
 - Every import, at module level or inside a function, is used by the module
   itself (pyflakes' unused-import check). ``__init__.py`` files are exempt:
   their imports are re-exports.
-- No module imports ``scipy`` when it is itself imported. Importing any scipy
-  package costs a ``feqt`` run more start-up than a whole ``tost`` pass, so
-  each scipy import sits inside the function that needs it. The only ones
-  left import ``scipy.special`` for ``ndtri``, inside the two functions of the
-  QMC integrand that prior calibration runs; every other scipy routine comes
-  from an extension file loaded without its package. Likewise for
-  the thread-pool packages ``queue`` and ``concurrent`` (``concurrent.futures``
-  alone takes 6-9 ms), which no module imports now: the bootstrap's helper
+- No module imports ``scipy`` or a package inside it, at any depth.
+  Importing any scipy package costs a ``feqt`` run more start-up than a
+  whole ``tost`` pass, and ``scipy.special`` alone adds about 15 MB. Every
+  scipy routine feqt calls comes from a compiled extension loaded without
+  its package (``feqt._scipyext``). Likewise no module imports the
+  thread-pool packages ``queue`` and ``concurrent`` (``concurrent.futures``
+  alone takes 6-9 ms) when it is itself imported: the bootstrap's helper
   thread needs only ``threading``. Should one come back, it belongs inside
   the function that needs it.
 """
@@ -101,16 +100,13 @@ def scipy_imports(source: str) -> list:
     return sorted((f, m) for f, m in found if m == "scipy" or m.startswith("scipy."))
 
 
-def test_only_calibration_imports_a_scipy_package():
+def test_no_module_imports_a_scipy_package():
     found = [
         (path.relative_to(SRC).as_posix(), func, module)
         for path in ALL_MODULES
         for func, module in scipy_imports(path.read_text(encoding="utf-8"))
     ]
-    assert sorted(found) == [
-        ("bayes/mvnprob.py", "_genz_batch", "scipy.special"),
-        ("bayes/mvnprob.py", "_ordered_cholesky", "scipy.special"),
-    ]
+    assert found == []
 
 
 def test_gate_lists_every_scipy_import():

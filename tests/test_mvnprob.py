@@ -1,11 +1,21 @@
+import importlib.machinery
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.special
 from scipy.optimize import brentq
 from scipy.stats import multivariate_normal, norm, qmc
 
+import feqt
+import feqt._scipyext as scipyext
 import feqt.bayes.mvnprob as mvnprob_mod
-from feqt._scipyext import _load_scipy_ext
+from feqt._scipyext import _import_scipy_ext, _load_scipy_ext
 from feqt.bayes.kernels import matern_corr
 from feqt.bayes.mvnprob import (
     AccuracyError,
@@ -13,6 +23,7 @@ from feqt.bayes.mvnprob import (
     mvn_rectangle_prob,
     prior_equivalence_prob,
 )
+from feqt.cli import EXIT_FAIL_TO_REJECT, EXIT_OK
 from feqt.fdata import BandKind, equispaced_grid, make_cosine_bands
 
 
@@ -82,6 +93,22 @@ class TestRectangleProb:
     def test_invalid_rectangle(self):
         with pytest.raises(ValueError, match="strictly below"):
             mvn_rectangle_prob([0.0, 0.0], np.eye(2), [0.0, 0.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("where", ["mean", "cov", "lower", "upper"])
+    def test_nan_input_refused(self, where):
+        """A NaN passes the ``lower < upper`` check, and the QMC loop then
+        doubled its points to the cap on a NaN standard error."""
+        args = {"mean": np.zeros(3), "cov": np.eye(3) + 0.2,
+                "lower": -np.ones(3), "upper": np.ones(3)}
+        args[where] = args[where].copy()
+        args[where].flat[1] = np.nan
+        with pytest.raises(ValueError, match="must not be NaN"):
+            mvn_rectangle_prob(**args)
+
+    def test_infinite_limit_allowed(self):
+        r = mvn_rectangle_prob(np.zeros(2), np.eye(2), [-1.0, -1.0], [1.0, np.inf])
+        expected = (norm.cdf(1.0) - norm.cdf(-1.0)) * norm.cdf(1.0)
+        assert r.estimate == pytest.approx(expected, abs=1e-3)
 
     def test_accuracy_cap_raises(self, monkeypatch):
         monkeypatch.setattr(mvnprob_mod, "_MAX_POINTS", 2048)
@@ -208,3 +235,89 @@ class TestPrivateScipyRoutines:
                             np.linspace(-10.0, 10.0, 2001)])
         got = _load_scipy_ext("special/_special_ufuncs").ndtr(x)
         assert np.array_equal(got, scipy.special.ndtr(x), equal_nan=True)
+
+
+#: Runs a calibrated tiny ``feqt bayes`` in a fresh interpreter, then imports
+#: ``scipy.special`` and compares its ``ndtri`` with the one feqt loaded.
+NDTRI_SCRIPT = """
+import json, sys
+from pathlib import Path
+
+import numpy as np
+
+import feqt.cli
+from feqt._scipyext import _import_scipy_ext
+from feqt.curvefile import write_curves
+from feqt.fdata import equispaced_grid
+from feqt.simlab import default_truth, generate_dataset
+
+out = Path(sys.argv[1])
+write_curves(generate_dataset(default_truth(equispaced_grid(5), 6, 3), 1), out / "data.csv")
+code = feqt.cli.run_cli(["bayes", "--input", str(out / "data.csv"), "--chains", "1",
+                         "--iters", "150", "--burnin", "50", "--thin", "1", "--emit", "json",
+                         "--out", str(out / "bayes")])
+seen = {"code": code, "special": "scipy.special" in sys.modules,
+        "ufuncs": "scipy.special._ufuncs" in sys.modules}
+ours = _import_scipy_ext("special/_ufuncs").ndtri
+p = np.concatenate([[0.0, 1e-300, 1e-15, 0.5, 1 - 1e-15, 1.0, np.nan],
+                    np.linspace(0.0, 1.0, 100001), np.logspace(-300, 0, 3001)])
+got = ours(p).tobytes()
+import scipy.special
+seen["same_bits"] = got == scipy.special.ndtri(p).tobytes()
+seen["same_ufunc"] = scipy.special.ndtri is ours
+print(json.dumps(seen))
+"""
+
+
+class TestNdtriLoad:
+    """``ndtri`` comes from ``special/_ufuncs``, imported under its own name
+    without running ``scipy.special``."""
+
+    def test_calibrated_bayes_leaves_scipy_special_unloaded(self, tmp_path):
+        src = str(Path(feqt.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", NDTRI_SCRIPT, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+        )
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen["code"] in (EXIT_OK, EXIT_FAIL_TO_REJECT), proc.stderr
+        assert not seen["special"] and seen["ufuncs"]
+        # a later import of the package works and hands out the same ufunc
+        assert seen["same_bits"] and seen["same_ufunc"]
+
+    def test_same_ufunc_when_scipy_special_came_first(self):
+        assert _import_scipy_ext("special/_ufuncs").ndtri is scipy.special.ndtri
+
+    def test_stand_in_removed_when_the_import_raises(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.special._ufuncs")
+        monkeypatch.delitem(sys.modules, "scipy.special")
+        parents = []
+
+        def failing(name):
+            parents.append((name, sys.modules["scipy.special"].__path__))
+            raise ImportError("load failed")
+
+        with monkeypatch.context() as m:
+            m.setattr(scipyext.importlib, "import_module", failing)
+            with pytest.raises(ImportError, match="load failed"):
+                _import_scipy_ext("special/_ufuncs")
+            assert "scipy.special" not in sys.modules
+            # a package already imported is used, and kept
+            sys.modules["scipy.special"] = scipy.special
+            with pytest.raises(ImportError, match="load failed"):
+                _import_scipy_ext("special/_ufuncs")
+            assert sys.modules["scipy.special"] is scipy.special
+        special_dir = os.path.dirname(scipy.special._ufuncs.__file__)
+        assert parents == [("scipy.special._ufuncs", [special_dir]),
+                           ("scipy.special._ufuncs", scipy.special.__path__)]
+
+    def test_missing_ufuncs_names_the_search(self, tmp_path, monkeypatch):
+        scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy_spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(scipyext.importlib.util, "find_spec", lambda name: scipy_spec)
+        monkeypatch.delitem(sys.modules, "scipy.special._ufuncs")
+        want = str(tmp_path / "special" / "_ufuncs") + importlib.machinery.EXTENSION_SUFFIXES[0]
+        with pytest.raises(ImportError, match=re.escape(want)):
+            _import_scipy_ext("special/_ufuncs")
+        assert sys.modules["scipy.special"] is scipy.special
