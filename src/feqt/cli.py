@@ -135,6 +135,16 @@ def _emit_flags(mode, emit):
     return flags
 
 
+def _check_out(out):
+    """Refuse an ``--out`` that cannot become a directory: the path, or the
+    nearest of its ancestors that exists, is not one."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise CliError("bad-out", f"--out {out}: {path} exists and is not a directory")
+            return
+
+
 def _emit(args, renders):
     """Write, in table order, each of the mode's outputs that ``--emit``
     names; ``renders`` maps each flag of the mode to its render."""
@@ -155,6 +165,18 @@ def _argument_errors():
         raise CliError("bad-argument", str(exc)) from None
 
 
+@contextlib.contextmanager
+def _input_errors(path):
+    """Report an ``--input`` that cannot be opened as ``missing-input`` or
+    ``unreadable-input``."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise CliError("missing-input", f"input file not found: {path}") from None
+    except OSError as exc:
+        raise CliError("unreadable-input", f"cannot read input {path}: {exc.strerror}") from None
+
+
 def _eq_bands(grid, metrics=Metric):
     return {m: make_cosine_bands(grid, m.band_kind) for m in metrics}
 
@@ -162,9 +184,8 @@ def _eq_bands(grid, metrics=Metric):
 def _load_sample(args, kind, refusal):
     """The sample in ``--input``; one that is not a ``kind`` is refused with ``refusal``."""
     try:
-        sample = curvefile.read_curves(args.input)
-    except FileNotFoundError:
-        raise CliError("missing-input", f"input file not found: {args.input}") from None
+        with _input_errors(args.input):
+            sample = curvefile.read_curves(args.input)
     except curvefile.CurveFileError as exc:
         raise CliError("curve-parse", str(exc)) from exc
     if not isinstance(sample, kind):
@@ -299,10 +320,9 @@ def _mode_bands(args):
 
 def _mode_report(args):
     try:
-        payload = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CliError("missing-input", f"input file not found: {args.input}") from None
-    except json.JSONDecodeError as exc:
+        with _input_errors(args.input):
+            payload = json.loads(Path(args.input).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError("report-parse", f"bad report JSON: {exc}") from exc
     try:
         rep = report_mod.tost_report_from_json(payload)
@@ -392,6 +412,8 @@ def run_cli(argv=None) -> int:
     try:
         args = _parse_args(parser, argv)
         args.emit = _emit_flags(args.mode, args.emit)
+        if args.emit:
+            _check_out(args.out)
         return _MODES[args.mode](args)
     except CliError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

@@ -480,23 +480,31 @@ def _settle(ss: np.ndarray, tol: np.ndarray, idx: np.ndarray, values_of) -> np.n
     return np.all(ss > 0.0, axis=axes)
 
 
-def _bootstrap_two_channel(rows, sizes, cfg) -> ReplicateDraws:
+def _bootstrap_two_channel(channels, sizes, cfg) -> ReplicateDraws:
     """Mean difference and variance ratio of two channels, from counts.
 
-    ``rows`` (R, K) is the reservoir, group g holding the next ``sizes[g]``
-    rows, and a replicate draws ``sizes[g]`` rows within each group. The
-    groups' column sums hold the two channels: one group of pairs (K = 2T)
-    or two groups of curves (K = T). A replicate is redrawn iff a channel's
-    drawn values are all equal at some grid point (:func:`_settle`).
+    ``channels`` holds the two channels' (n, T) curve matrices. The
+    reservoir holds one group of pairs (``sizes`` [n], a row of K = 2T
+    columns, channel 1 then channel 2) or two groups of curves (``sizes``
+    [n1, n2], channel 1's rows then channel 2's, K = T), and a replicate
+    draws ``sizes[g]`` rows within each group g. The reservoir's columns are
+    the centered values and, K columns on, their squares, written in place
+    from the channels. A replicate is redrawn iff a channel's drawn values
+    are all equal at some grid point (:func:`_settle`).
     """
-    G, K = sizes.size, rows.shape[1]
-    T = G * K // 2
+    G, T = sizes.size, channels[0].shape[1]
+    K = 2 * T // G
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-    groups = list(zip(bounds[:-1], bounds[1:]))
-    mean = np.stack([rows[a:b].mean(axis=0) for a, b in groups])
-    centered = rows - np.repeat(mean, sizes, axis=0)
-    columns = np.concatenate([centered, centered**2], axis=1)
-    mean = mean.reshape(2, T)
+    # each channel with its reservoir rows, which are also its draw
+    # columns: the one group of pairs for both, or a group each
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    drawn = list(zip(channels, spans * (2 // G)))
+    mean = np.stack([c.mean(axis=0) for c in channels])  # (2, T)
+    columns = np.empty((bounds[-1], 2 * K))
+    for i, (c, (a, b)) in enumerate(drawn):
+        k = i * T if G == 1 else 0  # the channel's first column in a row
+        centered = np.subtract(c, mean[i], out=columns[a:b, k : k + T])
+        np.square(centered, out=columns[a:b, K + k : K + k + T])
     n = np.repeat(sizes, 2 // G).astype(float)[:, None]  # rows per channel, (2, 1)
 
     def stats_of(idx):
@@ -508,7 +516,7 @@ def _bootstrap_two_channel(rows, sizes, cfg) -> ReplicateDraws:
         # from n-term sums of the centered values and their squares, the
         # count form Q - S^2/n errs below (3n + 4) u Q
         tol = 2.0 * (n + 4.0) * _EPS * q
-        ok = _settle(ss, tol, idx, lambda d: [rows[d[:, a:b]] for a, b in groups])
+        ok = _settle(ss, tol, idx, lambda d: [c[d[:, a:b] - a] for c, (a, b) in drawn])
         var = ss / (n - 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = var[:, 0] / var[:, 1]
@@ -531,8 +539,7 @@ def bootstrap_independent(
         raise ValueError("both groups need at least 2 curves")
     if s1.grid != s2.grid:
         raise ValueError("groups must share a grid")
-    rows = np.concatenate([s1.curves, s2.curves])
-    return _bootstrap_two_channel(rows, np.array([s1.n, s2.n]), cfg)
+    return _bootstrap_two_channel((s1.curves, s2.curves), np.array([s1.n, s2.n]), cfg)
 
 
 def bootstrap_matched(s: PairedFunctionalSample, cfg: BootstrapConfig) -> ReplicateDraws:
@@ -540,8 +547,7 @@ def bootstrap_matched(s: PairedFunctionalSample, cfg: BootstrapConfig) -> Replic
     within-pair dependence."""
     if s.n < 2:
         raise ValueError("need at least 2 pairs")
-    rows = s.stacked().reshape(s.n, -1)  # (n, 2T): channel 1, then channel 2
-    return _bootstrap_two_channel(rows, np.array([s.n]), cfg)
+    return _bootstrap_two_channel((s.curves_1, s.curves_2), np.array([s.n]), cfg)
 
 
 def bootstrap_random_effects(

@@ -129,6 +129,18 @@ class TestTostMode:
         err = capsys.readouterr().err
         assert "error [curve-parse]: line 1: grid points must be strictly increasing" in err
 
+    def test_non_utf8_curve_file_names_its_line(self, small_files, tmp_path, capsys):
+        lines = read_bytes(small_files / "matched.csv").splitlines(keepends=True)[:5]
+        lines[2] = lines[2][:20] + b"\xff" + lines[2][21:]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        code = run_cli(["tost", "--design", "matched", "--input", str(bad), "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error [curve-parse]: line 3: byte 0xff is not UTF-8\n"
+        assert not out.exists()
+
     def test_design_mismatch_is_error(self, equivalent_file, tmp_path, capsys):
         code = run_cli([
             "tost", "--input", equivalent_file, "--design", "matched",
@@ -318,6 +330,45 @@ class TestArgumentsCheckedFirst:
         err = capsys.readouterr().err
         assert "error [design-mismatch]: bayes mode requires a multi-group curve file" in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("argv", [
+        ["tost", "--design", "matched", "-B", "200"],
+        ["bayes", "--chains", "2", "--iters", "1200"],
+        ["report"],
+    ])
+    def test_directory_input_is_unreadable_input(self, tmp_path, capsys, monkeypatch, argv):
+        refuse_engines(monkeypatch)
+        out = tmp_path / "out"
+        code = run_cli(argv + ["--input", str(tmp_path), "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [unreadable-input]: cannot read input {tmp_path}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["tost", "-B", "200"],
+        ["bayes", "--chains", "2", "--iters", "1200"],
+        ["simulate", "--scenarios", "size-theta", "--replicates", "50"],
+        ["bands"],
+        ["report", "--input", "tost_report.json"],
+    ])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_that_is_a_file_before_the_engine(
+        self, equivalent_file, tmp_path, capsys, monkeypatch, argv, below
+    ):
+        # an existing file as --out, or as the directory --out would go in
+        refuse_engines(monkeypatch)
+        if argv[0] in ("tost", "bayes"):
+            argv = argv + ["--input", equivalent_file]
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "sub" if below else taken
+        code = run_cli(argv + ["--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error [bad-out]: --out {out}: {taken} exists and is not a directory\n"
+        assert taken.read_text() == "kept\n"
 
 
 class TestPriorRange:
@@ -562,6 +613,12 @@ class TestReportMode:
         assert code == EXIT_ERROR
         assert "error [missing-input]: input file not found: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_utf8_json_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"grid": "\xff"}')
+        assert run_cli(["report", "--input", str(bad)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error [report-parse]: bad report JSON: ")
 
     def test_bad_json_is_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,4 +1,6 @@
 import hashlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import feqt.curvefile as curvefile_mod
 from feqt.curvefile import (
     CurveFileError,
     read_curves,
@@ -22,6 +25,7 @@ from feqt.fdata import (
 )
 
 from conftest import make_grouped
+import reference_curvefile
 
 
 def header_and_rows(text):
@@ -142,9 +146,12 @@ def small_text():
 
 
 class TestErrors:
-    def test_unknown_sample_refused(self):
+    def test_unknown_sample_refused(self, tmp_path):
         with pytest.raises(TypeError, match="cannot serialize dict"):
             write_curves_text({})
+        with pytest.raises(TypeError, match="cannot serialize dict"):
+            write_curves({}, tmp_path / "curves.csv")
+        assert not (tmp_path / "curves.csv").exists()
 
     def test_missing_header(self):
         with pytest.raises(CurveFileError, match="line 1: missing header"):
@@ -232,3 +239,177 @@ class TestKindInference:
         lines.insert(2, "")
         back = read_curves_text("\n".join(lines) + "\n")
         assert isinstance(back, GroupedPairedSample)
+
+
+def outcome(read, source):
+    """The bits ``read(source)`` gives, or the message of its CurveFileError."""
+    try:
+        sample = read(source)
+    except CurveFileError as exc:
+        return str(exc)
+    chans = [
+        c
+        for g in getattr(sample, "groups", (sample,))
+        for c in ((g.curves,) if isinstance(g, FunctionalSample) else (g.curves_1, g.curves_2))
+    ]
+    return type(sample), sample.grid.points.tobytes(), [(c.shape, c.tobytes()) for c in chans]
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid curve file, mutated line by line, its lines joined by breaks
+    that ``str.splitlines`` splits on, some of which (a lone carriage
+    return, form feed, next line) a binary read does not split on."""
+    lines = write_curves_text(draw(samples())).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(
+            ["delete", "duplicate", "swap", "truncate", "nan", "blank", "bad key after bad value"]
+        ))
+        # the header stays line 1 but for the line's own mutations
+        first = 0 if op in ("truncate", "nan") else 1
+        if len(lines) <= first:
+            break
+        i = draw(st.integers(first, len(lines) - 1))
+        fields = lines[i].split(",")
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(draw(st.integers(1, len(lines))), lines[i])
+        elif op == "swap":
+            j = draw(st.integers(1, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        elif op == "nan":
+            fields[draw(st.integers(0, len(fields) - 1))] = "nan"
+            lines[i] = ",".join(fields)
+        elif op == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t"])))
+        else:
+            fields[-1] = "oops"
+            lines[i] = ",".join(fields)
+            if i + 1 < len(lines):
+                lines[i + 1] = re.sub(r"^([^,]*),[^,]*", r"\1,3", lines[i + 1])
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x85", "\n\n"])
+    return "".join(line + draw(breaks) for line in lines)
+
+
+@pytest.mark.parametrize("block", [1, 3, curvefile_mod._BLOCK_LINES])
+@given(text=mutated_texts())
+@settings(max_examples=60)
+def test_mutated_files_read_alike(block, text, tmp_path_factory):
+    # from a path or from text, in blocks of any size, the streaming reader
+    # reads what the line-by-line reader read, and fails where it failed
+    path = tmp_path_factory.mktemp("mutated") / "curves.csv"
+    path.write_bytes(text.encode("utf-8"))
+    saved, curvefile_mod._BLOCK_LINES = curvefile_mod._BLOCK_LINES, block
+    try:
+        got = outcome(read_curves, path)
+        assert outcome(read_curves_text, text) == got
+    finally:
+        curvefile_mod._BLOCK_LINES = saved
+    assert outcome(reference_curvefile.read_curves_text, text) == got
+    if isinstance(got, str):
+        assert re.match(r"line \d+: ", got)
+
+
+def numbered(lines):
+    return "\n".join(lines) + "\n"
+
+
+class TestLineOrder:
+    """Errors are raised in line order, although a row's values are parsed
+    only with its block's."""
+
+    def rows(self):
+        text = write_curves_text(make_grouped(np.random.default_rng(3), 2, 4, 3))
+        return text.splitlines()
+
+    def test_bad_float_before_a_duplicate_row(self):
+        lines = self.rows()
+        lines[4] = lines[4].rsplit(",", 1)[0] + ",oops"
+        lines[8] = lines[1]
+        with pytest.raises(CurveFileError, match="line 5: bad float"):
+            read_curves_text(numbered(lines))
+
+    def test_bad_float_before_a_wrong_value_count(self):
+        lines = self.rows()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
+        lines[6] += ",1.0"
+        with pytest.raises(CurveFileError, match="line 3: non-finite value"):
+            read_curves_text(numbered(lines))
+
+    def test_a_row_with_a_bad_float_and_a_wrong_count_names_the_float(self):
+        lines = self.rows()
+        lines[3] += ",oops"
+        with pytest.raises(CurveFileError, match="line 4: bad float"):
+            read_curves_text(numbered(lines))
+
+    def test_bad_float_in_an_earlier_block(self, monkeypatch):
+        monkeypatch.setattr(curvefile_mod, "_BLOCK_LINES", 2)
+        lines = self.rows()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",inf"
+        lines[7] = lines[7].rsplit(",", 1)[0] + ",oops"
+        with pytest.raises(CurveFileError, match="line 3: non-finite value"):
+            read_curves_text(numbered(lines))
+
+
+class TestNotUtf8:
+    def write(self, tmp_path, lineno, at=10):
+        lines = small_text().encode().splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1][:at] + b"\xff" + lines[lineno - 1][at + 1:]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"".join(lines))
+        return path
+
+    @pytest.mark.parametrize("lineno", [1, 3, 9])
+    def test_names_the_line(self, tmp_path, lineno):
+        with pytest.raises(CurveFileError, match=f"^line {lineno}: byte 0xff is not UTF-8$"):
+            read_curves(self.write(tmp_path, lineno))
+
+    def test_counts_lines_split_by_other_breaks(self, tmp_path):
+        # one line of the file as bytes, two as text
+        path = tmp_path / "bad.csv"
+        lines = small_text().encode().splitlines()
+        path.write_bytes(b"\n".join(lines[:2]) + b"\x0c" + b"\n".join(lines[2:3] + [b"\xe9"]))
+        with pytest.raises(CurveFileError, match="^line 4: byte 0xe9 is not UTF-8$"):
+            read_curves(path)
+
+    def test_an_earlier_bad_value_comes_first(self, tmp_path):
+        path = self.write(tmp_path, 5)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(b",", 1)[0] + b",oops\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(CurveFileError, match="^line 3: bad float"):
+            read_curves(path)
+
+
+class TestMemory:
+    """Lines stream out and in: a write holds one line at a time, and a
+    read a few times the sample's values."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        rng = np.random.default_rng(11)
+        grid = equispaced_grid(25)
+        return PairedFunctionalSample(
+            grid, rng.normal(size=(10_000, 25)), rng.normal(size=(10_000, 25))
+        )
+
+    @staticmethod
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_write_and_read_peaks(self, large, tmp_path):
+        path = tmp_path / "large.csv"
+        _, write_peak = self.peak(write_curves, large, path)
+        assert write_peak <= 1_000_000
+        back, read_peak = self.peak(read_curves, path)
+        np.testing.assert_array_equal(back.curves_1, large.curves_1)
+        np.testing.assert_array_equal(back.curves_2, large.curves_2)
+        assert read_peak <= 5 * (large.curves_1.nbytes + large.curves_2.nbytes)

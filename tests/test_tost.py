@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.machinery
 import itertools
 import os
@@ -1043,6 +1044,47 @@ class TestAgainstGatherReference:
         self.check(
             bootstrap_random_effects(g, cfg), reference_bootstrap.random_effects(g, cfg), scale
         )
+
+
+class TestTwoChannelBitsPinned:
+    """A sha256 over the theta, lambda and redraw arrays of the two-channel
+    designs, on data rounded to one decimal so that tied values force
+    redraws: a change to how the kernel centres or gathers its columns must
+    not move one bit."""
+
+    @staticmethod
+    def rounded(rng, n, T):
+        return np.round(rng.normal(size=(n, T)), 1)
+
+    @staticmethod
+    def digest(draws):
+        assert draws.redraws.sum() > 0
+        h = hashlib.sha256()
+        for a in (draws.theta, draws.lam, draws.redraws.astype(np.int64)):
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("B, digest", [
+        (1000, "050e05ba8ecf59f7669aceaf451fe92933baf814a1da311c31de8ecd11b1bd10"),
+        (4000, "2b267e9a1afc388a260e87c693e873d10931aa7f638691e70164cf38077a64ff"),
+    ])
+    def test_matched(self, B, digest):
+        rng = np.random.default_rng(29)
+        s = PairedFunctionalSample(equispaced_grid(6), self.rounded(rng, 4, 6),
+                                   self.rounded(rng, 4, 6))
+        assert self.digest(bootstrap_matched(s, BootstrapConfig(B, seed=7))) == digest
+
+    @pytest.mark.parametrize("B, digest", [
+        (1000, "ec81523057f3474aeccb94a12fd24f64f8b496d3697205deff62fdf08dea91a0"),
+        (4000, "ee3805991d367781acf6636985c4f784f4760a41c44986001776625dd8f7c497"),
+    ])
+    def test_independent(self, B, digest):
+        rng = np.random.default_rng(31)
+        grid = equispaced_grid(6)
+        s1 = FunctionalSample(grid, self.rounded(rng, 3, 6))
+        s2 = FunctionalSample(grid, self.rounded(rng, 5, 6))
+        draws = bootstrap_independent(s1, s2, BootstrapConfig(B, seed=7))
+        assert self.digest(draws) == digest
 
 
 class TestBandsAndDecision:
