@@ -54,13 +54,20 @@ def rho_terms(rho, rr, s12):
     return omr2, np.log(omr2), 2.0 * rho * s12
 
 
-def block_loglik(a, b, lsum, e12, rterms, count):
+def count_terms(count):
+    """The terms of the pair ``count``: ``-count * log(2 pi)`` and ``0.5 * count``."""
+    return -count * _LOG_2PI, 0.5 * count
+
+
+def block_loglik(a, b, lsum, e12, rterms, cterms):
     """Combine the cached terms of :func:`paired_block_loglik`: the channel
     terms ``a``, ``b`` (:func:`channel_term`), ``lsum = l1 + l2``,
-    ``e12 = exp(-0.5 * lsum)`` and ``rterms`` (:func:`rho_terms`)."""
+    ``e12 = exp(-0.5 * lsum)``, ``rterms`` (:func:`rho_terms`) and
+    ``cterms`` (:func:`count_terms`)."""
     omr2, log_omr2, r2s12 = rterms
+    log_norm, half_count = cterms
     quad = a - r2s12 * e12 + b
-    return -count * _LOG_2PI - 0.5 * count * (lsum + log_omr2) - 0.5 * quad / omr2
+    return log_norm - half_count * (lsum + log_omr2) - 0.5 * quad / omr2
 
 
 def paired_block_loglik(l1, l2, rho, s11, s22, s12, count):
@@ -70,12 +77,12 @@ def paired_block_loglik(l1, l2, rho, s11, s22, s12, count):
     (l1, l2) are the channel log-variances, ``rho`` the cross-correlation and
     (s11, s22, s12) the residual sums of squares and cross-products at each
     grid point; all arguments broadcast elementwise. It is the composition of
-    :func:`channel_term`, :func:`rho_terms` and :func:`block_loglik`; a
-    sampler that holds some terms fixed calls those parts with cached terms
-    and gets the same bits.
+    :func:`channel_term`, :func:`rho_terms`, :func:`count_terms` and
+    :func:`block_loglik`; a sampler that holds some terms fixed calls those
+    parts with cached terms and gets the same bits.
     """
     lsum = l1 + l2
     return block_loglik(
         channel_term(l1, s11), channel_term(l2, s22), lsum, np.exp(-0.5 * lsum),
-        rho_terms(rho, rho * rho, s12), count,
+        rho_terms(rho, rho * rho, s12), count_terms(count),
     )

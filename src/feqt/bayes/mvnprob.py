@@ -3,8 +3,16 @@
 The rectangle probability uses randomized quasi-Monte Carlo with the
 sequential-conditioning (separation-of-variables) reparameterization: the
 integrand is a product of conditional one-dimensional normal probabilities
-driven by a scrambled Sobol sequence. Because the estimate is a product of
-conditional probabilities, tiny probabilities retain good relative accuracy.
+driven by a scrambled Sobol sequence (Genz 1992, *JCGS* 1(2)). Because the
+estimate is a product of conditional probabilities, tiny probabilities retain
+good relative accuracy.
+
+The band-centred prior's equivalence probability is a 50/50 mixture of two
+rectangle probabilities of one centred Gaussian X: P(0 < X < w) at the lower
+band's centre and P(-w < X < 0) at the upper's, with w = upper - lower. X and
+-X have the same law, so the two are equal, and
+:func:`prior_equivalence_prob` computes the first alone; its ``error`` is
+that one rectangle's standard error.
 
 Scrambling is the costly part of building a Sobol engine, so the engines of
 one (seed, dimension) are built once and reset before each use; a reset
@@ -201,8 +209,14 @@ def mvn_rectangle_prob(
     sample until the standard error of the stream means falls below
     ``accuracy``. When ``rel_accuracy`` is given, a standard error below
     ``rel_accuracy * estimate`` also stops; use that form for tail
-    probabilities where an absolute tolerance is meaningless.
+    probabilities where an absolute tolerance is meaningless. An ``accuracy``
+    that is not positive and finite, or a ``rel_accuracy`` that is neither
+    None nor positive and finite, is refused before any work.
     """
+    if not 0.0 < accuracy < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"accuracy must be positive and finite, got {accuracy}")
+    if rel_accuracy is not None and not 0.0 < rel_accuracy < np.inf:
+        raise ValueError(f"rel_accuracy must be None or positive and finite, got {rel_accuracy}")
     ndtr = _load_scipy_ext("special/_special_ufuncs").ndtr
     mean = np.asarray(mean, dtype=float)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -259,17 +273,15 @@ def prior_equivalence_prob(
     The difference-of-curves prior implied by the band-centred construction is
     a 50/50 mixture of GPs with means at the lower and upper band and
     covariance ``2 * s2 * Matern(range_a)`` on the bands' grid; multiplicative
-    metrics are handled on the log scale.
+    metrics are handled on the log scale. With X the centred GP and
+    w = upper - lower, the two components' probabilities are P(0 < X < w) and
+    P(-w < X < 0), equal because -X has the law of X. So the result is the
+    lower-centred rectangle probability at ``seed`` alone, and ``error`` is
+    its standard error.
     """
     lo, hi = bands.to_working(bands.lower), bands.to_working(bands.upper)
     cov = 2.0 * s2 * matern_corr(range_a, bands.grid)
-    parts = [
-        mvn_rectangle_prob(m, cov, lo, hi, accuracy, rel_accuracy=rel_accuracy, seed=seed + i)
-        for i, m in enumerate((lo, hi))
-    ]
-    est = 0.5 * (parts[0].estimate + parts[1].estimate)
-    se = 0.5 * np.hypot(parts[0].error, parts[1].error)
-    return RectangleProb(float(est), float(se))
+    return mvn_rectangle_prob(lo, cov, lo, hi, accuracy, rel_accuracy=rel_accuracy, seed=seed)
 
 
 def _brentq(f, a: float, b: float, xtol: float) -> float:

@@ -64,7 +64,7 @@ from .._scipyext import _load_scipy_ext
 from ..fdata import GroupedPairedSample
 from ..tost import Metric, replicate_rng
 from .kernels import matern_corr, corr_cholesky
-from .model import PriorSpec, block_loglik, channel_term, rho_terms
+from .model import PriorSpec, block_loglik, channel_term, count_terms, rho_terms
 from .posterior import PosteriorDraws
 
 _TARGET_ACCEPT = 0.3
@@ -236,10 +236,11 @@ class MwgSampler:
         )
         # the prior blocks of the mean update's precision; "+ 0.0" turns a
         # -0.0 into +0.0, as adding the likelihood's diagonal matrix did
-        self._mu_prec_base = np.zeros((1, 2 * self.T, 2 * self.T))
-        self._mu_prec_base[0, : self.T, : self.T] = self.prec + 0.0
-        self._mu_prec_base[0, self.T :, self.T :] = self.prec + 0.0
-        self._counts = np.array([[self.N], [self.A]], dtype=float)  # per level, (level, 1)
+        self._mu_prec_base = np.zeros((2 * self.T, 2 * self.T))
+        self._mu_prec_base[: self.T, : self.T] = self.prec + 0.0
+        self._mu_prec_base[self.T :, self.T :] = self.prec + 0.0
+        # the pair counts' terms of the block log-likelihood, per level, (level, 1) each
+        self._cterms = count_terms(np.array([[self.N], [self.A]], dtype=float))
         self.fixed_hypers = False  # Geweke mode: skip improper-prior updates
 
     def _set_data(self, y):
@@ -255,6 +256,9 @@ class MwgSampler:
         level) each; each chain adapts its own scales during burn-in only."""
         self.scales = np.tile(_INITIAL_SCALES, (chains, 1, 1))
         self.accepted = np.zeros(self.scales.shape, dtype=np.int64)
+        # the mean update's (chains, 2T, 2T) precision: the prior blocks, whose
+        # four diagonals each sweep rewrites (see :meth:`_update_mu`)
+        self._mu_prec = np.tile(self._mu_prec_base, (chains, 1, 1))
 
     def _mixture_offsets(self, indicators):
         """The (chains, 3, T) offsets the (chains, 3) ``indicators`` select."""
@@ -389,12 +393,15 @@ class MwgSampler:
         k12 = -(ra * sa + re * se * inv_n) / det
         k22 = (a1 + e1 * inv_n) / det
         yb1, yb2 = self.ybar_group[..., 0, :], self.ybar_group[..., 1, :]
-        P = _batch(self._mu_prec_base, chains)
-        d, od = np.arange(T), k12.sum(axis=1)
-        P[:, d, d] += k11.sum(axis=1)
-        P[:, d + T, d + T] += k22.sum(axis=1)
-        P[:, d, d + T] = od  # the diagonals of the off-diagonal blocks
-        P[:, d + T, d] = od
+        # the four diagonals of the blocks, as strided views of each chain's
+        # flat matrix: entry (i, j) is flat element 2T i + j
+        P, base, step = self._mu_prec, self._mu_prec_base, 2 * T + 1
+        flat = P.reshape(chains, -1)
+        np.add(base.diagonal()[:T], k11.sum(axis=1), out=flat[:, : T * step : step])
+        np.add(base.diagonal()[T:], k22.sum(axis=1), out=flat[:, T * step :: step])
+        od = k12.sum(axis=1)
+        flat[:, T : 2 * T * T : step] = od  # (d, d + T)
+        flat[:, 2 * T * T :: step] = od  # (d + T, d)
         h = np.empty((chains, 2 * T))
         mu0 = state["hypers"][:, 0]
         prior2 = mu0 - self.offsets[0][state["indicators"][:, 0]]
@@ -444,7 +451,7 @@ class MwgSampler:
         centers = (hyper, hyper - self._mixture_offsets(state["indicators"])[:, 1:])
 
         def loglik(a, b, lsum):
-            return block_loglik(a, b, lsum, np.exp(-0.5 * lsum), rterms, self._counts).sum(axis=-1)
+            return block_loglik(a, b, lsum, np.exp(-0.5 * lsum), rterms, self._cterms).sum(axis=-1)
 
         l = state["logvars"]
         channels = (l[:, :, 0], l[:, :, 1])  # views, written in place
@@ -452,16 +459,22 @@ class MwgSampler:
         ll = loglik(*terms, channels[0] + channels[1])
         prior = [_quad(self.prec, lc - center) for lc, center in zip(channels, centers)]
         moves = _mv(self.lcorr, tape.logvars)
+        if not adapting:  # the scales are frozen: scale every move at once
+            moves *= self.scales[:, :2].swapaxes(1, 2)[:, :, None, :, None]
         logu = np.log(tape.u_logvars)
         accepted = np.empty(logu.shape, dtype=bool)  # (chains, level, repeat, channel)
         for r in range(_INNER_REPEATS):
             for j in (0, 1):
                 cur = ll + prior[j]
-                lj = channels[j] + self.scales[:, j, :, None] * moves[:, :, r, j]
+                step = moves[:, :, r, j]
+                if adapting:
+                    step = self.scales[:, j, :, None] * step
+                lj = channels[j] + step
                 tj = channel_term(lj, sums[j])
-                lpair, tpair = list(channels), list(terms)
-                lpair[j], tpair[j] = lj, tj
-                ll_new = loglik(*tpair, lpair[0] + lpair[1])
+                if j == 0:
+                    ll_new = loglik(tj, terms[1], lj + channels[1])
+                else:
+                    ll_new = loglik(terms[0], tj, channels[0] + lj)
                 prior_new = _quad(self.prec, lj - centers[j])
                 if not np.isfinite(cur).all():
                     raise SamplerDivergenceError("non-finite log-posterior", dict(state))
@@ -489,17 +502,23 @@ class MwgSampler:
         def logpost(rho):  # the Fisher-z Jacobian of the flat prior included
             rr = rho * rho
             rterms = rho_terms(rho, rr, s12)
-            out = block_loglik(*fixed, rterms, self._counts) + np.log1p(-rr)
+            out = block_loglik(*fixed, rterms, self._cterms) + np.log1p(-rr)
             np.copyto(out, -np.inf, where=rterms[0] == 0.0)
             return out
 
         rho = state["rho"]
+        moves = tape.rho
+        if not adapting:  # the scales are frozen: scale every move at once
+            moves = self.scales[:, 2, :, None, None] * moves
         with np.errstate(divide="ignore", invalid="ignore"):
             cur = logpost(rho)
             logu = np.log(tape.u_rho)
             accepted = np.empty(logu.shape, dtype=bool)  # (chains, level, repeat, T)
             for r in range(_INNER_REPEATS):
-                zp = np.arctanh(rho) + self.scales[:, 2, :, None] * tape.rho[:, :, r]
+                step = moves[:, :, r]
+                if adapting:
+                    step = self.scales[:, 2, :, None] * step
+                zp = np.arctanh(rho) + step
                 rp = np.tanh(zp)
                 new = logpost(rp)
                 acc = np.less(logu[:, :, r], new - cur, out=accepted[:, :, r])

@@ -68,9 +68,16 @@ class CliError(Exception):
 
 
 def _read_config_file(path):
-    """Key-value config: one ``key = value`` per line, ``#`` comments."""
+    """Key-value config: one ``key = value`` per line, ``#`` comments. Text
+    that is not UTF-8 is refused as ``config-parse``."""
+    try:
+        with _file_errors("config", path):
+            text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CliError("config-parse", f"{path}:{lineno}: not UTF-8 text") from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -166,15 +173,15 @@ def _argument_errors():
 
 
 @contextlib.contextmanager
-def _input_errors(path):
-    """Report an ``--input`` that cannot be opened as ``missing-input`` or
-    ``unreadable-input``."""
+def _file_errors(role, path):
+    """Report the ``role`` file (``input`` or ``config``) at ``path`` that
+    cannot be opened as ``missing-<role>`` or ``unreadable-<role>``."""
     try:
         yield
     except FileNotFoundError:
-        raise CliError("missing-input", f"input file not found: {path}") from None
+        raise CliError(f"missing-{role}", f"{role} file not found: {path}") from None
     except OSError as exc:
-        raise CliError("unreadable-input", f"cannot read input {path}: {exc.strerror}") from None
+        raise CliError(f"unreadable-{role}", f"cannot read {role} {path}: {exc.strerror}") from None
 
 
 def _eq_bands(grid, metrics=Metric):
@@ -184,7 +191,7 @@ def _eq_bands(grid, metrics=Metric):
 def _load_sample(args, kind, refusal):
     """The sample in ``--input``; one that is not a ``kind`` is refused with ``refusal``."""
     try:
-        with _input_errors(args.input):
+        with _file_errors("input", args.input):
             sample = curvefile.read_curves(args.input)
     except curvefile.CurveFileError as exc:
         raise CliError("curve-parse", str(exc)) from exc
@@ -320,7 +327,7 @@ def _mode_bands(args):
 
 def _mode_report(args):
     try:
-        with _input_errors(args.input):
+        with _file_errors("input", args.input):
             payload = json.loads(Path(args.input).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError("report-parse", f"bad report JSON: {exc}") from exc

@@ -524,6 +524,26 @@ class TestConfigFile:
         assert code == EXIT_ERROR
         assert "config-parse" in capsys.readouterr().err
 
+    def test_missing_file_is_missing_config(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.cfg"
+        assert run_cli(["bands", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error [missing-config]: config file not found: {cfg}\n"
+
+    def test_directory_is_unreadable_config(self, tmp_path, capsys):
+        code = run_cli(["bands", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [unreadable-config]: cannot read config {tmp_path}: ")
+
+    def test_non_utf8_text_is_config_parse(self, tmp_path, capsys):
+        """The line holding the first byte that is not UTF-8 is named."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"grid_size = 10\n# r\xe9sum\xe9\nseed = 2\n")
+        code = run_cli(["bands", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error [config-parse]: {cfg}:2: not UTF-8 text\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestBandsMode:
     def test_emit_and_determinism(self, tmp_path):

@@ -6,6 +6,7 @@ from feqt.bayes.model import (
     PriorSpec,
     block_loglik,
     channel_term,
+    count_terms,
     paired_block_loglik,
     rho_terms,
 )
@@ -92,12 +93,13 @@ class TestCachedTerms:
         rterms = rho_terms(rho, rho * rho, s12)
         a, b = channel_term(l1, s11), channel_term(l2, s22)
         for count in (1.0, 400.0):
+            cterms = count_terms(count)
             p1, p2 = rng.uniform(-30.0, 30.0, (2, l1.size))
             lsum, e12 = p1 + l2, np.exp(-0.5 * (p1 + l2))
-            moved_1 = block_loglik(channel_term(p1, s11), b, lsum, e12, rterms, count)
+            moved_1 = block_loglik(channel_term(p1, s11), b, lsum, e12, rterms, cterms)
             assert np.array_equal(moved_1, paired_block_loglik(p1, l2, rho, s11, s22, s12, count))
             lsum, e12 = l1 + p2, np.exp(-0.5 * (l1 + p2))
-            moved_2 = block_loglik(a, channel_term(p2, s22), lsum, e12, rterms, count)
+            moved_2 = block_loglik(a, channel_term(p2, s22), lsum, e12, rterms, cterms)
             assert np.array_equal(moved_2, paired_block_loglik(l1, p2, rho, s11, s22, s12, count))
 
     def test_rho_moves(self, rng):
@@ -106,7 +108,7 @@ class TestCachedTerms:
         fixed = (channel_term(l1, s11), channel_term(l2, s22), lsum, np.exp(-0.5 * lsum))
         for count in (1.0, 20.0):
             new = rng.permutation(rho)
-            got = block_loglik(*fixed, rho_terms(new, new * new, s12), count)
+            got = block_loglik(*fixed, rho_terms(new, new * new, s12), count_terms(count))
             assert np.array_equal(got, paired_block_loglik(l1, l2, new, s11, s22, s12, count))
 
 

@@ -117,6 +117,25 @@ class TestRectangleProb:
                 np.zeros(5), np.eye(5) + 0.5, -np.ones(5), np.ones(5), accuracy=1e-12,
             )
 
+    @pytest.mark.parametrize("accuracy", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_accuracy_refused_before_work(self, monkeypatch, accuracy):
+        """A zero, negative or NaN accuracy used to double the QMC points to
+        the cap before raising ``AccuracyError``; an infinite one stopped at
+        the first batch whatever its error."""
+        monkeypatch.setattr(mvnprob_mod, "_MAX_POINTS", 2048)
+        monkeypatch.setattr(mvnprob_mod, "_ordered_cholesky", None)  # any call fails
+        with pytest.raises(ValueError, match="accuracy must be positive and finite"):
+            mvn_rectangle_prob(np.zeros(3), np.eye(3), -np.ones(3), np.ones(3), accuracy)
+
+    @pytest.mark.parametrize("rel_accuracy", [0.0, -0.5, np.nan, np.inf])
+    def test_bad_rel_accuracy_refused_before_work(self, monkeypatch, rel_accuracy):
+        """A negative ``rel_accuracy`` used to be ignored silently."""
+        monkeypatch.setattr(mvnprob_mod, "_MAX_POINTS", 2048)
+        monkeypatch.setattr(mvnprob_mod, "_ordered_cholesky", None)
+        with pytest.raises(ValueError, match="rel_accuracy must be None or positive and finite"):
+            mvn_rectangle_prob(np.zeros(3), np.eye(3), -np.ones(3), np.ones(3),
+                               rel_accuracy=rel_accuracy)
+
     def test_relative_accuracy_for_tails(self):
         # far-tail rectangle: absolute tolerance 1.0 never binds, the relative
         # tolerance drives the stopping rule
@@ -140,6 +159,18 @@ class TestPriorEquivalence:
         single = mvn_rectangle_prob(hi, cov, lo, hi, accuracy=5e-4, seed=11)
         assert p.estimate == pytest.approx(single.estimate, abs=6e-3)
 
+    @pytest.mark.parametrize("kind", list(BandKind))
+    def test_one_rectangle_at_the_lower_band(self, grid25, kind):
+        """P(0 < X < w) and P(-w < X < 0) are equal for a centred Gaussian X,
+        so the mixture's probability is the lower-centred rectangle's, at the
+        same seed, in estimate and error alike."""
+        bands = make_cosine_bands(grid25, kind)
+        lo, hi = bands.to_working(bands.lower), bands.to_working(bands.upper)
+        cov = 2.0 * 0.1 * matern_corr(0.3, grid25)
+        p = prior_equivalence_prob(0.3, 0.1, bands, 1e-3, rel_accuracy=1e-2, seed=7)
+        single = mvn_rectangle_prob(lo, cov, lo, hi, 1e-3, rel_accuracy=1e-2, seed=7)
+        assert (p.estimate, p.error) == (single.estimate, single.error)
+
     def test_monotone_in_scale(self, grid25):
         bands = make_cosine_bands(grid25, BandKind.ADDITIVE)
         probs = [
@@ -151,6 +182,10 @@ class TestPriorEquivalence:
 
 class TestCalibrationSearch:
     def test_no_point_evaluated_twice(self, grid25, monkeypatch):
+        """Brent's search evaluates each log(s2) once, the bracket ends
+        first. The scale was re-recorded (from 0.09549981016408426; the
+        evaluation count stayed 10) when the equivalence probability became
+        one rectangle probability in place of the mean of two equal ones."""
         real = mvnprob_mod.prior_equivalence_prob
         scales = []
 
@@ -161,9 +196,26 @@ class TestCalibrationSearch:
         monkeypatch.setattr(mvnprob_mod, "prior_equivalence_prob", counting)
         kb = make_cosine_bands(grid25, BandKind.ADDITIVE)
         s2 = calibrate_prior_scale(0.3, kb, 0.01, seed=5)
-        assert repr(s2) == "0.09549981016408426"
+        assert repr(s2) == "0.09547651638836385"
         assert scales[:2] == [np.exp(-12.0), np.exp(8.0)]
         assert len(scales) == len(set(scales)) == 10
+
+    def test_one_rectangle_per_evaluation(self, grid25, monkeypatch):
+        calls = {"prior": 0, "rect": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mvnprob_mod, "prior_equivalence_prob",
+                            counted("prior", mvnprob_mod.prior_equivalence_prob))
+        monkeypatch.setattr(mvnprob_mod, "mvn_rectangle_prob",
+                            counted("rect", mvnprob_mod.mvn_rectangle_prob))
+        kb = make_cosine_bands(grid25, BandKind.ADDITIVE)
+        calibrate_prior_scale(0.3, kb, 0.01, seed=5)
+        assert calls == {"prior": 10, "rect": 10}
 
     def test_unattainable_target_names_the_bracket(self, grid25):
         kb = make_cosine_bands(grid25, BandKind.ADDITIVE)
@@ -173,12 +225,15 @@ class TestCalibrationSearch:
 
 class TestCalibrationPinned:
     def test_criterion_3_scale_unchanged(self, grid25):
-        """The QMC path at the criterion 3 arguments reproduces the scale it
-        returned with ``scipy.stats.norm`` in the integrand (the direct
-        ``ndtr``/``ndtri`` calls are the same kernels)."""
+        """The QMC path at the criterion 3 arguments reproduces its recorded
+        scale (the direct ``ndtr``/``ndtri`` calls are ``scipy.stats.norm``'s
+        kernels). Re-recorded when the equivalence probability became one
+        rectangle probability in place of the mean of two equal ones: the
+        scale moved 0.0955874086715996 -> 0.09565245886125925 (+6.8e-4
+        relative), within the calibration's 1e-3 accuracy."""
         kb = make_cosine_bands(grid25, BandKind.ADDITIVE)
         s2 = calibrate_prior_scale(0.3, kb, 0.01, seed=2)
-        assert s2 == pytest.approx(0.0955874086715996, rel=1e-12)
+        assert s2 == pytest.approx(0.09565245886125925, rel=1e-12)
 
 
 class TestPrivateScipyRoutines:

@@ -88,6 +88,23 @@ class TestRunMwg:
             "30536109fb4c071697cc25d0103a40f51da3007fa8b9eeb38ce3237d9c56eefc"
         )
 
+    def test_unbalanced_draws_pinned(self):
+        """``test_draws_pinned``'s digest on unbalanced groups (sizes 2, 3,
+        5, 4, 6), T=12 and 3 chains, over adapting and frozen sweeps: it
+        guards the sweep's buffers and strided writes at a shape other
+        than T=5, with the same numpy and CPU caveat."""
+        rng = np.random.default_rng(0)
+        data = make_grouped(rng, group_sizes=[2, 3, 5, 4, 6], n_points=12)
+        d = run_mwg(data, small_prior(data.grid), chains=3, iters=300, burnin=100, thin=5,
+                    seed=3)
+        h = hashlib.sha256()
+        for a in (d.theta, d.lam, d.psi, d.indicators.astype(np.int64)):
+            h.update(np.ascontiguousarray(a).tobytes())
+        h.update(np.array([d.acceptance[k] for k in sorted(d.acceptance)]).tobytes())
+        assert h.hexdigest() == (
+            "abca53e73218566a774ddcec7fee84100e59de6f93cbab069feea9c17a52c2ab"
+        )
+
     def test_chain_draws_independent_of_execution_order(self):
         """Chain c adapts its own proposal scales and draws from its own
         stream, so its draws, acceptance counts and final scales are the same
