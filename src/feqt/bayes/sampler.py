@@ -459,17 +459,12 @@ class MwgSampler:
         ll = loglik(*terms, channels[0] + channels[1])
         prior = [_quad(self.prec, lc - center) for lc, center in zip(channels, centers)]
         moves = _mv(self.lcorr, tape.logvars)
-        if not adapting:  # the scales are frozen: scale every move at once
-            moves *= self.scales[:, :2].swapaxes(1, 2)[:, :, None, :, None]
         logu = np.log(tape.u_logvars)
         accepted = np.empty(logu.shape, dtype=bool)  # (chains, level, repeat, channel)
         for r in range(_INNER_REPEATS):
             for j in (0, 1):
                 cur = ll + prior[j]
-                step = moves[:, :, r, j]
-                if adapting:
-                    step = self.scales[:, j, :, None] * step
-                lj = channels[j] + step
+                lj = channels[j] + self.scales[:, j, :, None] * moves[:, :, r, j]
                 tj = channel_term(lj, sums[j])
                 if j == 0:
                     ll_new = loglik(tj, terms[1], lj + channels[1])
@@ -507,19 +502,12 @@ class MwgSampler:
             return out
 
         rho = state["rho"]
-        moves = tape.rho
-        if not adapting:  # the scales are frozen: scale every move at once
-            moves = self.scales[:, 2, :, None, None] * moves
         with np.errstate(divide="ignore", invalid="ignore"):
             cur = logpost(rho)
             logu = np.log(tape.u_rho)
             accepted = np.empty(logu.shape, dtype=bool)  # (chains, level, repeat, T)
             for r in range(_INNER_REPEATS):
-                step = moves[:, :, r]
-                if adapting:
-                    step = self.scales[:, 2, :, None] * step
-                zp = np.arctanh(rho) + step
-                rp = np.tanh(zp)
+                rp = np.tanh(np.arctanh(rho) + self.scales[:, 2, :, None] * tape.rho[:, :, r])
                 new = logpost(rp)
                 acc = np.less(logu[:, :, r], new - cur, out=accepted[:, :, r])
                 np.copyto(rho, rp, where=acc)

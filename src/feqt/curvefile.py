@@ -59,13 +59,8 @@ def _lines(sample):
     return lines()
 
 
-def write_curves_text(sample) -> str:
-    """Serialize a sample to the curve file text format."""
-    return "\n".join(_lines(sample)) + "\n"
-
-
 def write_curves(sample, path) -> None:
-    """Write ``sample`` to ``path``, line by line, as :func:`write_curves_text` gives it."""
+    """Write ``sample`` to ``path`` as a curve file, line by line."""
     lines = _lines(sample)  # refuses an unknown sample before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in lines)
@@ -76,9 +71,7 @@ def _parse_floats(text, lineno):
         vals = [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise CurveFileError(f"line {lineno}: bad float ({exc})") from None
-    # a non-finite value makes the sum non-finite; only then (or on overflow)
-    # is each value checked
-    if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
+    if not all(map(math.isfinite, vals)):
         raise CurveFileError(f"line {lineno}: non-finite value")
     return np.array(vals)
 
@@ -221,11 +214,6 @@ def _parse(lines):
         return GroupedPairedSample(grid, pairs) if len(pairs) > 1 else pairs[0]
     except ValidationError as exc:
         raise CurveFileError(str(exc)) from exc
-
-
-def read_curves_text(text: str):
-    """Parse curve file text; see :func:`read_curves`."""
-    return _parse(text.splitlines())
 
 
 def _file_lines(fh):

@@ -1,7 +1,7 @@
 """The line-by-line curve file reader that the streaming reader replaced:
 it parses each row's values as it reads the row, so its first error is, by
 construction, the one on the earliest bad line. Tests compare
-``read_curves_text`` and ``read_curves`` against it."""
+``read_curves`` and its parser on split text against it."""
 
 import math
 

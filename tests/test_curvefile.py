@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import feqt.curvefile as curvefile_mod
-from feqt.curvefile import (
-    CurveFileError,
-    read_curves,
-    read_curves_text,
-    write_curves,
-    write_curves_text,
-)
+from feqt.curvefile import CurveFileError, read_curves, write_curves
 from feqt.fdata import (
     FunctionalSample,
     Grid,
@@ -28,6 +22,16 @@ from conftest import make_grouped
 import reference_curvefile
 
 
+def parse_text(text):
+    """The sample in curve file ``text``, parsed as :func:`read_curves` parses a file."""
+    return curvefile_mod._parse(text.splitlines())
+
+
+def curve_text(sample):
+    """The curve file text of ``sample``, as :func:`write_curves` writes it."""
+    return "\n".join(curvefile_mod._lines(sample)) + "\n"
+
+
 def header_and_rows(text):
     lines = text.splitlines()
     return lines[0], lines[1:]
@@ -36,22 +40,22 @@ def header_and_rows(text):
 class TestRoundTrip:
     def test_grouped_bit_exact(self, rng):
         data = make_grouped(rng, n_groups=3, group_size=4, n_points=7)
-        text = write_curves_text(data)
-        back = read_curves_text(text)
+        text = curve_text(data)
+        back = parse_text(text)
         assert isinstance(back, GroupedPairedSample)
         np.testing.assert_array_equal(back.grid.points, data.grid.points)
         for g0, g1 in zip(data.groups, back.groups):
             np.testing.assert_array_equal(g0.curves_1, g1.curves_1)
             np.testing.assert_array_equal(g0.curves_2, g1.curves_2)
         # and the text itself is stable under a second round trip
-        assert write_curves_text(back) == text
+        assert curve_text(back) == text
 
     def test_paired_bit_exact(self, rng):
         grid = equispaced_grid(5)
         data = PairedFunctionalSample(
             grid, rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
         )
-        back = read_curves_text(write_curves_text(data))
+        back = parse_text(curve_text(data))
         assert isinstance(back, PairedFunctionalSample)
         np.testing.assert_array_equal(back.curves_1, data.curves_1)
         np.testing.assert_array_equal(back.curves_2, data.curves_2)
@@ -59,7 +63,7 @@ class TestRoundTrip:
     def test_single_bit_exact(self, rng):
         grid = equispaced_grid(4)
         data = FunctionalSample(grid, rng.normal(size=(3, 4)))
-        back = read_curves_text(write_curves_text(data))
+        back = parse_text(curve_text(data))
         assert isinstance(back, FunctionalSample)
         np.testing.assert_array_equal(back.curves, data.curves)
 
@@ -74,12 +78,12 @@ class TestRoundTrip:
         grid = equispaced_grid(3)
         vals = np.array([[0.1, 1e-300, -1.2345678901234567]])
         data = FunctionalSample(grid, vals)
-        back = read_curves_text(write_curves_text(data))
+        back = parse_text(curve_text(data))
         np.testing.assert_array_equal(back.curves, vals)
 
     def test_header_contains_grid(self, rng):
         data = make_grouped(rng, n_groups=2, group_size=2, n_points=3)
-        header, rows = header_and_rows(write_curves_text(data))
+        header, rows = header_and_rows(curve_text(data))
         assert header.startswith("#feqt-curves v1; grid=")
         assert len(rows) == 2 * 2 * 2  # groups x breaths x channels
 
@@ -96,7 +100,7 @@ class TestRoundTrip:
         single = FunctionalSample(grid, rng.normal(size=(2, 5)))
         h = hashlib.sha256()
         for sample in (grouped, paired, single):
-            h.update(write_curves_text(sample).encode())
+            h.update(curve_text(sample).encode())
         assert h.hexdigest() == (
             "c03df4d9ad261ea9da20d410fc44ec57c277bc591ae8eed6a3770414a97d6577"
         )
@@ -127,35 +131,35 @@ def samples(draw):
 @given(samples())
 @settings(max_examples=80, deadline=None)
 def test_write_read_round_trip(sample):
-    text = write_curves_text(sample)
-    back = read_curves_text(text)
+    text = curve_text(sample)
+    back = parse_text(text)
     assert type(back) is type(sample)
     np.testing.assert_array_equal(back.grid.points, sample.grid.points)
     if isinstance(sample, FunctionalSample):
         np.testing.assert_array_equal(back.curves, sample.curves)
     else:
         np.testing.assert_array_equal(back.stacked(), sample.stacked())
-    assert write_curves_text(back) == text  # signs of zeros survive too
+    assert curve_text(back) == text  # signs of zeros survive too
 
 
 def small_text():
     grid = equispaced_grid(3)
     rng = np.random.default_rng(0)
     data = make_grouped(rng, n_groups=2, group_size=2, n_points=3)
-    return write_curves_text(data)
+    return curve_text(data)
 
 
 class TestErrors:
     def test_unknown_sample_refused(self, tmp_path):
         with pytest.raises(TypeError, match="cannot serialize dict"):
-            write_curves_text({})
+            curve_text({})
         with pytest.raises(TypeError, match="cannot serialize dict"):
             write_curves({}, tmp_path / "curves.csv")
         assert not (tmp_path / "curves.csv").exists()
 
     def test_missing_header(self):
         with pytest.raises(CurveFileError, match="line 1: missing header"):
-            read_curves_text("1,1,1,0.0,0.0\n")
+            parse_text("1,1,1,0.0,0.0\n")
 
     def test_bad_channel_line_number(self):
         text = small_text()
@@ -164,80 +168,80 @@ class TestErrors:
         parts[1] = "3"
         lines[2] = ",".join(parts)
         with pytest.raises(CurveFileError, match="line 3: channel must be 1 or 2"):
-            read_curves_text("\n".join(lines) + "\n")
+            parse_text("\n".join(lines) + "\n")
 
     def test_orphan_channel_row(self):
         text = small_text()
         lines = [l for l in text.splitlines() if not l.startswith("1,2,1,")]
         with pytest.raises(CurveFileError, match="channel 1 but no channel 2"):
-            read_curves_text("\n".join(lines) + "\n")
+            parse_text("\n".join(lines) + "\n")
 
     def test_duplicate_row(self):
         lines = small_text().splitlines()
         lines.append(lines[1])
         lineno = len(lines)
         with pytest.raises(CurveFileError, match=f"line {lineno}: duplicate row"):
-            read_curves_text("\n".join(lines) + "\n")
+            parse_text("\n".join(lines) + "\n")
 
     def test_bad_float(self):
         lines = small_text().splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0] + ",oops"
         with pytest.raises(CurveFileError, match="line 3: bad float"):
-            read_curves_text("\n".join(lines) + "\n")
+            parse_text("\n".join(lines) + "\n")
 
     def test_row_with_too_few_fields(self):
         lines = small_text().splitlines()
         lines[1] = "1,1,0.5"
         with pytest.raises(CurveFileError, match="line 2: expected group,channel,breath,values"):
-            read_curves_text("\n".join(lines) + "\n")
+            parse_text("\n".join(lines) + "\n")
 
     def test_wrong_value_count(self):
         lines = small_text().splitlines()
         lines[1] = lines[1] + ",9.0"
         with pytest.raises(CurveFileError, match="line 2: expected 3 values, got 4"):
-            read_curves_text("\n".join(lines) + "\n")
+            parse_text("\n".join(lines) + "\n")
 
     def test_non_integer_ids(self):
         lines = small_text().splitlines()
         lines[1] = "a" + lines[1][1:]
         with pytest.raises(CurveFileError, match="must be integers"):
-            read_curves_text("\n".join(lines) + "\n")
+            parse_text("\n".join(lines) + "\n")
 
     def test_bad_header_grid_names_line_1(self):
         body = small_text().split("\n", 1)[1]
         with pytest.raises(CurveFileError, match="line 1: grid points must be strictly increasing"):
-            read_curves_text("#feqt-curves v1; grid=0.5,0.2\n" + body)
+            parse_text("#feqt-curves v1; grid=0.5,0.2\n" + body)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_its_line(self, value):
         lines = small_text().splitlines()
         lines[3] = lines[3].rsplit(",", 1)[0] + "," + value
         with pytest.raises(CurveFileError, match="line 4: non-finite value"):
-            read_curves_text("\n".join(lines) + "\n")
+            parse_text("\n".join(lines) + "\n")
 
     def test_finite_values_whose_sum_overflows_are_read(self):
         lines = small_text().splitlines()
         lines[2] = "1,2,1,1e308,1e308,1e308"
-        back = read_curves_text("\n".join(lines) + "\n")
+        back = parse_text("\n".join(lines) + "\n")
         assert np.all(back.groups[0].curves_2[0] == 1e308)
 
     def test_empty_body(self):
         header = small_text().splitlines()[0]
         with pytest.raises(CurveFileError, match="line 1: no curve rows"):
-            read_curves_text(header + "\n")
+            parse_text(header + "\n")
 
     def test_grouped_channel_1_only_names_the_second_group(self):
         lines = [l for l in small_text().splitlines() if l.split(",")[1] != "2"]
         assert lines[3].startswith("2,1,1,")
         with pytest.raises(CurveFileError, match="line 4: group 2 makes the sample grouped"):
-            read_curves_text("\n".join(lines) + "\n")
+            parse_text("\n".join(lines) + "\n")
 
 
 class TestKindInference:
     def test_blank_lines_ignored(self):
         lines = small_text().splitlines()
         lines.insert(2, "")
-        back = read_curves_text("\n".join(lines) + "\n")
+        back = parse_text("\n".join(lines) + "\n")
         assert isinstance(back, GroupedPairedSample)
 
 
@@ -260,7 +264,7 @@ def mutated_texts(draw):
     """A valid curve file, mutated line by line, its lines joined by breaks
     that ``str.splitlines`` splits on, some of which (a lone carriage
     return, form feed, next line) a binary read does not split on."""
-    lines = write_curves_text(draw(samples())).splitlines()
+    lines = curve_text(draw(samples())).splitlines()
     for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from(
             ["delete", "duplicate", "swap", "truncate", "nan", "blank", "bad key after bad value"]
@@ -305,7 +309,7 @@ def test_mutated_files_read_alike(block, text, tmp_path_factory):
     saved, curvefile_mod._BLOCK_LINES = curvefile_mod._BLOCK_LINES, block
     try:
         got = outcome(read_curves, path)
-        assert outcome(read_curves_text, text) == got
+        assert outcome(parse_text, text) == got
     finally:
         curvefile_mod._BLOCK_LINES = saved
     assert outcome(reference_curvefile.read_curves_text, text) == got
@@ -322,7 +326,7 @@ class TestLineOrder:
     only with its block's."""
 
     def rows(self):
-        text = write_curves_text(make_grouped(np.random.default_rng(3), 2, 4, 3))
+        text = curve_text(make_grouped(np.random.default_rng(3), 2, 4, 3))
         return text.splitlines()
 
     def test_bad_float_before_a_duplicate_row(self):
@@ -330,20 +334,20 @@ class TestLineOrder:
         lines[4] = lines[4].rsplit(",", 1)[0] + ",oops"
         lines[8] = lines[1]
         with pytest.raises(CurveFileError, match="line 5: bad float"):
-            read_curves_text(numbered(lines))
+            parse_text(numbered(lines))
 
     def test_bad_float_before_a_wrong_value_count(self):
         lines = self.rows()
         lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
         lines[6] += ",1.0"
         with pytest.raises(CurveFileError, match="line 3: non-finite value"):
-            read_curves_text(numbered(lines))
+            parse_text(numbered(lines))
 
     def test_a_row_with_a_bad_float_and_a_wrong_count_names_the_float(self):
         lines = self.rows()
         lines[3] += ",oops"
         with pytest.raises(CurveFileError, match="line 4: bad float"):
-            read_curves_text(numbered(lines))
+            parse_text(numbered(lines))
 
     def test_bad_float_in_an_earlier_block(self, monkeypatch):
         monkeypatch.setattr(curvefile_mod, "_BLOCK_LINES", 2)
@@ -351,7 +355,7 @@ class TestLineOrder:
         lines[2] = lines[2].rsplit(",", 1)[0] + ",inf"
         lines[7] = lines[7].rsplit(",", 1)[0] + ",oops"
         with pytest.raises(CurveFileError, match="line 3: non-finite value"):
-            read_curves_text(numbered(lines))
+            parse_text(numbered(lines))
 
 
 class TestNotUtf8:
