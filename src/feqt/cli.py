@@ -7,7 +7,8 @@ Modes: ``tost`` (bootstrap equivalence test), ``bayes`` (posterior engine),
 Exit codes: 0 success (and, for decision modes, nonequivalence rejected);
 2 ran fine but failed to reject; 1 any error, usage errors included. The seed
 falls back to the ``FEQT_SEED`` environment variable when no --seed flag is
-given. A ``--config`` file supplies defaults; flags given explicitly win.
+given; it must lie in [0, 2**64). A ``--config`` file supplies defaults;
+flags given explicitly win.
 """
 
 from __future__ import annotations
@@ -118,15 +119,22 @@ def _parse_args(parser, argv):
 
 
 def _resolve_seed(args):
+    """The run's seed: ``--seed`` (or its ``--config`` value), else
+    ``FEQT_SEED``, else 0. The engines key their streams by a 64-bit word, so
+    a seed outside [0, 2**64) is refused as ``bad-seed``."""
     if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("FEQT_SEED")
-    if env is not None:
+        seed, source = int(args.seed), "--seed"
+    else:
+        env = os.environ.get("FEQT_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "FEQT_SEED"
         except ValueError:
             raise CliError("bad-seed", f"FEQT_SEED must be an integer, got {env!r}") from None
-    return 0
+    if not 0 <= seed < 2**64:
+        raise CliError("bad-seed", f"{source} must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def _emit_flags(mode, emit):

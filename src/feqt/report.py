@@ -72,9 +72,21 @@ def tost_report_csv(report: TostReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is a JSON integer (``bool`` subclasses ``int``; a JSON boolean is not one)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def tost_report_from_json(payload) -> TostReport:
     """Rebuild a :class:`TostReport` from a parsed :func:`tost_report_json`
-    payload; raises ``ValueError`` naming the first missing or bad field."""
+    payload; raises ``ValueError`` naming the first missing or bad field.
+
+    The payload must be one :func:`tost_report_json` can write: each metric's
+    ``violations`` are strictly increasing integer grid indices, its
+    ``reject`` is a JSON boolean that is true exactly when it has none, the
+    ``decision`` rejects exactly when every metric does, and
+    ``bootstrap_replicates`` is a non-negative integer.
+    """
     try:
         grid = Grid(payload["grid"])
         T = len(grid)
@@ -87,25 +99,43 @@ def tost_report_from_json(payload) -> TostReport:
                         f"{name}.{field} needs one value per grid point ({T}), "
                         f"got shape {np.shape(m[field])}"
                     )
-            if not all(0 <= i < T for i in m["violations"]):
+            viol, reject = m["violations"], m["reject"]
+            if not all(map(_is_int, viol)):
+                raise ValueError(f"{name}.violations must be integers, got {viol!r}")
+            if not all(0 <= i < T for i in viol):
                 raise ValueError(f"{name}.violations must index the {T}-point grid")
+            if any(a >= b for a, b in zip(viol, viol[1:])):
+                raise ValueError(f"{name}.violations must be strictly increasing, got {viol!r}")
+            if not isinstance(reject, bool):
+                raise ValueError(f"{name}.reject must be true or false, got {reject!r}")
+            if reject != (not viol):
+                raise ValueError(f"{name}.reject must be true exactly when violations is empty")
             c = {field: np.asarray(m[field], dtype=float) for field in _CURVE_FIELDS}
             results[metric] = MetricResult(
                 metric=metric,
                 estimate=c["estimate"],
                 bands=OneSidedBands(metric, c["overlap_upper"], c["overlap_lower"]),
                 eq_band=BandPair(grid, c["band_lower"], c["band_upper"], metric.band_kind),
-                violations=np.asarray(m["violations"], dtype=int),
-                reject=bool(m["reject"]),
+                violations=np.asarray(viol, dtype=int),
+                reject=reject,
+            )
+        decision = TostDecision(payload["decision"])
+        rejects = all(r.reject for r in results.values())
+        if rejects != (decision is TostDecision.REJECT_NONEQUIVALENCE):
+            raise ValueError(f"decision {decision.value} disagrees with the metrics' reject flags")
+        replicates = payload.get("bootstrap_replicates", 0)
+        if not (_is_int(replicates) and replicates >= 0):
+            raise ValueError(
+                f"bootstrap_replicates must be a non-negative integer, got {replicates!r}"
             )
         noninf = payload.get("lambda_noninferiority")
         return TostReport(
             grid=grid,
             results=results,
-            decision=TostDecision(payload["decision"]),
+            decision=decision,
             lambda_noninferiority=TostDecision(noninf) if noninf else None,
             alpha=float(payload.get("alpha", 0.05)),
-            replicates=int(payload.get("bootstrap_replicates", 0)),
+            replicates=replicates,
         )
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         # a JSON array or a metrics list fails here with a type error

@@ -1,9 +1,14 @@
 """Frequentist engine: bootstrap resampling under three sampling designs,
 one-sided pointwise confidence bands, and the Two One-Sided Test decision.
 
-The overall test is an Intersection-Union Test: each pointwise one-sided test
-runs at level alpha, and nonequivalence is rejected only if every one of them
-rejects, which bounds the overall size by alpha.
+The overall test is an Intersection-Union Test: nonequivalence is rejected
+only if every pointwise one-sided test rejects, so its size is at most the
+largest size of those tests. That bounds it by alpha only if each of them has
+level alpha, and the basic bootstrap interval has level alpha only as n grows
+(its one-sided coverage error is O(n^-1/2); Hall 1988, Ann. Statist. 16(3)).
+Measured at one grid point with the truth on the band, the matched-pairs
+theta test rejects at 0.081, 0.074 and 0.0605 for n = 5, 10 and 30 pairs
+(alpha 0.05, 2 000 replicates, B=1 000, se about 0.006).
 
 Randomness contract: replicate r draws only from the Philox substream keyed by
 (seed, r) with its counter starting at 0, exactly the stream of

@@ -111,6 +111,12 @@ class TestTostMode:
                  "--replicates", "200", "--out", str(b), "--emit", "json"])
         assert read_bytes(a / "tost_report.json") == read_bytes(b / "tost_report.json")
 
+    def test_largest_seed_runs(self, equivalent_file, tmp_path):
+        code = run_cli(["tost", "--input", equivalent_file, "--seed", str(2**64 - 1),
+                        "--replicates", "100", "--out", str(tmp_path), "--emit", "json"])
+        assert code in (EXIT_OK, EXIT_FAIL_TO_REJECT)
+        assert (tmp_path / "tost_report.json").exists()
+
     def test_bad_env_seed_is_error(self, equivalent_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FEQT_SEED", "not-a-number")
         code = run_cli(["tost", "--input", equivalent_file, "--out", str(tmp_path)])
@@ -369,6 +375,39 @@ class TestArgumentsCheckedFirst:
         err = capsys.readouterr().err
         assert err == f"error [bad-out]: --out {out}: {taken} exists and is not a directory\n"
         assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["tost", "-B", "200"],
+        ["bayes", "--scale", "0.1", "--chains", "2", "--iters", "1200"],
+        ["bayes", "--chains", "2", "--iters", "1200"],
+        ["simulate", "--scenarios", "size-theta", "--replicates", "50"],
+    ], ids=["tost", "bayes-scale", "bayes-calibrated", "simulate"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("via", ["flag", "config", "env"])
+    def test_seed_outside_64_bits_is_bad_seed(
+        self, equivalent_file, tmp_path, capsys, monkeypatch, argv, seed, via
+    ):
+        # a seed taken mod 2**64 would give two seeds one stream
+        refuse_engines(monkeypatch)
+        monkeypatch.delenv("FEQT_SEED", raising=False)
+        if argv[0] != "simulate":
+            argv = argv + ["--input", equivalent_file]
+        source = "FEQT_SEED" if via == "env" else "--seed"
+        if via == "flag":
+            argv = argv + ["--seed", str(seed)]
+        elif via == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"seed = {seed}\n")
+            argv = argv + ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv("FEQT_SEED", str(seed))
+        out = tmp_path / "out"
+        code = run_cli(argv + ["--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error [bad-seed]: {source} must lie in [0, 2**64), got {seed}\n"
+        )
+        assert not out.exists()
 
 
 class TestPriorRange:
@@ -684,6 +723,52 @@ class TestReportMode:
             capsys.readouterr().err
         )
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"metrics.theta.violations": [1.5, True], "metrics.theta.reject": False},
+         "theta.violations must be integers, got [1.5, True]"),
+        ({"metrics.theta.violations": [True], "metrics.theta.reject": False},
+         "theta.violations must be integers"),
+        ({"metrics.psi.violations": [4, 4]}, "psi.violations must be strictly increasing"),
+        ({"metrics.psi.violations": [5, 4]}, "psi.violations must be strictly increasing"),
+        ({"metrics.theta.reject": "no"}, "theta.reject must be true or false, got 'no'"),
+        ({"metrics.theta.reject": 1}, "theta.reject must be true or false, got 1"),
+        ({"metrics.theta.reject": False},
+         "theta.reject must be true exactly when violations is empty"),
+        ({"metrics.psi.reject": True},
+         "psi.reject must be true exactly when violations is empty"),
+        ({"decision": "reject_nonequivalence"},
+         "decision reject_nonequivalence disagrees with the metrics' reject flags"),
+        ({"metrics.psi.violations": [], "metrics.psi.reject": True},
+         "decision fail_to_reject disagrees with the metrics' reject flags"),
+        ({"bootstrap_replicates": 12.9}, "bootstrap_replicates must be a non-negative integer"),
+        ({"bootstrap_replicates": -1}, "bootstrap_replicates must be a non-negative integer"),
+        ({"bootstrap_replicates": True}, "bootstrap_replicates must be a non-negative integer"),
+        ({"bootstrap_replicates": "200"}, "bootstrap_replicates must be a non-negative integer"),
+    ])
+    def test_values_no_report_holds_are_schema_errors(
+        self, equivalent_file, tmp_path, capsys, changes, message
+    ):
+        # the saved report: theta and lambda reject, psi fails at grid point 4
+        first = tmp_path / "first"
+        run_cli(["tost", "--input", equivalent_file, "--seed", "5",
+                 "--replicates", "200", "--out", str(first), "--emit", "json"])
+        payload = json.loads(read_bytes(first / "tost_report.json"))
+        assert payload["metrics"]["psi"]["violations"] == [4]
+        for path, value in changes.items():
+            *parents, key = path.split(".")
+            node = payload
+            for name in parents:
+                node = node[name]
+            node[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert run_cli(["report", "--input", str(bad), "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(
+            f"error [report-schema]: report JSON missing or bad field: {message}"
+        )
+        assert not out.exists()
 
 
 #: Runs every mode on tiny inputs (``data.csv`` in the given directory) in a
