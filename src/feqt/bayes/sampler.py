@@ -203,10 +203,8 @@ class MwgSampler:
     """Sampler core for a batch of chains; :func:`run_mwg` drives it.
 
     Every state array has a leading chain axis, and the update methods take
-    one generator per chain. The class also exposes prior simulation and data
-    regeneration so the Geweke-style successive-conditional check can reuse
-    the exact conditional updates it validates. The three metric priors share
-    one GP, factorized once: ``lcorr``, ``lcov`` and ``prec``.
+    one generator per chain. The three metric priors share one GP, factorized
+    once: ``lcorr``, ``lcov`` and ``prec``.
     """
 
     def __init__(self, data: GroupedPairedSample, prior: PriorSpec):
@@ -295,51 +293,6 @@ class MwgSampler:
             "hypers": _batch(hypers, chains),
             "indicators": np.stack([_coin_flips(rngs) for _ in range(3)], axis=1),
         }
-
-    def init_from_prior(self, rngs, mu0, tau_e, tau_a) -> dict:
-        """Draw every parameter of one chain per generator in ``rngs`` from its
-        prior, with the (T,) hyper-means fixed.
-
-        The flat hyper-mean priors are improper, so prior simulation (needed by
-        the Geweke check) conditions on supplied values and the corresponding
-        Gibbs updates are skipped while ``fixed_hypers`` is set.
-        """
-        chains = len(rngs)
-        self._start(chains)
-        hypers = _batch(np.array([mu0, tau_e, tau_a], float)[None], chains)
-        indicators = np.stack([_coin_flips(rngs) for _ in range(3)], axis=1)
-        curves = []  # mu, log lambda's and log psi's channel curves, (chains, 2, T) each
-        for hyper, d, offsets in zip(hypers.swapaxes(0, 1), indicators.T, self.offsets):
-            c1 = hyper + _mv(self.lcov, _normals(rngs, (self.T,)))
-            c2 = hyper - offsets[d] + _mv(self.lcov, _normals(rngs, (self.T,)))
-            curves.append(np.stack([c1, c2], axis=1))
-        uniforms = lambda: np.stack([r.uniform(-1.0, 1.0, self.T) for r in rngs])
-        rho = np.stack([uniforms(), uniforms()], axis=1)
-        return {
-            "mu": curves[0],
-            "alpha": self._draw_pairs(curves[0][:, None], curves[2], rho[:, 1], self.A, rngs),
-            "logvars": np.stack(curves[1:], axis=1),
-            "rho": rho,
-            "hypers": hypers,
-            "indicators": indicators,
-        }
-
-    def _draw_pairs(self, mean, logvar, rho, n, rngs):
-        """``n`` bivariate-normal curve pairs per chain around ``mean``
-        (broadcast to (chains, n, 2, T)) with channel log-variances ``logvar``
-        and correlation ``rho``."""
-        s = np.exp(0.5 * logvar)
-        s1, s2 = s[:, 0, None], s[:, 1, None]
-        z = _normals(rngs, (n, 2, self.T))
-        return _bvn(mean[..., 0, :], mean[..., 1, :], s1**2, rho[:, None] * s1 * s2, s2**2, z)
-
-    def simulate_data(self, state, rngs) -> None:
-        """Replace the observed curves by one draw per chain from the
-        likelihood at ``state`` (used by the successive-conditional Geweke
-        check)."""
-        mean = state["alpha"][:, self.labels]
-        lv, rho = state["logvars"][:, 0], state["rho"][:, 0]  # the error level
-        self._set_data(self._draw_pairs(mean, lv, rho, self.N, rngs))
 
     # ----- the random tape ------------------------------------------------
 

@@ -252,6 +252,8 @@ def _mode_bayes(args):
         raise CliError("bad-argument", f"--thin must be at least 1, got {args.thin}")
     if args.burnin < 0:
         raise CliError("bad-argument", f"--burnin must be at least 0, got {args.burnin}")
+    if args.chains < 1:
+        raise CliError("bad-argument", f"--chains must be at least 1, got {args.chains}")
     per_chain = kept_draws(args.iters, args.burnin, args.thin)
     draws = args.chains * per_chain
     if draws < MIN_POSTERIOR_DRAWS:

@@ -76,6 +76,8 @@ class Grid:
 
 def equispaced_grid(n_points: int = 25) -> Grid:
     """The default observation grid: ``n_points`` equispaced values on [0, 1]."""
+    if n_points < 1:
+        raise ValidationError(f"grid must be nonempty, got {n_points} points")
     return Grid(np.linspace(0.0, 1.0, n_points))
 
 

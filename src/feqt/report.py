@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .fdata import BandKind, BandPair, Grid
-from .tost import Metric, MetricResult, OneSidedBands, TostDecision, TostReport
+from .tost import Metric, MetricResult, OneSidedBands, TostDecision, TostReport, tost_decide
 
 _METRIC_TITLES = {
     Metric.THETA: "mean difference",
@@ -84,8 +84,10 @@ def tost_report_from_json(payload) -> TostReport:
     The payload must be one :func:`tost_report_json` can write: each metric's
     ``violations`` are strictly increasing integer grid indices, its
     ``reject`` is a JSON boolean that is true exactly when it has none, the
-    ``decision`` rejects exactly when every metric does, and
-    ``bootstrap_replicates`` is a non-negative integer.
+    ``decision`` rejects exactly when every metric does,
+    ``bootstrap_replicates`` is a non-negative integer, ``alpha`` is a number
+    in (0, 0.5), and ``lambda_noninferiority`` is the one
+    :func:`~feqt.tost.tost_decide` derives from the metrics' bands.
     """
     try:
         grid = Grid(payload["grid"])
@@ -128,13 +130,25 @@ def tost_report_from_json(payload) -> TostReport:
             raise ValueError(
                 f"bootstrap_replicates must be a non-negative integer, got {replicates!r}"
             )
-        noninf = payload.get("lambda_noninferiority")
+        alpha = payload.get("alpha", 0.05)
+        if not (isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
+                and 0.0 < alpha < 0.5):
+            raise ValueError(f"alpha must be a number in (0, 0.5), got {alpha!r}")
+        given = payload.get("lambda_noninferiority")
+        noninf = None if given is None else TostDecision(given)
+        derived = tost_decide(
+            {m: r.bands for m, r in results.items()},
+            {m: r.eq_band for m, r in results.items()},
+            {m: r.estimate for m, r in results.items()},
+        ).lambda_noninferiority
+        if noninf is not derived:
+            raise ValueError(f"lambda_noninferiority {given!r} disagrees with lambda's bands")
         return TostReport(
             grid=grid,
             results=results,
             decision=decision,
-            lambda_noninferiority=TostDecision(noninf) if noninf else None,
-            alpha=float(payload.get("alpha", 0.05)),
+            lambda_noninferiority=noninf,
+            alpha=float(alpha),
             replicates=replicates,
         )
     except (KeyError, ValueError, TypeError, AttributeError) as exc:

@@ -47,6 +47,7 @@ from feqt.tost import (
 )
 
 from conftest import band_coverage, make_grouped, record_criterion
+from geweke import init_from_prior, simulate_data
 
 
 @pytest.mark.slow
@@ -229,11 +230,14 @@ def test_criterion_7_mcmc_recovers_unit_ratios():
     assert ok
 
 
-@pytest.mark.slow
-def test_criterion_8_prior_recovery_cycling():
-    """Successive-conditional simulation (draw data from the state, then one
-    posterior sweep, repeatedly) must leave the prior invariant: monitored
-    scalar moments match independent prior draws."""
+@pytest.fixture(scope="module")
+def prior_and_cycles():
+    """Successive-conditional simulation (Geweke 2004): the monitored scalars
+    of 2000 independent prior draws and of 2000 cycles that each draw data
+    from the state and then run one posterior sweep, (cycles, scalar) each.
+    The first 10 scalars are criterion 8's; the other six are the lambda and
+    psi indicators, each variance level's channel difference, the square of
+    log psi_2 and the spread of alpha - mu."""
     grid = equispaced_grid(4)
     T, A, n = 4, 3, 4
     rng0 = np.random.default_rng(0)
@@ -250,12 +254,16 @@ def test_criterion_8_prior_recovery_cycling():
     tau_a = np.full(T, -1.5)
 
     def scalars(s):
+        lv = s["logvars"]
         return np.array([
             s["mu"][0].mean(), s["mu"][1].mean(),
-            s["logvars"][0].mean(), s["logvars"][1].mean(),
+            lv[0].mean(), lv[1].mean(),
             s["rho"][0].mean(), s["rho"][1].mean(),
             (s["mu"][0] ** 2).mean(), s["alpha"].mean(),
-            float(s["indicators"][0]), (s["logvars"][0, 0] ** 2).mean(),
+            float(s["indicators"][0]), (lv[0, 0] ** 2).mean(),
+            float(s["indicators"][1]), float(s["indicators"][2]),
+            (lv[1, 0] - lv[1, 1]).mean(), (lv[0, 0] - lv[0, 1]).mean(),
+            (lv[1, 1] ** 2).mean(), ((s["alpha"] - s["mu"]) ** 2).mean(),
         ])
 
     chain0 = lambda s: {k: v[0] for k, v in s.items()}
@@ -264,33 +272,50 @@ def test_criterion_8_prior_recovery_cycling():
     marginal_sampler.fixed_hypers = True
     r1 = _chain_rng(1, 0)
     marginal = np.array(
-        [scalars(chain0(marginal_sampler.init_from_prior([r1], mu0, tau_e, tau_a)))
+        [scalars(chain0(init_from_prior(marginal_sampler, [r1], mu0, tau_e, tau_a)))
          for _ in range(cycles)]
     )
 
     cyc_sampler = MwgSampler(data, prior)
     cyc_sampler.fixed_hypers = True
     r2 = _chain_rng(2, 0)
-    state = cyc_sampler.init_from_prior([r2], mu0, tau_e, tau_a)
+    state = init_from_prior(cyc_sampler, [r2], mu0, tau_e, tau_a)
     successive = np.empty_like(marginal)
     for c in range(cycles):
-        cyc_sampler.simulate_data(state, [r2])
+        simulate_data(cyc_sampler, state, [r2])
         cyc_sampler.sweep(state, [r2])
         successive[c] = scalars(chain0(state))
+    return marginal, successive
 
-    def batch_se(x, n_batches=40):
-        b = len(x) // n_batches
-        means = x[: n_batches * b].reshape(n_batches, b).mean(axis=1)
-        return means.std(ddof=1) / np.sqrt(n_batches)
 
-    z = np.empty(marginal.shape[1])
-    for i in range(marginal.shape[1]):
-        se = np.sqrt(batch_se(successive[:, i]) ** 2 + marginal[:, i].var(ddof=1) / cycles)
-        z[i] = (successive[:, i].mean() - marginal[:, i].mean()) / se
+def _geweke_z(marginal, successive, n_batches=40):
+    """Each scalar's z for equal means of the prior draws and the cycles,
+    with a batch-means standard error for the autocorrelated cycles."""
+    cycles = len(successive)
+    b = cycles // n_batches
+    means = successive[: n_batches * b].reshape(n_batches, b, -1).mean(axis=1)
+    se2 = means.var(axis=0, ddof=1) / n_batches + marginal.var(axis=0, ddof=1) / cycles
+    return (successive.mean(axis=0) - marginal.mean(axis=0)) / np.sqrt(se2)
+
+
+@pytest.mark.slow
+def test_criterion_8_prior_recovery_cycling(prior_and_cycles):
+    """Successive-conditional simulation must leave the prior invariant:
+    monitored scalar moments match independent prior draws."""
+    marginal, successive = (x[:, :10] for x in prior_and_cycles)
+    z = _geweke_z(marginal, successive)
     worst = float(np.abs(z).max())
     ok = worst < 4.0
     record_criterion(8, ok, f"max |z| over {marginal.shape[1]} monitored scalars = {worst:.2f} < 4")
     assert ok
+
+
+@pytest.mark.slow
+def test_prior_recovery_watches_every_move(prior_and_cycles):
+    """Criterion 8's check over all 16 scalars, so that a psi-indicator move
+    made without its likelihood ratio, which criterion 8 passes, fails."""
+    z = _geweke_z(*prior_and_cycles)
+    assert float(np.abs(z).max()) < 4.0, np.round(z, 2)
 
 
 def test_criterion_9_simultaneous_band_coverage():

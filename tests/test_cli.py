@@ -285,6 +285,8 @@ class TestArgumentsCheckedFirst:
         (["bayes", "--scale", "nan"], "prior range and scale must be positive and finite"),
         (["bayes", "--scale", "inf"], "prior range and scale must be positive and finite"),
         (["bayes", "--burnin", "-5"], "--burnin must be at least 0, got -5"),
+        (["simulate", "--grid-size", "-3"], "grid must be nonempty, got -3 points"),
+        (["bands", "--grid-size", "-3"], "grid must be nonempty, got -3 points"),
     ])
     def test_bad_argument_before_the_work(
         self, equivalent_file, tmp_path, capsys, monkeypatch, argv, message
@@ -314,6 +316,7 @@ class TestArgumentsCheckedFirst:
          "each chain keeps 1 draws; split R-hat needs at least 4"),
         (["--scale", "0.05", "--chains", "50", "--iters", "3", "--burnin", "1", "--thin", "1"],
          "each chain keeps 2 draws; split R-hat needs at least 4"),
+        (["--chains", "-2"], "--chains must be at least 1, got -2"),
     ])
     def test_bad_bayes_argument_before_calibration(
         self, equivalent_file, tmp_path, capsys, monkeypatch, flags, message
@@ -745,6 +748,11 @@ class TestReportMode:
         ({"bootstrap_replicates": -1}, "bootstrap_replicates must be a non-negative integer"),
         ({"bootstrap_replicates": True}, "bootstrap_replicates must be a non-negative integer"),
         ({"bootstrap_replicates": "200"}, "bootstrap_replicates must be a non-negative integer"),
+        ({"alpha": "0.05"}, "alpha must be a number in (0, 0.5), got '0.05'"),
+        ({"alpha": True}, "alpha must be a number in (0, 0.5), got True"),
+        ({"alpha": 0.7}, "alpha must be a number in (0, 0.5), got 0.7"),
+        ({"lambda_noninferiority": "fail_to_reject"},
+         "lambda_noninferiority 'fail_to_reject' disagrees with lambda's bands"),
     ])
     def test_values_no_report_holds_are_schema_errors(
         self, equivalent_file, tmp_path, capsys, changes, message

@@ -19,6 +19,7 @@ from feqt.fdata import BandKind, equispaced_grid, make_cosine_bands
 from feqt.tost import Metric
 
 from conftest import make_grouped
+from geweke import init_from_prior, simulate_data
 
 
 def small_prior(grid):
@@ -166,11 +167,11 @@ class TestSamplerCore:
         sampler.fixed_hypers = True
         r = _chain_rng(9, 0)
         T = 6
-        state = sampler.init_from_prior([r], np.zeros(T), np.full(T, -1.0), np.full(T, -2.0))
+        state = init_from_prior(sampler, [r], np.zeros(T), np.full(T, -1.0), np.full(T, -2.0))
         assert state["alpha"][0].shape == (3, 2, T)
         assert np.all(np.abs(state["rho"][:, 0]) < 1.0)
         before = sampler.y.copy()
-        sampler.simulate_data(state, [r])
+        simulate_data(sampler, state, [r])
         assert sampler.y.shape == before.shape
         assert not np.array_equal(sampler.y, before)
         # a sweep on simulated data keeps the state finite
@@ -192,10 +193,10 @@ class TestSamplerCore:
         sampler = MwgSampler(data, small_prior(data.grid))
         sampler.fixed_hypers = True
         rngs = [_chain_rng(4, c) for c in range(2)]
-        state = sampler.init_from_prior(rngs, np.zeros(5), np.full(5, -1.0), np.full(5, -1.5))
+        state = init_from_prior(sampler, rngs, np.zeros(5), np.full(5, -1.0), np.full(5, -1.5))
         h = hashlib.sha256()
         for cycle in range(20):
-            sampler.simulate_data(state, rngs)
+            simulate_data(sampler, state, rngs)
             sampler.sweep(state, rngs, cycle=cycle, adapting=cycle < 10)
             lv, rho, d = state["logvars"], state["rho"], state["indicators"]
             for a in (state["mu"], state["alpha"], lv[:, 0], lv[:, 1], rho[:, 0], rho[:, 1], *d.T):
@@ -225,7 +226,7 @@ class TestSamplerCore:
 
         sampler.sweep(state, rngs)
         check()
-        sampler.simulate_data(state, rngs)
+        simulate_data(sampler, state, rngs)
         check()
         sampler.sweep(state, rngs)
         check()
@@ -288,7 +289,7 @@ class TestSamplerCore:
         r = _chain_rng(2, 0)
         state = sampler.init_from_data([r])
         state["logvars"][0, 0] = np.full((2, 4), -60.0)  # essentially noiseless
-        sampler.simulate_data(state, [r])
+        simulate_data(sampler, state, [r])
         np.testing.assert_allclose(
             sampler.y[0], state["alpha"][0][data.group_labels()], atol=1e-10
         )
