@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .fdata import BandKind, BandPair, Grid
-from .tost import Metric, MetricResult, OneSidedBands, TostDecision, TostReport, tost_decide
+from .tost import Metric, OneSidedBands, TostReport, tost_decide
 
 _METRIC_TITLES = {
     Metric.THETA: "mean difference",
@@ -72,85 +72,59 @@ def tost_report_csv(report: TostReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_int(x) -> bool:
-    """Whether ``x`` is a JSON integer (``bool`` subclasses ``int``; a JSON boolean is not one)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def tost_report_from_json(payload) -> TostReport:
     """Rebuild a :class:`TostReport` from a parsed :func:`tost_report_json`
     payload; raises ``ValueError`` naming the first missing or bad field.
 
-    The payload must be one :func:`tost_report_json` can write: each metric's
-    ``violations`` are strictly increasing integer grid indices, its
-    ``reject`` is a JSON boolean that is true exactly when it has none, the
-    ``decision`` rejects exactly when every metric does,
-    ``bootstrap_replicates`` is a non-negative integer, ``alpha`` is a number
-    in (0, 0.5), and ``lambda_noninferiority`` is the one
-    :func:`~feqt.tost.tost_decide` derives from the metrics' bands.
+    The payload must be one :func:`tost_report_json` can write: every curve
+    holds one finite number per grid point, ``alpha`` is a number in
+    (0, 0.5), ``bootstrap_replicates`` is a non-negative integer, and each
+    metric's ``violations`` and ``reject``, the ``decision`` and
+    ``lambda_noninferiority`` are, as JSON, the ones
+    :func:`~feqt.tost.tost_decide` derives from the curves.
     """
     try:
         grid = Grid(payload["grid"])
         T = len(grid)
-        results = {}
+        bands, eq_bands, estimates = {}, {}, {}
         for name, m in payload["metrics"].items():
             metric = Metric(name)
+            c = {}
             for field in _CURVE_FIELDS:
                 if np.shape(m[field]) != (T,):
                     raise ValueError(
                         f"{name}.{field} needs one value per grid point ({T}), "
                         f"got shape {np.shape(m[field])}"
                     )
-            viol, reject = m["violations"], m["reject"]
-            if not all(map(_is_int, viol)):
-                raise ValueError(f"{name}.violations must be integers, got {viol!r}")
-            if not all(0 <= i < T for i in viol):
-                raise ValueError(f"{name}.violations must index the {T}-point grid")
-            if any(a >= b for a, b in zip(viol, viol[1:])):
-                raise ValueError(f"{name}.violations must be strictly increasing, got {viol!r}")
-            if not isinstance(reject, bool):
-                raise ValueError(f"{name}.reject must be true or false, got {reject!r}")
-            if reject != (not viol):
-                raise ValueError(f"{name}.reject must be true exactly when violations is empty")
-            c = {field: np.asarray(m[field], dtype=float) for field in _CURVE_FIELDS}
-            results[metric] = MetricResult(
-                metric=metric,
-                estimate=c["estimate"],
-                bands=OneSidedBands(metric, c["overlap_upper"], c["overlap_lower"]),
-                eq_band=BandPair(grid, c["band_lower"], c["band_upper"], metric.band_kind),
-                violations=np.asarray(viol, dtype=int),
-                reject=reject,
-            )
-        decision = TostDecision(payload["decision"])
-        rejects = all(r.reject for r in results.values())
-        if rejects != (decision is TostDecision.REJECT_NONEQUIVALENCE):
-            raise ValueError(f"decision {decision.value} disagrees with the metrics' reject flags")
-        replicates = payload.get("bootstrap_replicates", 0)
-        if not (_is_int(replicates) and replicates >= 0):
+                c[field] = np.asarray(m[field], dtype=float)
+                if not np.all(np.isfinite(c[field])):
+                    raise ValueError(f"{name}.{field} must hold finite numbers")
+            estimates[metric] = c["estimate"]
+            bands[metric] = OneSidedBands(metric, c["overlap_upper"], c["overlap_lower"])
+            eq_bands[metric] = BandPair(grid, c["band_lower"], c["band_upper"], metric.band_kind)
+        replicates = payload["bootstrap_replicates"]
+        # bool subclasses int, but a JSON boolean is not an integer
+        if isinstance(replicates, bool) or not isinstance(replicates, int) or replicates < 0:
             raise ValueError(
                 f"bootstrap_replicates must be a non-negative integer, got {replicates!r}"
             )
-        alpha = payload.get("alpha", 0.05)
+        alpha = payload["alpha"]
         if not (isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
                 and 0.0 < alpha < 0.5):
             raise ValueError(f"alpha must be a number in (0, 0.5), got {alpha!r}")
-        given = payload.get("lambda_noninferiority")
-        noninf = None if given is None else TostDecision(given)
-        derived = tost_decide(
-            {m: r.bands for m, r in results.items()},
-            {m: r.eq_band for m, r in results.items()},
-            {m: r.estimate for m, r in results.items()},
-        ).lambda_noninferiority
-        if noninf is not derived:
-            raise ValueError(f"lambda_noninferiority {given!r} disagrees with lambda's bands")
-        return TostReport(
-            grid=grid,
-            results=results,
-            decision=decision,
-            lambda_noninferiority=noninf,
-            alpha=float(alpha),
-            replicates=replicates,
-        )
+        report = tost_decide(bands, eq_bands, estimates, alpha=float(alpha), replicates=replicates)
+        derived = json.loads(tost_report_json(report))
+        checks = [
+            (f"{name}.{key}", m[key], derived["metrics"][name][key])
+            for name, m in payload["metrics"].items()
+            for key in ("violations", "reject")
+        ]
+        checks += [(k, payload[k], derived[k]) for k in ("decision", "lambda_noninferiority")]
+        for field, *values in checks:
+            given, want = map(json.dumps, values)
+            if given != want:
+                raise ValueError(f"{field} must be {want} (from the curves), got {given}")
+        return report
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         # a JSON array or a metrics list fails here with a type error
         raise ValueError(f"report JSON missing or bad field: {exc}") from exc

@@ -196,9 +196,9 @@ class TostReport:
     grid: Grid
     results: dict  # Metric -> MetricResult
     decision: TostDecision
-    lambda_noninferiority: Optional[TostDecision] = None
-    alpha: float = 0.05
-    replicates: int = 0
+    lambda_noninferiority: Optional[TostDecision]
+    alpha: float
+    replicates: int
 
 
 def empirical_quantile(x: np.ndarray, p: float) -> np.ndarray:

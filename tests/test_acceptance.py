@@ -235,9 +235,10 @@ def prior_and_cycles():
     """Successive-conditional simulation (Geweke 2004): the monitored scalars
     of 2000 independent prior draws and of 2000 cycles that each draw data
     from the state and then run one posterior sweep, (cycles, scalar) each.
-    The first 10 scalars are criterion 8's; the other six are the lambda and
+    The first 10 scalars are criterion 8's; the other eight are the lambda and
     psi indicators, each variance level's channel difference, the square of
-    log psi_2 and the spread of alpha - mu."""
+    log psi_2, the spread of alpha - mu, the square of log lambda_2 and the
+    square of log lambda_1 - log lambda_2."""
     grid = equispaced_grid(4)
     T, A, n = 4, 3, 4
     rng0 = np.random.default_rng(0)
@@ -264,6 +265,7 @@ def prior_and_cycles():
             float(s["indicators"][1]), float(s["indicators"][2]),
             (lv[1, 0] - lv[1, 1]).mean(), (lv[0, 0] - lv[0, 1]).mean(),
             (lv[1, 1] ** 2).mean(), ((s["alpha"] - s["mu"]) ** 2).mean(),
+            (lv[0, 1] ** 2).mean(), ((lv[0, 0] - lv[0, 1]) ** 2).mean(),
         ])
 
     chain0 = lambda s: {k: v[0] for k, v in s.items()}
@@ -312,8 +314,9 @@ def test_criterion_8_prior_recovery_cycling(prior_and_cycles):
 
 @pytest.mark.slow
 def test_prior_recovery_watches_every_move(prior_and_cycles):
-    """Criterion 8's check over all 16 scalars, so that a psi-indicator move
-    made without its likelihood ratio, which criterion 8 passes, fails."""
+    """Criterion 8's check over all 18 scalars, so that a psi- or
+    lambda-indicator move made without its likelihood ratio, which criterion
+    8 passes, fails."""
     z = _geweke_z(*prior_and_cycles)
     assert float(np.abs(z).max()) < 4.0, np.round(z, 2)
 

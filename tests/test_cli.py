@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,14 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feqt.cli import EXIT_ERROR, EXIT_FAIL_TO_REJECT, EXIT_OK, _parse_args, build_parser, run_cli
 from feqt.curvefile import write_curves
 from feqt.estimators import DegenerateVarianceError
 from feqt.fdata import equispaced_grid
+from feqt.report import tost_report_from_json, tost_report_json
 from feqt.simlab import default_truth, generate_dataset
+from feqt.tost import tost_decide
 
 
 @pytest.fixture(scope="module")
@@ -654,6 +658,50 @@ class TestSimulateMode:
         assert capsys.readouterr().err.startswith("error [AssertionError]: ")
 
 
+_METRIC_NAMES = st.sampled_from(["lambda", "psi", "theta"])
+_DECISIONS = st.sampled_from(["reject_nonequivalence", "fail_to_reject"])
+
+#: One edit of a saved report on the 8-point grid: toggle a metric's
+#: ``reject``, add or drop one of its ``violations``, set ``decision`` or
+#: ``lambda_noninferiority``, or move an overlap endpoint onto its band or one
+#: ulp across it.
+_REPORT_EDITS = st.one_of(
+    st.tuples(st.just("reject"), _METRIC_NAMES),
+    st.tuples(st.just("violation"), _METRIC_NAMES, st.integers(0, 7)),
+    st.tuples(st.just("decision"), _DECISIONS),
+    st.tuples(st.just("lambda_noninferiority"), st.one_of(st.none(), _DECISIONS)),
+    st.tuples(st.just("overlap"), _METRIC_NAMES, st.sampled_from(["lower", "upper"]),
+              st.integers(0, 7), st.booleans()),
+)
+
+
+def _edit_report(payload, kind, *args):
+    """Apply one :data:`_REPORT_EDITS` edit to ``payload`` in place."""
+    if kind in ("decision", "lambda_noninferiority"):
+        payload[kind] = args[0]
+        return
+    m = payload["metrics"][args[0]]
+    if kind == "reject":
+        m["reject"] = not m["reject"]
+    elif kind == "violation":
+        m["violations"] = sorted(set(m["violations"]) ^ {args[1]})
+    else:
+        side, i, across = args[1:]
+        edge = m[f"band_{side}"][i]
+        outward = -math.inf if side == "lower" else math.inf
+        m[f"overlap_{side}"][i] = math.nextafter(edge, outward) if across else edge
+
+
+@pytest.fixture(scope="module")
+def saved_report(equivalent_file, tmp_path_factory):
+    """The parsed ``tost_report.json`` of ``equivalent_file``: theta and lambda
+    reject at every grid point, psi fails at grid point 4."""
+    out = tmp_path_factory.mktemp("saved")
+    run_cli(["tost", "--input", equivalent_file, "--seed", "5",
+             "--replicates", "200", "--out", str(out), "--emit", "json"])
+    return json.loads(read_bytes(out / "tost_report.json"))
+
+
 class TestReportMode:
     def test_rerender_matches_original(self, equivalent_file, tmp_path, capsys):
         first = tmp_path / "first"
@@ -705,6 +753,8 @@ class TestReportMode:
         ("estimate", [0.0]),
         ("band_upper", [[1.0], [2.0]]),
         ("violations", [8]),
+        ("estimate", [math.nan] * 8),
+        ("overlap_upper", [0.0] * 7 + [math.inf]),
     ])
     def test_arrays_off_the_grid_are_schema_errors(
         self, equivalent_file, tmp_path, capsys, field, value
@@ -729,21 +779,21 @@ class TestReportMode:
 
     @pytest.mark.parametrize("changes, message", [
         ({"metrics.theta.violations": [1.5, True], "metrics.theta.reject": False},
-         "theta.violations must be integers, got [1.5, True]"),
+         "theta.violations must be [] (from the curves), got [1.5, true]"),
         ({"metrics.theta.violations": [True], "metrics.theta.reject": False},
-         "theta.violations must be integers"),
-        ({"metrics.psi.violations": [4, 4]}, "psi.violations must be strictly increasing"),
-        ({"metrics.psi.violations": [5, 4]}, "psi.violations must be strictly increasing"),
-        ({"metrics.theta.reject": "no"}, "theta.reject must be true or false, got 'no'"),
-        ({"metrics.theta.reject": 1}, "theta.reject must be true or false, got 1"),
-        ({"metrics.theta.reject": False},
-         "theta.reject must be true exactly when violations is empty"),
-        ({"metrics.psi.reject": True},
-         "psi.reject must be true exactly when violations is empty"),
+         "theta.violations must be [] (from the curves), got [true]"),
+        ({"metrics.psi.violations": [4, 4]},
+         "psi.violations must be [4] (from the curves), got [4, 4]"),
+        ({"metrics.psi.violations": [5, 4]},
+         "psi.violations must be [4] (from the curves), got [5, 4]"),
+        ({"metrics.theta.reject": "no"}, 'theta.reject must be true (from the curves), got "no"'),
+        ({"metrics.theta.reject": 1}, "theta.reject must be true (from the curves), got 1"),
+        ({"metrics.theta.reject": False}, "theta.reject must be true (from the curves), got false"),
+        ({"metrics.psi.reject": True}, "psi.reject must be false (from the curves), got true"),
         ({"decision": "reject_nonequivalence"},
-         "decision reject_nonequivalence disagrees with the metrics' reject flags"),
+         'decision must be "fail_to_reject" (from the curves), got "reject_nonequivalence"'),
         ({"metrics.psi.violations": [], "metrics.psi.reject": True},
-         "decision fail_to_reject disagrees with the metrics' reject flags"),
+         "psi.violations must be [4] (from the curves), got []"),
         ({"bootstrap_replicates": 12.9}, "bootstrap_replicates must be a non-negative integer"),
         ({"bootstrap_replicates": -1}, "bootstrap_replicates must be a non-negative integer"),
         ({"bootstrap_replicates": True}, "bootstrap_replicates must be a non-negative integer"),
@@ -752,7 +802,13 @@ class TestReportMode:
         ({"alpha": True}, "alpha must be a number in (0, 0.5), got True"),
         ({"alpha": 0.7}, "alpha must be a number in (0, 0.5), got 0.7"),
         ({"lambda_noninferiority": "fail_to_reject"},
-         "lambda_noninferiority 'fail_to_reject' disagrees with lambda's bands"),
+         'lambda_noninferiority must be "reject_nonequivalence" (from the curves), '
+         'got "fail_to_reject"'),
+        ({"metrics.lambda.violations": [0], "metrics.lambda.reject": False,
+          "decision": "fail_to_reject"},
+         "lambda.violations must be [] (from the curves), got [0]"),
+        ({"metrics.psi.band_lower": [1e-3] * 8, "metrics.psi.band_upper": [1e3] * 8},
+         "psi.violations must be [] (from the curves), got [4]"),
     ])
     def test_values_no_report_holds_are_schema_errors(
         self, equivalent_file, tmp_path, capsys, changes, message
@@ -777,6 +833,29 @@ class TestReportMode:
             f"error [report-schema]: report JSON missing or bad field: {message}"
         )
         assert not out.exists()
+
+    @given(edits=st.lists(_REPORT_EDITS, min_size=1, max_size=3))
+    @example(edits=[("violation", "lambda", 0), ("reject", "lambda"),
+                    ("decision", "fail_to_reject")])
+    def test_reader_takes_only_what_tost_writes(self, saved_report, edits):
+        """Edited payloads are refused, or are exactly what the writer makes
+        of the report the reader returns, and of a fresh TOST decision on its
+        curves."""
+        payload = copy.deepcopy(saved_report)
+        for edit in edits:
+            _edit_report(payload, *edit)
+        try:
+            rep = tost_report_from_json(payload)
+        except ValueError:
+            return
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert tost_report_json(rep) == text
+        res = rep.results
+        decided = tost_decide(
+            {m: r.bands for m, r in res.items()}, {m: r.eq_band for m, r in res.items()},
+            {m: r.estimate for m, r in res.items()}, alpha=rep.alpha, replicates=rep.replicates,
+        )
+        assert tost_report_json(decided) == text
 
 
 #: Runs every mode on tiny inputs (``data.csv`` in the given directory) in a
@@ -849,3 +928,17 @@ def test_each_step_loads_only_the_scipy_packages_it_calls(tmp_path):
     for step, code, _ in steps:
         assert code in (None, EXIT_OK, EXIT_FAIL_TO_REJECT), (step, proc.stderr)
     assert [(step, loaded) for step, _, loaded in steps] == SCIPY_BY_STEP
+
+
+@pytest.mark.parametrize("module", ["feqt", "feqt.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    import feqt
+
+    src = str(Path(feqt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "tost", "--input", "missing.csv"],
+        env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_ERROR
+    assert "error [missing-input]: input file not found: missing.csv" in proc.stderr
