@@ -45,9 +45,18 @@ from .simlab import (
     run_study,
 )
 from .curvefile import CurveFileError, read_curves, write_curves
-from .cli import run_cli
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # run_cli loads on first use, so that importing the package does not
+    # import feqt.cli and ``python -m feqt.cli`` runs that module only once
+    if name == "run_cli":
+        from .cli import run_cli
+
+        return run_cli
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BandKind",

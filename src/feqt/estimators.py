@@ -45,7 +45,8 @@ class MetricEstimates:
 class AnovaDecomposition:
     """Pointwise one-way ANOVA quantities for a grouped paired sample.
 
-    Arrays indexed by channel j in {0, 1} along their first axis.
+    Arrays indexed by channel j in {0, 1} along their first axis; the
+    decomposition of a batch of datasets puts the batch axes before it.
     ``s2_alpha`` is floored at ``VARIANCE_FLOOR`` pointwise.
     """
 
@@ -85,22 +86,29 @@ def anova_decompose(g: GroupedPairedSample) -> AnovaDecomposition:
     SSE is taken around the overall mean with divisor N-1 inside ``s2_alpha``,
     following the printed estimator.
     """
-    A = g.n_groups
-    sizes = g.group_sizes
-    N = g.n_total
+    return _decompose(g.stacked(), g.group_sizes)
+
+
+def _decompose(y: np.ndarray, sizes: np.ndarray) -> AnovaDecomposition:
+    """:func:`anova_decompose` of the (..., N, 2, T) pairs ``y``, each
+    group's rows contiguous, over any leading axes. Each dataset's sums run
+    in the same order, and so have the same bits, whatever the leading axes.
+    """
+    A = sizes.size
+    N = y.shape[-3]
     if N < A + 1:
         raise ValueError("need at least A+1 pairs in total")
 
-    y = g.stacked()  # (N, 2, T), each group's rows contiguous
-    ybar = y.mean(axis=0)  # (2, T)
+    ybar = y.mean(axis=-3)  # (..., 2, T)
     # each group's mean as y[rows].mean(axis=0) computes it: the rows summed in order
-    ybar_group = np.empty((A,) + ybar.shape)
+    ybar_group = np.empty(ybar.shape[:-2] + (A,) + ybar.shape[-2:])
     for i, (n, e) in enumerate(zip(sizes.tolist(), np.cumsum(sizes).tolist())):
-        np.add.reduce(y[e - n : e], axis=0, out=ybar_group[i])
+        np.add.reduce(y[..., e - n : e, :, :], axis=-3, out=ybar_group[..., i, :, :])
     ybar_group /= sizes[:, None, None]
 
-    sse = ((y - ybar) ** 2).sum(axis=0)
-    ssa = (sizes[:, None, None] * (ybar_group - ybar) ** 2).sum(axis=0)
+    dev = y - ybar[..., None, :, :]
+    sse = np.square(dev, out=dev).sum(axis=-3)
+    ssa = (sizes[:, None, None] * (ybar_group - ybar[..., None, :, :]) ** 2).sum(axis=-3)
     n_star = (N - (sizes.astype(float) ** 2).sum() / N) / (A - 1)
 
     return AnovaDecomposition(
@@ -129,13 +137,18 @@ def estimate_metrics_grouped(
     """
     if d is None:
         d = anova_decompose(g)
-    theta = (d.mean_by_group[:, 0, :] - d.mean_by_group[:, 1, :]).mean(axis=0)
+    theta = _theta_hat(d)
     if np.any(d.sse[1] <= 0.0):
         t = int(np.argmax(d.sse[1] <= 0.0))
         raise DegenerateVarianceError(f"zero SSE denominator at grid index {t}")
     lam = d.sse[0] / d.sse[1]
     psi = d.s2_alpha[0] / d.s2_alpha[1]
     return MetricEstimates(theta_hat=theta, lambda_hat=lam, psi_hat=psi)
+
+
+def _theta_hat(d: AnovaDecomposition) -> np.ndarray:
+    """The mean of the group-mean differences, over any leading axes of ``d``."""
+    return (d.mean_by_group[..., 0, :] - d.mean_by_group[..., 1, :]).mean(axis=-2)
 
 
 def adjusted_random_effects(d: AnovaDecomposition) -> np.ndarray:
@@ -147,11 +160,23 @@ def adjusted_random_effects(d: AnovaDecomposition) -> np.ndarray:
     means. The bootstrap needs this rescaling for its confidence intervals to
     be consistent; the sign flip leaves variances and |correlations| unchanged.
     """
-    sd = d.mean_by_group.std(axis=0, ddof=1)  # (2, T)
+    sd = _group_spread(d)  # (2, T)
     if np.any(sd <= 0.0):
         j, t = (int(v) for v in np.argwhere(sd <= 0.0)[0])
         raise DegenerateSpreadError(
             f"zero spread of group means at channel {j + 1}, grid index {t}"
         )
-    scale = np.sqrt(d.s2_alpha) / sd  # (2, T)
-    return d.mean_overall - (d.mean_by_group - d.mean_overall) * scale
+    return _adjust(d, sd)
+
+
+def _group_spread(d: AnovaDecomposition) -> np.ndarray:
+    """SD_j of :func:`adjusted_random_effects`, over any leading axes of ``d``."""
+    return d.mean_by_group.std(axis=-3, ddof=1)
+
+
+def _adjust(d: AnovaDecomposition, sd: np.ndarray) -> np.ndarray:
+    """:func:`adjusted_random_effects` from the spread ``sd``, over any
+    leading axes of ``d``."""
+    scale = np.sqrt(d.s2_alpha) / sd  # (..., 2, T)
+    mean = d.mean_overall[..., None, :, :]
+    return mean - (d.mean_by_group - mean) * scale[..., None, :, :]

@@ -24,8 +24,25 @@ from .fdata import (
     band_contains,
     freeze_arrays,
 )
-from .estimators import DegenerateSpreadError, DegenerateVarianceError
-from .tost import BootstrapConfig, DegenerateReplicateError, Metric, run_tost
+from .estimators import (
+    DegenerateSpreadError,
+    DegenerateVarianceError,
+    _adjust,
+    _decompose,
+    _group_spread,
+    _theta_hat,
+)
+from .tost import (
+    BootstrapConfig,
+    DegenerateReplicateError,
+    Design,
+    Metric,
+    _scratch,
+    _strictly_inside,
+    _theta_draws,
+    run_tost,
+    theta_bands,
+)
 from .bayes.kernels import matern_corr, corr_cholesky
 
 #: Failures on data too degenerate for the engine. A study records these per
@@ -183,8 +200,9 @@ def _correlated_pair(blocks, rho):
     si = np.sqrt(1.0 - np.abs(rho))
     sign = np.where(rho >= 0.0, 1.0, -1.0)
     out = np.empty(w.shape[:-1] + (2, w.shape[-1]))
-    out[..., 0, :] = sr * w + si * u1
-    out[..., 1, :] = sign * sr * w + si * u2
+    for c, (weight, u) in enumerate(((sr, u1), (sign * sr, u2))):
+        np.multiply(weight, w, out=out[..., c, :])
+        out[..., c, :] += si * u
     return out
 
 
@@ -192,38 +210,58 @@ def generate_dataset(truth: TruthSpec, seed) -> GroupedPairedSample:
     """Simulate a grouped matched-pair dataset from ``truth``.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; the draw is
-    deterministic in it. One ``standard_normal`` call draws every value;
-    group by group it holds the effect's three (T,) blocks, then the
-    residuals' three (n, T) blocks. Each block is correlated along the domain
-    by its own product with the Cholesky factor, the products of one shape
-    stacked into one call: a product's rounding can depend on its row count,
-    so one big product over all the rows would not give the same bits.
+    deterministic in it (see :func:`_draw_values`).
     """
-    rng = np.random.default_rng(seed)
+    return _dataset(truth, _draw_values(truth, [seed])[0])
+
+
+def _dataset(truth: TruthSpec, y: np.ndarray) -> GroupedPairedSample:
+    """The grouped sample of the (N, 2, T) pairs ``y``, in ``truth``'s groups."""
+    ends = np.cumsum(truth.group_sizes).tolist()
+    groups = tuple(
+        PairedFunctionalSample(truth.grid, y[e - n : e, 0], y[e - n : e, 1])
+        for n, e in zip(truth.group_sizes.tolist(), ends)
+    )
+    return GroupedPairedSample(truth.grid, groups)
+
+
+def _draw_values(truth: TruthSpec, seeds) -> np.ndarray:
+    """The pairs of one dataset per seed: (len(seeds), N, 2, T), each
+    group's rows contiguous.
+
+    Each dataset draws from its own ``default_rng(seed)``, and the draws of
+    one do not depend on the others in the batch. One ``standard_normal``
+    call draws every value of a dataset; group by group it holds the
+    effect's three (T,) blocks, then the residuals' three (n, T) blocks.
+    Each block is correlated along the domain by its own product with the
+    Cholesky factor, the effects' products in one call and each group's
+    residual products in one, over the batch: a product's rounding can
+    depend on its row count, so one big product over all the rows would not
+    give the same bits.
+    """
     chol_t = truth._chol.T
-    sd_alpha = np.sqrt(truth.s2_alpha)
-    sd_eps = np.sqrt(truth.s2_eps)
     T = len(truth.grid)
     sizes = truth.group_sizes
     ends = np.cumsum(sizes)
-    N = int(ends[-1])
-    z = rng.standard_normal(3 * T * (sizes.size + N))
+    k, N = len(seeds), int(ends[-1])
+    # the normals and their correlated blocks, in this thread's buffers
+    z = _scratch("normals", (k, 3 * T * (sizes.size + N)))
+    for row, seed in zip(z, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
     start = 3 * T * (np.cumsum(sizes + 1) - (sizes + 1))  # of each group's values in z
-    effect = z[start[:, None] + np.arange(3 * T)].reshape(-1, 3, 1, T)
-    w = np.matmul(effect, chol_t)[..., 0, :]  # (A, 3, T)
-    u = np.empty((3, N, T))
-    for n in np.unique(sizes).tolist():
-        g = np.flatnonzero(sizes == n)
-        resid = z[(start[g] + 3 * T)[:, None] + np.arange(3 * n * T)].reshape(-1, 3, n, T)
-        rows = ((ends[g] - n)[:, None] + np.arange(n)).ravel()
-        u[:, rows] = np.matmul(resid, chol_t).transpose(1, 0, 2, 3).reshape(3, -1, T)
-    alpha = truth.mu + sd_alpha * _correlated_pair(np.moveaxis(w, 1, 0), truth.rho_alpha)
-    y = alpha.repeat(sizes, axis=0) + sd_eps * _correlated_pair(u, truth.rho_eps)
-    groups = tuple(
-        PairedFunctionalSample(truth.grid, y[e - n : e, 0], y[e - n : e, 1])
-        for n, e in zip(sizes.tolist(), ends.tolist())
-    )
-    return GroupedPairedSample(truth.grid, groups)
+    effect = z[:, start[:, None] + np.arange(3 * T)].reshape(k, -1, 3, 1, T)
+    w = np.matmul(effect, chol_t)[..., 0, :]  # (k, A, 3, T)
+    u = _scratch("blocks", (3, k, N, T))
+    for a, n, e in zip((start + 3 * T).tolist(), sizes.tolist(), ends.tolist()):
+        resid = z[:, a : a + 3 * n * T].reshape(k, 3, n, T)
+        np.matmul(resid, chol_t, out=u[:, :, e - n : e].swapaxes(0, 1))
+    alpha = truth.mu + np.sqrt(truth.s2_alpha) * _correlated_pair(np.moveaxis(w, -2, 0),
+                                                                 truth.rho_alpha)
+    y = _correlated_pair(u, truth.rho_eps)
+    y *= np.sqrt(truth.s2_eps)
+    for i, (n, e) in enumerate(zip(sizes.tolist(), ends.tolist())):
+        y[:, e - n : e] += alpha[:, i, None]
+    return y
 
 
 #: The truth field each metric reads, channel 1 against channel 2.
@@ -292,6 +330,44 @@ def _frequentist_reject(data, cfg: BootstrapConfig, eq_bands: dict, metric: Metr
     return report.results[metric].reject
 
 
+#: Elements in the largest array a batch of a theta study allocates afresh
+#: (:func:`run_study`): 128 KiB of float64, glibc's default mmap threshold.
+#: Freed arrays under it stay on the heap for the next batch; larger ones
+#: can go back to the OS and be faulted in again, batch after batch.
+_BATCH_ELEMS = 16_384
+
+
+def _theta_rejects(y: np.ndarray, sizes: np.ndarray, cfgs: list, eq_band: BandPair):
+    """The theta TOSTs of the datasets ``y``, (k, N, 2, T) in groups of
+    ``sizes``, each bootstrapped by its config of ``cfgs``, against the
+    additive band ``eq_band``: per dataset, whether it rejects and whether
+    it was decided.
+
+    Every step is :func:`run_tost`'s on one dataset, with the same bits,
+    taken over the batch axis: the ANOVA, theta_hat and the adjusted random
+    effects; then each dataset's theta draws; then the bands and the
+    decisions. A dataset whose channel-2 SSE or group-mean spread is zero
+    somewhere is left undecided, for :func:`run_tost` to refuse alone.
+    """
+    d = _decompose(y, sizes)
+    sd = _group_spread(d)
+    decided = ~(np.any(d.sse[:, 1] <= 0.0, axis=-1) | np.any(sd <= 0.0, axis=(-2, -1)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero spread: undecided datasets only
+        a_hat = _adjust(d, sd)
+        effects = a_hat[..., 0, :] - a_hat[..., 1, :]
+    # the residuals' channel differences, group by group
+    resid = np.empty(y.shape[:2] + y.shape[3:])
+    for i, (n, e) in enumerate(zip(sizes.tolist(), np.cumsum(sizes).tolist())):
+        dev = y[:, e - n : e] - d.mean_by_group[:, i, None]
+        np.subtract(dev[..., 0, :], dev[..., 1, :], out=resid[:, e - n : e])
+    weights = 1.0 / sizes.astype(float).repeat(sizes)
+    draws = np.zeros((y.shape[0], cfgs[0].replicates, y.shape[-1]))
+    for j in np.flatnonzero(decided):
+        draws[j] = _theta_draws(cfgs[j], effects[j], resid[j], weights)
+    bands = theta_bands(draws, _theta_hat(d), cfgs[0].alpha)
+    return np.all(_strictly_inside(bands, eq_band), axis=-1), decided
+
+
 def run_study(
     seq: ScenarioSequence,
     replicates: int,
@@ -307,30 +383,60 @@ def run_study(
     study can be reproduced in isolation. Replicates whose data are too
     degenerate for the engine (a zero variance or spread estimate, the redraw
     cap) are recorded and excluded from the denominator rather than aborting
-    the study; any other exception is a bug and propagates.
+    the study; any other exception is a bug and propagates. ``eq_bands``
+    without bands of the sequence's metric, or with bands of the wrong kind
+    for it, is refused before any draw.
+
+    A scenario's replicates are drawn and decided in batches, a number fixed
+    by the dataset and bootstrap sizes, under the same keys and with the same
+    bits as one :func:`run_tost` per replicate. With the random-effects
+    design and a band map of theta alone, the one the CLI passes for a theta
+    sequence, a batch's datasets are decomposed, bootstrapped and decided
+    together (:func:`_theta_rejects`). Every other replicate, those of a
+    lambda or psi sequence or a band map of more metrics, and a degenerate
+    one, is decided alone by :func:`run_tost`.
     """
     if replicates < MIN_STUDY_REPLICATES:
         raise ValueError(f"need at least {MIN_STUDY_REPLICATES} replicates")
     metric = seq.metric
+    if metric not in eq_bands:
+        raise ValueError(f"eq_bands holds no bands of the sequence's metric {metric.value}")
+    metric.check_bands(eq_bands[metric])
+    batched = eq_bands.keys() == {Metric.THETA} and cfg.design is Design.RANDOM_EFFECTS_MATCHED
     n = len(seq.truths)
     counts = np.zeros(n, dtype=int)
     done = np.zeros(n, dtype=int)
     errors = []
     for s, truth in enumerate(seq.truths, start=1):
-        for r in range(replicates):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(s, r))
-            data = generate_dataset(truth, ss)
-            rep_seed = int(ss.generate_state(1)[0] >> 1)
+        sizes, T = truth.group_sizes, len(truth.grid)
+        N = int(sizes.sum())
+        # the largest array a dataset adds to a batch: its pairs or its theta
+        # draws (the normals and their blocks are in this thread's buffers)
+        step = max(1, _BATCH_ELEMS // max(2 * N * T, cfg.replicates * T))
+        for lo in range(0, replicates, step):
+            keys = [np.random.SeedSequence(entropy=seed, spawn_key=(s, r))
+                    for r in range(lo, min(lo + step, replicates))]
+            y = _draw_values(truth, keys)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # cfg warned of a low B when it was built
-                rep_cfg = BootstrapConfig(cfg.replicates, cfg.alpha, rep_seed, cfg.design)
-            try:
-                reject = _frequentist_reject(data, rep_cfg, eq_bands, metric)
-            except _REPLICATE_ERRORS as exc:
-                errors.append((s, r, f"{type(exc).__name__}: {exc}"))
-                continue
-            done[s - 1] += 1
-            counts[s - 1] += int(reject)
+                cfgs = [BootstrapConfig(cfg.replicates, cfg.alpha,
+                                        int(ss.generate_state(1)[0] >> 1), cfg.design)
+                        for ss in keys]
+            rejects = decided = np.zeros(len(keys), dtype=bool)
+            if batched and sizes.min() >= 2:  # else run_tost refuses the groups of one pair
+                rejects, decided = _theta_rejects(y, sizes, cfgs, eq_bands[Metric.THETA])
+            for r, values, rep_cfg, reject, known in zip(
+                range(lo, lo + len(keys)), y, cfgs, rejects.tolist(), decided.tolist()
+            ):
+                if not known:
+                    try:
+                        reject = _frequentist_reject(_dataset(truth, values), rep_cfg,
+                                                     eq_bands, metric)
+                    except _REPLICATE_ERRORS as exc:
+                        errors.append((s, r, f"{type(exc).__name__}: {exc}"))
+                        continue
+                done[s - 1] += 1
+                counts[s - 1] += int(reject)
     return StudyResult(
         method="frequentist",
         metric=metric.value,

@@ -204,13 +204,16 @@ class TostReport:
 def empirical_quantile(x: np.ndarray, p: float) -> np.ndarray:
     """Inverse-CDF empirical quantile with index ceil(p*B), no interpolation.
 
-    Operates along axis 0; reproducible across implementations because no
-    interpolation scheme is involved.
+    Operates along the replicate axis of ``x``, (B,) or (..., B, T): axis 0
+    of a 1-D or 2-D array, the second-to-last of one with leading axes.
+    Reproducible across implementations because no interpolation scheme is
+    involved.
     """
     x = np.asarray(x)
-    b = x.shape[0]
+    axis = max(x.ndim - 2, 0)
+    b = x.shape[axis]
     k = min(max(int(np.ceil(p * b)), 1), b) - 1
-    return np.sort(x, axis=0)[k]
+    return np.take(np.sort(x, axis=axis), k, axis=axis)
 
 
 def replicate_rng(seed: int, r: int) -> Generator:
@@ -581,10 +584,10 @@ def bootstrap_random_effects(
     its SSE is 0 (:func:`_settle`).
 
     With ``theta_only`` a replicate computes theta alone, by the same
-    product, without S, Q or the group means, and returns ``lam`` and
-    ``psi`` as None. Theta is defined for every draw, so no replicate is
-    redrawn; wherever the full bootstrap redraws nothing, the theta draws
-    are the same bits.
+    product, without S, Q or the group means (:func:`_theta_draws`), and
+    returns ``lam`` and ``psi`` as None. Theta is defined for every draw, so
+    no replicate is redrawn; wherever the full bootstrap redraws nothing,
+    the theta draws are the same bits.
     """
     if np.any(g.group_sizes < 2):
         raise ValueError("every group needs at least 2 pairs")
@@ -598,12 +601,13 @@ def bootstrap_random_effects(
     n_i, n_max, n_star = sizes.astype(float), sizes.max(), decomp.n_star
     # theta's terms: the channel differences and each residual slot's weight
     terms = a_hat[:, :T] - a_hat[:, T:], resid[:, :T] - resid[:, T:], 1.0 / n_i[slot_group]
-    columns = None if theta_only else np.concatenate([resid, resid**2], axis=1)
+    if theta_only:
+        theta = _theta_draws(cfg, *terms)
+        return ReplicateDraws(theta, redraws=np.zeros(cfg.replicates, dtype=int))
+    columns = np.concatenate([resid, resid**2], axis=1)
 
     def stats_of(idx):
         m = idx.shape[0]
-        if theta_only:
-            return _theta(idx, *terms), np.ones(m, dtype=bool)
         sq = _count_sums(idx[:, A:], sizes, columns)  # (m, A, 4T)
         s = sq[..., : 2 * T]
         # the group means a_hat + S/n and their temporaries, in this thread's
@@ -630,17 +634,30 @@ def bootstrap_random_effects(
         # last, in the spent buffers of the sums, which outsize its own
         return _theta(idx, *terms), lam, s2a[:, :T] / s2a[:, T:], ok
 
-    if theta_only:
-        # the drawn indices and their words, an entry and a column index per
-        # residual slot, then the (A, T) drawn effects and theta
-        per_rep = 4 * N + 2 * A + (A + 1) * T
-    else:
-        # the drawn indices and count-matrix entries, then the (A, 4T) sums
-        # and the (A, 2T) group means and temporaries
-        per_rep = 3 * N + A + 12 * A * T
+    # the drawn indices and count-matrix entries, then the (A, 4T) sums and
+    # the (A, 2T) group means and temporaries
+    per_rep = 3 * N + A + 12 * A * T
     segments = ((A, A, 0), (N, N, 0))
     stats, redraws = _resolve_replicates(cfg, segments, stats_of, per_rep)
     return ReplicateDraws(*stats, redraws=redraws)
+
+
+def _theta_draws(cfg: BootstrapConfig, effects: np.ndarray, resid: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+    """The (B, T) theta draws of the grouped bootstrap from theta's terms
+    (:func:`_theta`): the (A, T) adjusted effects' and (N, T) residuals'
+    channel differences and each residual slot's weight."""
+    (A, T), N = effects.shape, weights.size
+    # the drawn indices and their words, an entry and a column index per
+    # residual slot, then the (A, T) drawn effects and theta
+    per_rep = 4 * N + 2 * A + (A + 1) * T
+    (theta,), _ = _resolve_replicates(
+        cfg,
+        ((A, A, 0), (N, N, 0)),
+        lambda idx: (_theta(idx, effects, resid, weights), np.ones(idx.shape[0], dtype=bool)),
+        per_rep,
+    )
+    return theta
 
 
 def theta_bands(draws: np.ndarray, theta_hat: np.ndarray, alpha: float) -> OneSidedBands:
@@ -673,14 +690,20 @@ def ratio_bands(
     )
 
 
+def _strictly_inside(bands: OneSidedBands, eq_band: BandPair) -> np.ndarray:
+    """Where both one-sided tests reject: the shaded region
+    [upper_of_lower_ci, lower_of_upper_ci] lies strictly inside the open
+    band interval. Boolean, the shape of the endpoints, which may carry
+    leading axes."""
+    reject_lower = eq_band.lower < bands.upper_of_lower_ci
+    reject_upper = eq_band.upper > bands.lower_of_upper_ci
+    return reject_lower & reject_upper
+
+
 def _decide_metric(bands: OneSidedBands, eq_band: BandPair, estimate: np.ndarray) -> MetricResult:
     metric = bands.metric
     metric.check_bands(eq_band)
-    # The shaded region [upper_of_lower_ci, lower_of_upper_ci] must lie
-    # strictly inside the open band interval at every grid point.
-    reject_lower = eq_band.lower < bands.upper_of_lower_ci
-    reject_upper = eq_band.upper > bands.lower_of_upper_ci
-    violations = np.flatnonzero(~(reject_lower & reject_upper))
+    violations = np.flatnonzero(~_strictly_inside(bands, eq_band))
     return MetricResult(metric, estimate, bands, eq_band, violations, violations.size == 0)
 
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from feqt.cli import EXIT_ERROR, EXIT_FAIL_TO_REJECT, EXIT_OK, _parse_args, build_parser, run_cli
 from feqt.curvefile import write_curves
-from feqt.estimators import DegenerateVarianceError
 from feqt.fdata import equispaced_grid
 from feqt.report import tost_report_from_json, tost_report_json
 from feqt.simlab import default_truth, generate_dataset
@@ -625,16 +624,17 @@ class TestSimulateMode:
     def test_replicate_error_count_printed(self, tmp_path, capsys, monkeypatch):
         import feqt.simlab as simlab
 
-        calls = []
-        real = simlab._frequentist_reject
+        real = simlab._draw_values
 
-        def every_third_degenerate(*args):
-            calls.append(None)
-            if len(calls) % 3 == 0:
-                raise DegenerateVarianceError("zero SSE denominator at grid index 0")
-            return real(*args)
+        def every_third_degenerate(truth, seeds):
+            y = real(truth, seeds)
+            for j, ss in enumerate(seeds):
+                s, r = ss.spawn_key
+                if ((s - 1) * 50 + r) % 3 == 2:
+                    y[j, :, 1] = 0.0  # channel 2's SSE is 0
+            return y
 
-        monkeypatch.setattr(simlab, "_frequentist_reject", every_third_degenerate)
+        monkeypatch.setattr(simlab, "_draw_values", every_third_degenerate)
         args = [
             "simulate", "--scenarios", "size-theta", "--replicates", "50",
             "--replicates-bootstrap", "100", "--groups", "3",
@@ -942,3 +942,4 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     )
     assert proc.returncode == EXIT_ERROR
     assert "error [missing-input]: input file not found: missing.csv" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr

@@ -20,8 +20,10 @@ from feqt.simlab import (
     run_study,
 )
 import feqt.simlab as simlab_mod
-from feqt.tost import BootstrapConfig, Design, Metric
+from feqt.tost import BootstrapConfig, Design, Metric, run_tost
 from dataclasses import replace
+
+from reference_study import reference_study
 
 
 @pytest.fixture
@@ -278,17 +280,146 @@ class TestRunStudy:
             run_study(seq, 10, cfg, {Metric.THETA: bands})
 
     def test_runner_bug_propagates(self, grid10, monkeypatch):
+        # the batch's runner for a theta sequence, run_tost's for a lambda one
         base = default_truth(grid10, 4, 4)
-        bands = make_cosine_bands(grid10, BandKind.ADDITIVE)
-        seq = tiny_sequence(grid10, Metric.THETA, [np.zeros(10)], base)
         cfg = BootstrapConfig(150, 0.05, 0, Design.RANDOM_EFFECTS_MATCHED)
 
-        def runner(data, cfg, eq_bands, metric):
+        def runner(*args):
             raise TypeError("unsupported operand type(s)")
 
-        monkeypatch.setattr(simlab_mod, "_frequentist_reject", runner)
-        with pytest.raises(TypeError, match="unsupported operand"):
-            run_study(seq, 50, cfg, {Metric.THETA: bands}, seed=1)
+        for name, metric, target in (("_theta_rejects", Metric.THETA, np.zeros(10)),
+                                     ("_frequentist_reject", Metric.LAMBDA, np.ones(10))):
+            bands = make_cosine_bands(grid10, metric.band_kind)
+            seq = tiny_sequence(grid10, metric, [target], base)
+            with monkeypatch.context() as m:
+                m.setattr(simlab_mod, name, runner)
+                with pytest.raises(TypeError, match="unsupported operand"):
+                    run_study(seq, 50, cfg, {metric: bands}, seed=1)
+
+    @pytest.mark.parametrize("metric", [Metric.THETA, Metric.LAMBDA], ids=lambda m: m.value)
+    def test_band_map_without_the_metric_refused_before_any_draw(self, grid10, monkeypatch,
+                                                                 metric):
+        other = next(m for m in Metric if m.band_kind is not metric.band_kind)
+        right = make_cosine_bands(grid10, metric.band_kind)
+        wrong = make_cosine_bands(grid10, other.band_kind)
+        seq = tiny_sequence(grid10, metric, [right.midline], default_truth(grid10, 4, 4))
+        cfg = BootstrapConfig(150, 0.05, 0, Design.RANDOM_EFFECTS_MATCHED)
+
+        def no_draw(*args):
+            raise AssertionError("drew a dataset before checking eq_bands")
+
+        monkeypatch.setattr(simlab_mod, "_draw_values", no_draw)
+        with pytest.raises(ValueError, match=f"no bands of the sequence's metric {metric.value}"):
+            run_study(seq, 50, cfg, {other: wrong})
+        with pytest.raises(ValueError, match=f"no bands of the sequence's metric {metric.value}"):
+            run_study(seq, 50, cfg, {other: right})
+        with pytest.raises(ValueError, match=f"{metric.value} requires "
+                           f"{metric.band_kind.value} bands"):
+            run_study(seq, 50, cfg, {metric: wrong})
+
+
+def degenerate_draws(kinds):
+    """``simlab._draw_values``, but the dataset keyed (scenario, replicate)
+    ``key`` made degenerate as ``kinds[key]`` names: "sse" zeroes channel 2,
+    so its SSE is 0; "spread" zeroes channel 1 but for a +1 and a -1 in
+    each group, so every group mean is 0."""
+    real = simlab_mod._draw_values
+
+    def draw(truth, seeds):
+        y = real(truth, seeds)
+        for j, ss in enumerate(seeds):
+            kind = kinds.get(tuple(getattr(ss, "spawn_key", ())))
+            if kind == "sse":
+                y[j, :, 1] = 0.0
+            elif kind == "spread":
+                first = np.cumsum(truth.group_sizes) - truth.group_sizes
+                y[j, :, 0] = 0.0
+                y[j, first, 0] = 1.0
+                y[j, first + 1, 0] = -1.0
+        return y
+
+    return draw
+
+
+def assert_same_study(got, want):
+    for name in ("scenarios", "replicates", "rejections"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.errors == want.errors
+    assert got.to_json_text() == want.to_json_text()
+
+
+class TestBatchedStudy:
+    """``run_study`` against the per-replicate loop it replaced
+    (``tests/reference_study.py``), to the decision and the error text."""
+
+    @pytest.fixture
+    def unequal(self):
+        grid = equispaced_grid(13)
+        base = replace(default_truth(grid, 6, 2), group_sizes=np.array([2, 5, 3, 5, 2, 7]),
+                       s2_eps=np.full((2, 13), 0.01), s2_alpha=np.full((2, 13), 0.0005))
+        return base, grid
+
+    def test_theta_batches_equal_the_loop(self, unequal, monkeypatch):
+        base, grid = unequal
+        bands = make_cosine_bands(grid, BandKind.ADDITIVE)
+        full = interior_scenarios(base, bands, Metric.THETA)
+        seq = ScenarioSequence(Metric.THETA, full.truths[3::4], full.target_curves[3::4], False)
+        cfg = BootstrapConfig(257, 0.05, 0, Design.RANDOM_EFFECTS_MATCHED)
+        kinds = {(1, 1): "sse", (1, 2): "spread", (2, 52): "sse"}
+        monkeypatch.setattr(simlab_mod, "_draw_values", degenerate_draws(kinds))
+        batches, real = [], simlab_mod._theta_rejects
+
+        def spy(y, *args):
+            batches.append(len(y))
+            return real(y, *args)
+
+        monkeypatch.setattr(simlab_mod, "_theta_rejects", spy)
+        got = run_study(seq, 53, cfg, {Metric.THETA: bands}, seed=4)
+        assert sum(batches) == 2 * 53
+        # degenerate datasets inside the first batch, and a last batch cut short
+        assert batches[0] > 3 and 53 % batches[0] != 0
+        assert [e[:2] for e in got.errors] == list(kinds)
+        assert [e[2].split(":")[0] for e in got.errors] == [
+            "DegenerateVarianceError", "DegenerateSpreadError", "DegenerateVarianceError"]
+        assert 0 < got.rejections.min() and got.rejections.max() < got.replicates.min()
+        assert_same_study(got, reference_study(seq, 53, cfg, {Metric.THETA: bands}, seed=4))
+
+    def test_batch_bits_equal_run_tost(self, unequal, monkeypatch):
+        # each dataset, both one-sided bands and the decision, replicate by
+        # replicate, at a B of no round size
+        base, grid = unequal
+        band = make_cosine_bands(grid, BandKind.ADDITIVE)
+        keys = [np.random.SeedSequence(entropy=5, spawn_key=(2, r)) for r in range(7)]
+        cfgs = [BootstrapConfig(257, 0.05, int(ss.generate_state(1)[0] >> 1),
+                                Design.RANDOM_EFFECTS_MATCHED) for ss in keys]
+        batch_bands, real = [], simlab_mod.theta_bands
+        monkeypatch.setattr(simlab_mod, "theta_bands",
+                            lambda *args: batch_bands.append(real(*args)) or batch_bands[-1])
+        y = simlab_mod._draw_values(base, keys)
+        rejects, decided = simlab_mod._theta_rejects(y, base.group_sizes, cfgs, band)
+        assert decided.all() and len(batch_bands) == 1
+        for j, (ss, cfg) in enumerate(zip(keys, cfgs)):
+            data = generate_dataset(base, ss)
+            assert data.stacked().tobytes() == y[j].tobytes()
+            want = run_tost(data, cfg, {Metric.THETA: band}).results[Metric.THETA]
+            for end in ("lower_of_upper_ci", "upper_of_lower_ci"):
+                got = getattr(batch_bands[0], end)[j]
+                assert getattr(want.bands, end).tobytes() == got.tobytes()
+            assert want.reject == rejects[j]
+
+    @pytest.mark.parametrize("metric, others", [(Metric.LAMBDA, ()), (Metric.THETA, (Metric.PSI,))],
+                             ids=["lambda", "theta and psi"])
+    def test_other_band_maps_equal_the_loop(self, unequal, monkeypatch, metric, others):
+        base, grid = unequal
+        eq_bands = {m: make_cosine_bands(grid, m.band_kind) for m in (metric, *others)}
+        full = interior_scenarios(base, eq_bands[metric], metric)
+        seq = ScenarioSequence(metric, full.truths[4:5], full.target_curves[4:5], False)
+        cfg = BootstrapConfig(100, 0.05, 0, Design.RANDOM_EFFECTS_MATCHED)
+        monkeypatch.setattr(simlab_mod, "_draw_values", degenerate_draws({(1, 7): "sse"}))
+        monkeypatch.setattr(simlab_mod, "_theta_rejects", None)  # not called
+        got = run_study(seq, 50, cfg, eq_bands, seed=6)
+        assert [e[:2] for e in got.errors] == [(1, 7)]
+        assert_same_study(got, reference_study(seq, 50, cfg, eq_bands, seed=6))
 
 
 class TestStudyResult:
